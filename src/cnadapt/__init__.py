@@ -6,7 +6,6 @@ from .adapt import (  # noqa: F401
     EstimatorConfig,
     FitResult,
     adapted_unigram,
-    backend_name,
     fit,
     fit_conf,
     fit_conf_map,

@@ -14,42 +14,24 @@ Four variants share one interface:
   update.  MAP variants bound the prior difference too, with separate
   update forms for negative and positive prior strength.
 
-Every iteration's accumulators come from a single kernel call (compiled
-extension when available, numpy otherwise) over a flat per-conversation
-workspace; bins are always reduced in utterance order so repeated runs on
-one platform reproduce identical traces.
+Every conf-* iteration's accumulators come from one numpy kernel over a
+per-conversation layout of bins padded by width class (see ``_ConfKernel``);
+the reductions run in a fixed order, so repeated runs on one platform
+reproduce identical traces.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _confcore_py
 from .channel import ChannelModel
 from .corpus import Bin, Conversation, expected_counts
 from .errors import EstimationError, ValidationError
 from .topics import MixtureWeights, TopicModel
 
-try:
-    from . import _confcore as _compiled
-except ImportError:
-    _compiled = None
-
 VARIANTS = ("self-1best", "self-tf", "conf-1best", "conf-tf")
-
-_BACKEND = os.environ.get("CNADAPT_BACKEND", "")
-if _BACKEND not in ("", "compiled", "python"):
-    raise ImportError(f"CNADAPT_BACKEND={_BACKEND!r}; use 'compiled' or 'python'")
-if _BACKEND == "compiled" and _compiled is None:
-    raise ImportError("CNADAPT_BACKEND=compiled but the extension is not built")
-_USE_COMPILED = _compiled is not None and _BACKEND != "python"
-
-
-def backend_name() -> str:
-    return "compiled" if _USE_COMPILED else "python"
 
 
 @dataclass
@@ -120,64 +102,108 @@ def reference_posterior(
     return {w: s / total for w, s in scores.items()}
 
 
-class _ConfWorkspace:
-    """Flat per-conversation arrays consumed by the stats kernels.
+def _channel_lookup(cm: ChannelModel, words: np.ndarray):
+    """Sorted pair keys ``w * base + v``, their probabilities and ``base``.
 
-    Cells are concatenated in utterance/bin order; cell 0 of each bin is its
-    1-best word.  ``pc`` holds one row-major k*k channel block per bin
-    (row = spoken cell, column = observed cell).
+    Only the rows of ``words`` are read, so the cost does not grow with the
+    channel; a word without a row emits itself.  A sentinel key ends the
+    array, so every lookup lands on an entry.
+    """
+    ws, vs, ps = [], [], []
+    for w in np.unique(words).tolist():
+        row = cm.rows.get(w, {w: 1.0})
+        ws.extend([w] * len(row))
+        vs.extend(row)
+        ps.extend(row.values())
+    base = max(int(words.max()), max(vs)) + 1
+    keys = np.asarray(ws, np.int64) * base + np.asarray(vs, np.int64)
+    order = np.argsort(keys)
+    keys = np.append(keys[order], np.iinfo(np.int64).max)
+    return keys, np.append(np.asarray(ps, np.float64)[order], 0.0), base
+
+
+class _ConfKernel:
+    """Per-conversation arrays of the conf-* EM and its per-iteration statistics.
+
+    Bins are grouped into width classes (1, 2, 3-4, 5-8, ..., the last one
+    ending at the widest bin) and every bin is padded to its class width K.
+    A class of M bins owns M*K consecutive slots, bin by bin in utterance
+    order; slot 0 of a bin is its 1-best word.  Padding slots have zero
+    topic probabilities and zero weight, so their channel entries never count.
+
+    * ``cell`` (slots,): each slot's cell, counting cells in utterance
+      order; padding points one past the last cell;
+    * ``Q`` (T, slots): topic probabilities of each slot's word;
+    * ``S`` (T, bins): per-bin sums of ``Q``, in slot order;
+    * ``binw[use_tf]`` (bins,): evidence mass of each bin;
+    * ``blocks[use_tf]``: per class, its slot range, the (M, K, J) channel
+      block (row = spoken slot, column = observed slot) and the (M, J)
+      weights of the J observed slots: every slot with its posterior for
+      ``conf-tf``, the 1-best slot with weight 1 for ``conf-1best``.
     """
 
     def __init__(self, conv: Conversation, tm: TopicModel, cm: ChannelModel):
-        words, sposts, bptr, pptr = [], [], [0], [0]
-        pc_blocks = []
-        for b in conv.iter_bins():
-            wids = b.word_ids()
-            k = len(wids)
-            words.extend(wids)
-            sposts.extend(p for _, p in b.cells)
-            bptr.append(len(words))
-            block = np.empty(k * k, dtype=np.float64)
-            for a, wa in enumerate(wids):
-                row = cm.rows.get(wa)
-                for j, wb in enumerate(wids):
-                    if row is None:
-                        block[a * k + j] = 1.0 if wb == wa else 0.0
-                    else:
-                        block[a * k + j] = row.get(wb, 0.0)
-            pc_blocks.append(block)
-            pptr.append(pptr[-1] + k * k)
+        bins = list(conv.iter_bins())
+        width = np.fromiter(map(len, bins), np.int64, len(bins))
+        words = np.fromiter((w for b in bins for w, _ in b.cells), np.int64, width.sum())
+        post = np.fromiter((p for b in bins for _, p in b.cells), np.float64, words.size)
+        keys, probs, base = _channel_lookup(cm, words)
+        first = np.cumsum(width) - width
+        kclass = np.minimum(np.left_shift(1, np.frexp(width - 1)[1]), width.max())
+        wordx, postx = np.append(words, 0), np.append(post, 0.0)
+        slots, bin_start = [], []
+        self.blocks = {True: [], False: []}
+        for K in np.unique(kclass):
+            b = np.flatnonzero(kclass == K)
+            real = np.arange(K) < width[b, None]
+            slot = np.where(real, first[b, None] + np.arange(K), words.size)
+            w = wordx[slot]
+            key = w[:, :, None] * base + w[:, None, :]
+            pos = np.searchsorted(keys, key)
+            chan = np.where(keys[pos] == key, probs[pos], 0.0)
+            off = sum(s.size for s in slots)
+            sl = slice(off, off + slot.size)
+            bin_start.append(off + K * np.arange(b.size))
+            slots.append(slot.ravel())
+            self.blocks[True].append((sl, chan, postx[slot]))
+            self.blocks[False].append((sl, chan[:, :, :1].copy(), np.ones((b.size, 1))))
+        self.cell = np.concatenate(slots)
+        bin_start = np.concatenate(bin_start)
+        T = tm.probs.shape[0]
+        self.Q = np.concatenate([tm.probs[:, words], np.zeros((T, 1))], axis=1)[:, self.cell]
+        self.S = np.add.reduceat(self.Q, bin_start, axis=1)
+        self.binw = {
+            True: np.add.reduceat(postx[self.cell], bin_start),
+            False: np.ones(len(bins)),
+        }
 
-        self.words = np.asarray(words, dtype=np.int64)
-        self.sposts = np.asarray(sposts, dtype=np.float64)
-        self.bptr = np.asarray(bptr, dtype=np.int64)
-        self.pptr = np.asarray(pptr, dtype=np.int64)
-        self.pc = np.concatenate(pc_blocks)
-        self.obs = self.bptr[:-1]
-        self.Qw = np.ascontiguousarray(tm.probs[:, self.words])
-        self.St = np.add.reduceat(self.Qw, self.bptr[:-1], axis=1)
-        self.binw_tf = np.add.reduceat(self.sposts, self.bptr[:-1])
+    def stats(self, lam: np.ndarray, use_tf: bool):
+        """Return (N, D, log-likelihood, per-slot reference weights) at ``lam``.
 
-        # pairwise index arrays for the numpy kernel
-        widths = np.diff(self.bptr)
-        pa, pb, pobs = [], [], []
-        for i, k in enumerate(widths):
-            f0, p0 = self.bptr[i], self.pptr[i]
-            local = np.arange(k, dtype=np.int64)
-            pa.append(np.repeat(f0 + local, k))
-            pb.append(np.tile(f0 + local, k))
-            pobs.append(p0 + local * k)
-        self.pa = np.concatenate(pa)
-        self.pb = np.concatenate(pb)
-        self.pobs = np.concatenate(pobs)
-
-
-def _conf_stats(work: _ConfWorkspace, lam: np.ndarray, use_tf: bool):
-    if _USE_COMPILED:
-        return _compiled.conf_stats(
-            work.Qw, work.St, work.sposts, work.bptr, work.pc, work.pptr, lam, use_tf
-        )
-    return _confcore_py.conf_stats(work, lam, use_tf)
+        N[t] is the reference-posterior-weighted topic-t mass, D[t] the
+        bin-level topic-t mass ratio; both feed the multiplicative update.
+        An observed word that gets zero channel mass from every bin word
+        falls back to a point-mass reference posterior on itself.
+        """
+        q = lam @ self.Q
+        g = np.empty_like(q)  # reference weight over mixture probability
+        ll = 0.0
+        with np.errstate(divide="ignore"):
+            for sl, chan, w in self.blocks[use_tf]:
+                M, J = w.shape
+                qc, gc = q[sl].reshape(M, -1), g[sl].reshape(M, -1)
+                den = np.einsum("mab,ma->mb", chan, qc)
+                live = w > 0.0
+                ll += float(np.vdot(w, np.log(den, out=np.zeros_like(den), where=live)))
+                r = np.divide(w, den, out=np.zeros_like(w), where=den > 0.0)
+                np.einsum("mab,mb->ma", chan, r, out=gc)
+                dead = live & (den == 0.0)
+                if dead.any():
+                    gc[:, :J][dead] += w[dead] / qc[:, :J][dead]
+            binw = self.binw[use_tf]
+            binq = lam @ self.S
+            ll -= float(binw @ np.log(binq))
+        return lam * (self.Q @ g), self.S @ (binw / binq), ll, q * g
 
 
 def loglik_conf(
@@ -186,9 +212,8 @@ def loglik_conf(
     """Log-likelihood of the observed words under the confusion channel,
     with the mixture renormalized inside each bin.
     """
-    work = _ConfWorkspace(conv, tm, cm)
-    _, _, ll = _conf_stats(work, np.asarray(lam, dtype=np.float64), use_tf)
-    return ll
+    kernel = _ConfKernel(conv, tm, cm)
+    return kernel.stats(np.asarray(lam, dtype=np.float64), use_tf)[2]
 
 
 def conf_lower_bound(
@@ -207,40 +232,14 @@ def conf_lower_bound(
     """
     mu = np.asarray(mu, dtype=np.float64)
     delta = np.asarray(delta, dtype=np.float64)
-    work = _ConfWorkspace(conv, tm, cm)
+    kernel = _ConfKernel(conv, tm, cm)
     emu = np.exp(mu - np.max(mu))
-    lam = emu / emu.sum()
-    ww, binw = _reference_weights(work, lam, use_tf)
-    a = emu @ work.Qw
-    ad = (emu * delta) @ work.Qw
-    A = emu @ work.St
-    Ad = (emu * np.exp(delta)) @ work.St
-    return float(ww.sum() + ww @ (ad / a) - binw @ (Ad / A))
-
-
-def _reference_weights(work: _ConfWorkspace, lam: np.ndarray, use_tf: bool):
-    """Per-cell reference-posterior weights and per-bin totals at ``lam``."""
-    F = work.sposts.shape[0]
-    qmix = lam @ work.Qw
-    contrib = qmix[work.pa] * work.pc
-    den = np.bincount(work.pb, weights=contrib, minlength=F)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        if use_tf:
-            wpair = work.sposts[work.pb] * contrib / den[work.pb]
-            np.nan_to_num(wpair, copy=False, nan=0.0, posinf=0.0, neginf=0.0)
-            ww = np.bincount(work.pa, weights=wpair, minlength=F)
-            dead = (den == 0.0) & (work.sposts > 0.0)
-            ww[dead] += work.sposts[dead]
-            binw = work.binw_tf
-        else:
-            sel = work.pobs
-            wpair = contrib[sel] / den[work.pb[sel]]
-            np.nan_to_num(wpair, copy=False, nan=0.0, posinf=0.0, neginf=0.0)
-            ww = np.bincount(work.pa[sel], weights=wpair, minlength=F)
-            dead = work.obs[den[work.obs] == 0.0]
-            np.add.at(ww, dead, 1.0)
-            binw = np.ones(work.bptr.shape[0] - 1)
-    return ww, binw
+    ww = kernel.stats(emu / emu.sum(), use_tf)[3]
+    a = emu @ kernel.Q
+    ad = np.divide((emu * delta) @ kernel.Q, a, out=np.zeros_like(a), where=a > 0.0)
+    A = emu @ kernel.S
+    Ad = (emu * np.exp(delta)) @ kernel.S
+    return float(ww.sum() + ww @ ad - kernel.binw[use_tf] @ (Ad / A))
 
 
 def _init_lambda(cfg: EstimatorConfig, T: int) -> np.ndarray:
@@ -299,13 +298,18 @@ def _self_update(c: np.ndarray, m: float, iteration: int) -> np.ndarray:
 def _conf_update(
     N: np.ndarray, D: np.ndarray, lam: np.ndarray, m: float, iteration: int
 ) -> np.ndarray:
+    """Unnormalized multiplicative update from ``lam``.
+
+    ``log(u) - log(lam)`` is the softmax-space step at which the update
+    maximizes the surrogate; the new weights are ``u / u.sum()``.
+    """
     T = N.shape[0]
     if m == 0.0:
         u = N / D
     elif m < 0.0:
         u = (N + m * (1.0 - T * lam)) / D
         _check_finite(u, "update numerator", iteration)
-        return _clamp_renormalize(u, m)
+        u = np.maximum(u, 0.0)
     else:
         denom = D + m * T
         if np.any(denom <= 0.0):
@@ -315,10 +319,11 @@ def _conf_update(
             )
         u = (N + m) / denom
     _check_finite(u, "update", iteration)
-    total = u.sum()
-    if total <= 0.0:
-        raise EstimationError(f"degenerate update at iteration {iteration}")
-    return u / total
+    if u.sum() <= 0.0:
+        raise EstimationError(
+            f"degenerate update at iteration {iteration}; map_strength {m} is too strong"
+        )
+    return u
 
 
 def _run_em(lam0, stats, update, m, max_iters, rel_tol) -> FitResult:
@@ -387,16 +392,16 @@ def fit_self_tf(conv: Conversation, tm: TopicModel, cfg: EstimatorConfig) -> Fit
 
 def _fit_conf_impl(conv, tm, cm, cfg) -> FitResult:
     use_tf = cfg.variant == "conf-tf"
-    work = _ConfWorkspace(conv, tm, cm)
+    kernel = _ConfKernel(conv, tm, cm)
     m = cfg.map_strength
 
     def stats(lam):
-        N, D, ll = _conf_stats(work, lam, use_tf)
+        N, D, ll, _ = kernel.stats(lam, use_tf)
         return (N, D), ll
 
     def update(acc, lam, it):
-        N, D = acc
-        return _conf_update(N, D, lam, m, it)
+        u = _conf_update(*acc, lam, m, it)
+        return u / u.sum()
 
     lam0 = _init_lambda(cfg, tm.num_topics)
     return _run_em(lam0, stats, update, m, cfg.max_iters, cfg.rel_tol)
@@ -440,16 +445,8 @@ def conf_em_step(
     update maximizes the surrogate at (before renormalization).
     """
     lam = np.asarray(lam, dtype=np.float64)
-    work = _ConfWorkspace(conv, tm, cm)
-    N, D, _ = _conf_stats(work, lam, use_tf)
-    T = N.shape[0]
-    m = map_strength
-    if m == 0.0:
-        u = N / D
-    elif m < 0.0:
-        u = np.maximum((N + m * (1.0 - T * lam)) / D, 0.0)
-    else:
-        u = (N + m) / (D + m * T)
+    N, D, _, _ = _ConfKernel(conv, tm, cm).stats(lam, use_tf)
+    u = _conf_update(N, D, lam, map_strength, 0)
     with np.errstate(divide="ignore"):
         delta = np.log(u) - np.log(lam)
     return u / u.sum(), delta

@@ -31,10 +31,6 @@ class ChannelModel:
                 raise ValidationError(f"non-positive probability in channel row {w}")
         self.rows = rows
 
-    def support(self, w: int):
-        row = self.rows.get(w)
-        return frozenset(row) if row else frozenset((w,))
-
     def prob(self, v: int, w: int) -> float:
         """p(observed v | spoken w); unmodeled words back off to identity."""
         row = self.rows.get(w)
@@ -91,7 +87,12 @@ _CHANNEL_HEADER = re.compile(r"^CHANNEL (\d+)$")
 
 
 def load_channel(path, vocab: Vocabulary) -> ChannelModel:
-    """Read a channel file, interning words and re-validating row sums."""
+    """Read a channel file over the words of ``vocab``, re-validating row sums.
+
+    ``vocab`` is never grown: entries naming a word it lacks are dropped
+    after the row sums are checked, the rest of each row is renormalized,
+    and a row left empty is dropped.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -102,6 +103,9 @@ def load_channel(path, vocab: Vocabulary) -> ChannelModel:
     nrows = int(m.group(1))
     if len(lines) - 1 != nrows:
         raise ParseError(f"header declares {nrows} rows, found {len(lines) - 1}", 1)
+    known = len(vocab)
+    outside = {}  # ids from ``known`` up stand for the words ``vocab`` lacks
+    get = vocab.get
     raw = {}
     for no, line in enumerate(lines[1:], start=2):
         parts = line.split()
@@ -114,11 +118,22 @@ def load_channel(path, vocab: Vocabulary) -> ChannelModel:
             raise ParseError(f"bad probability {ptok!r}", no) from None
         if p <= 0.0:
             raise ValidationError(f"line {no}: non-positive probability {ptok}")
-        raw.setdefault(vocab.add(w), {})[vocab.add(v)] = p
+        wid, vid = get(w), get(v)
+        if wid is None:
+            wid = outside.setdefault(w, known + len(outside))
+        if vid is None:
+            vid = outside.setdefault(v, known + len(outside))
+        raw.setdefault(wid, {})[vid] = p
     rows = {}
     for w, row in raw.items():
         total = sum(row.values())
         if abs(total - 1.0) > 1e-6:
-            raise ValidationError(f"channel row {vocab.word(w)!r} sums to {total!r}")
+            name = vocab.word(w) if w < known else list(outside)[w - known]
+            raise ValidationError(f"channel row {name!r} sums to {total!r}")
+        if outside:
+            row = {v: p for v, p in row.items() if v < known}
+            if w >= known or not row:
+                continue
+            total = sum(row.values())
         rows[w] = {v: p / total for v, p in row.items()}
     return ChannelModel(rows)

@@ -137,12 +137,18 @@ def cmd_channel(args):
 
 def _adapt_one(cnet_path, topic_model_path, channel_path, cfg_kwargs, out_lambda, out_unigram):
     tm = topics.load_topic_model(topic_model_path)
+    # the model vocabulary stays closed, so every output covers exactly its words
     cm = load_channel(channel_path, tm.vocab) if channel_path else None
-    conv = load_conversation(cnet_path, tm.vocab)
+    conv = load_conversation(cnet_path, tm.vocab, closed=True)
     cfg = adapt.EstimatorConfig(**cfg_kwargs)
     result = adapt.fit(conv, tm, cfg, cm)
     write_lambda_file(out_lambda, conv.cid, tm.labels, result.weights.lam)
+    widths = [len(b) for b in conv.iter_bins()]
     diag = {
+        "bins": len(widths),
+        "cells": sum(widths),
+        "pairs": sum(k * k for k in widths),
+        "oov_cells": conv.oov_cells,
         "conversation": conv.cid,
         "variant": cfg.variant,
         "map_strength": cfg.map_strength,

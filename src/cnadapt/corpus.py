@@ -16,6 +16,7 @@ from .errors import ParseError, ValidationError
 
 POSTERIOR_SUM_SLACK = 1e-6
 MAX_FRACTION_DIGITS = 9
+UNK_WORD = "<unk>"
 
 
 class Vocabulary:
@@ -42,6 +43,14 @@ class Vocabulary:
 
     def id(self, word: str) -> int:
         return self._index[word]
+
+    @property
+    def get(self):
+        """``get(word)``: the id of ``word``, or None when it is not interned.
+
+        The index's own lookup, so loaders can bind it once per file.
+        """
+        return self._index.get
 
     def word(self, wid: int) -> str:
         return self._words[wid]
@@ -118,6 +127,8 @@ class Conversation:
     cid: str
     networks: tuple
     total_bins: int = field(init=False)
+    # cells whose word was outside a closed vocabulary when parsed
+    oov_cells: int = 0
 
     def __post_init__(self):
         object.__setattr__(
@@ -144,14 +155,6 @@ def prune_bin(b: Bin, rel_floor: float = 0.05, max_words: int = 10) -> Bin:
     return Bin(kept[:max_words])
 
 
-def prune_conversation(conv: Conversation, rel_floor=0.05, max_words=10) -> Conversation:
-    nets = tuple(
-        ConfusionNetwork(net.uid, tuple(prune_bin(b, rel_floor, max_words) for b in net.bins))
-        for net in conv.networks
-    )
-    return Conversation(conv.cid, nets)
-
-
 def expected_counts(conv: Conversation) -> dict:
     """Soft term frequency: tf(w) = sum of w's posteriors over all bins."""
     tf = {}
@@ -176,11 +179,15 @@ def _parse_posterior(token: str, lineno: int) -> float:
     return value
 
 
-def parse_conversation(source, vocab: Vocabulary) -> Conversation:
+def parse_conversation(source, vocab: Vocabulary, closed: bool = False) -> Conversation:
     """Parse one conversation in CNET text format.
 
     ``source`` is a text stream or a string.  Unknown words are interned
-    into ``vocab``.  Raises ParseError/ValidationError with line numbers.
+    into ``vocab``, unless ``closed``: then ``vocab`` is left as it is, a
+    cell whose word it lacks maps to UNK_WORD when it has that (posteriors
+    of cells meeting there are summed) and is dropped otherwise, and a bin
+    or utterance left empty is dropped too.  Raises ParseError/
+    ValidationError with line numbers.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
@@ -199,6 +206,9 @@ def parse_conversation(source, vocab: Vocabulary) -> Conversation:
     if len(parts) != 2 or parts[0] != "CONV":
         raise ParseError(f"expected 'CONV <id>', got {header!r}", no)
     cid = parts[1]
+    intern = vocab.get if closed else vocab.add
+    unk = vocab.get(UNK_WORD)
+    oov_cells = 0
 
     networks = []
     while True:
@@ -224,20 +234,37 @@ def parse_conversation(source, vocab: Vocabulary) -> Conversation:
             if bparts[0] != "BIN" or len(bparts) < 2:
                 raise ParseError(f"expected 'BIN <word>:<posterior> ...', got {bline!r}", no)
             cells = []
+            bin_oov = 0
             for cell in bparts[1:]:
                 word, sep, ptok = cell.rpartition(":")
                 if not sep or not word:
                     raise ParseError(f"bad cell {cell!r}", no)
                 post = _parse_posterior(ptok, no)
-                cells.append((vocab.add(word), post))
+                wid = intern(word)
+                if wid is None:
+                    bin_oov += 1
+                    wid = unk
+                if wid is not None:
+                    cells.append((wid, post))
+            if bin_oov:
+                oov_cells += bin_oov
+                merged = {}
+                for wid, post in cells:
+                    merged[wid] = merged.get(wid, 0.0) + post
+                cells = [(wid, min(post, 1.0)) for wid, post in merged.items()]
+            if not cells:
+                continue
             try:
                 bins.append(Bin(cells))
             except ValidationError as exc:
                 raise ValidationError(f"line {no}: {exc}") from None
-        networks.append(ConfusionNetwork(uid, tuple(bins)))
+        if bins:
+            networks.append(ConfusionNetwork(uid, tuple(bins)))
     if not networks:
+        if oov_cells:
+            raise ValidationError(f"conversation {cid!r} has no word in the vocabulary")
         raise ParseError("conversation has no utterances", no or 1)
-    return Conversation(cid, tuple(networks))
+    return Conversation(cid, tuple(networks), oov_cells=oov_cells)
 
 
 def format_posterior(p: float) -> str:
@@ -259,9 +286,9 @@ def serialize_conversation(conv: Conversation, vocab: Vocabulary) -> str:
     return "\n".join(out) + "\n"
 
 
-def load_conversation(path, vocab: Vocabulary) -> Conversation:
+def load_conversation(path, vocab: Vocabulary, closed: bool = False) -> Conversation:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_conversation(fh, vocab)
+        return parse_conversation(fh, vocab, closed)
 
 
 def save_conversation(conv: Conversation, vocab: Vocabulary, path) -> None:

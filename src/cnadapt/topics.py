@@ -13,12 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Vocabulary
+from .corpus import UNK_WORD, Vocabulary
 from .errors import ParseError, TrainingError, ValidationError
 
 PROB_FLOOR = 1e-10
 ROW_SUM_TOL = 1e-9
-UNK_WORD = "<unk>"
 
 
 def floor_and_normalize(rows: np.ndarray) -> np.ndarray:
@@ -89,10 +88,6 @@ class MixtureWeights:
         mu = np.asarray(mu, dtype=np.float64)
         return cls(mu_to_lambda(mu), mu)
 
-    @classmethod
-    def uniform(cls, num_topics: int) -> "MixtureWeights":
-        return cls.from_mu(np.zeros(num_topics))
-
     def __repr__(self):
         return f"MixtureWeights({self.lam!r})"
 
@@ -147,11 +142,6 @@ def train_topic_model(labeled_corpus, vocab: Vocabulary) -> TopicModel:
 def mixture_prob(tm: TopicModel, weights: MixtureWeights, wid: int) -> float:
     """Mixture probability of one word: sum_t lambda_t q(w|t)."""
     return float(weights.lam @ tm.probs[:, wid])
-
-
-def mixture_distribution(tm: TopicModel, weights: MixtureWeights) -> np.ndarray:
-    """Dense mixture unigram over the whole vocabulary."""
-    return weights.lam @ tm.probs
 
 
 def save_topic_model(tm: TopicModel, path) -> None:

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 import oracles
-from cnadapt import _confcore_py
 from cnadapt.adapt import (
     EstimatorConfig,
-    _ConfWorkspace,
+    _ConfKernel,
     conf_em_step,
     conf_lower_bound,
     fit_conf,
@@ -16,12 +15,13 @@ from cnadapt.channel import ChannelModel
 from cnadapt.corpus import Bin, ConfusionNetwork, Conversation, Vocabulary
 from cnadapt.errors import ValidationError
 from cnadapt.topics import TopicModel
-from helpers import bins_as_lists, make_instance, non_decreasing
-
-try:
-    from cnadapt import _confcore
-except ImportError:
-    _confcore = None
+from helpers import (
+    bins_as_lists,
+    make_channel,
+    make_instance,
+    make_topic_model,
+    non_decreasing,
+)
 
 
 @pytest.fixture
@@ -211,19 +211,60 @@ class TestFitConf:
         assert non_decreasing(res.loglik_trace)
 
 
-@pytest.mark.skipif(_confcore is None, reason="compiled kernel unavailable")
-class TestBackendsAgree:
+def ragged_instance(seed, dead_bin, T=3, V=60, rowless=15):
+    """Bins of every width from 1 to 40 plus random ones, words from
+    V - rowless up without a channel row, and with ``dead_bin`` a first bin
+    whose 1-best word no word of the bin can emit."""
+    rng = np.random.default_rng(seed)
+    tm = make_topic_model(rng, T, V)
+    rows = {w: r for w, r in make_channel(rng, V).rows.items() if w < V - rowless}
+    rows[0] = {1: 1.0}
+    rows[1] = {1: 0.5, 2: 0.5}
+    # word 0 (which cannot emit itself) appears in the dead bin only
+    widths = rng.permutation(np.concatenate([np.arange(1, 41), rng.integers(1, 41, 40)]))
+    bins = [Bin([(0, 0.6), (1, 0.3)])] if dead_bin else []
+    for k in widths:
+        wids = rng.choice(np.arange(1, V), size=k, replace=False)
+        post = rng.dirichlet(np.ones(k)) * rng.uniform(0.5, 1.0)
+        bins.append(Bin([(int(w), float(p)) for w, p in zip(wids, post)]))
+    conv = Conversation("c", (ConfusionNetwork("u", tuple(bins)),))
+    return conv, tm, ChannelModel(rows)
+
+
+class TestRaggedKernel:
+    """Width classes with padding, identity fallback and a dead observation."""
+
+    def test_instance_has_the_shapes(self):
+        conv, tm, cm = ragged_instance(0, dead_bin=True)
+        widths = {len(b) for b in conv.iter_bins()}
+        assert widths == set(range(1, 41))
+        words = {w for b in conv.iter_bins() for w in b.word_ids()}
+        assert any(w not in cm.rows for w in words)
+        first = next(conv.iter_bins())
+        assert all(cm.prob(0, w) == 0.0 for w in first.word_ids())
+
     @pytest.mark.parametrize("use_tf", [False, True])
-    def test_stats_match(self, use_tf):
-        for seed in range(6):
-            conv, tm, cm = make_instance(seed, T=4, V=25, M=80)
-            work = _ConfWorkspace(conv, tm, cm)
-            lam = np.random.default_rng(seed).dirichlet(np.ones(4))
-            n1, d1, l1 = _confcore_py.conf_stats(work, lam, use_tf)
-            n2, d2, l2 = _confcore.conf_stats(
-                work.Qw, work.St, work.sposts, work.bptr, work.pc, work.pptr,
-                lam, use_tf,
-            )
-            assert np.allclose(n1, n2, rtol=1e-12, atol=1e-14)
-            assert np.allclose(d1, d2, rtol=1e-12, atol=1e-14)
-            assert l1 == pytest.approx(l2, rel=1e-12)
+    def test_loglik_matches_oracle(self, use_tf):
+        for seed in (0, 1, 2):
+            conv, tm, cm = ragged_instance(seed, dead_bin=False)
+            lam = np.random.default_rng(seed).dirichlet(np.ones(3))
+            want = oracles.loglik_conf(bins_as_lists(conv), lam, tm.probs, cm.prob, use_tf)
+            assert np.isfinite(want)
+            assert loglik_conf(conv, tm, lam, cm, use_tf) == pytest.approx(want, rel=1e-10)
+            conv, tm, cm = ragged_instance(seed, dead_bin=True)
+            assert loglik_conf(conv, tm, lam, cm, use_tf) == -np.inf
+
+    @pytest.mark.parametrize("use_tf", [False, True])
+    def test_cell_weights_match_oracle(self, use_tf):
+        for seed in (0, 1, 2):
+            conv, tm, cm = ragged_instance(seed, dead_bin=True)
+            lam = np.random.default_rng(seed).dirichlet(np.ones(3))
+            bins = bins_as_lists(conv)
+            kernel = _ConfKernel(conv, tm, cm)
+            got = np.zeros(sum(map(len, bins)) + 1)
+            got[kernel.cell] = kernel.stats(lam, use_tf)[3]
+            want = oracles.reference_weights(bins, lam, tm.probs, cm.prob, use_tf)
+            flat = [wgt[w] for cells, wgt in zip(bins, want) for w, _ in cells]
+            assert np.allclose(got[:-1], flat, rtol=1e-10, atol=1e-13)
+            if not use_tf:
+                assert got[:2].tolist() == [1.0, 0.0]

@@ -128,3 +128,20 @@ class TestChannelFile:
         path.write_text("CHANNEL 3\na a 0.5\na b 0.5\n")
         with pytest.raises(ParseError):
             load_channel(path, Vocabulary())
+
+    def test_loader_drops_words_outside_vocab(self, tmp_path):
+        vocab = Vocabulary(["a", "b"])
+        path = tmp_path / "ch.model"
+        path.write_text(
+            "CHANNEL 6\na a 0.6\na zz 0.2\na b 0.2\nb zz 1\nzz a 0.5\nzz zz 0.5\n"
+        )
+        cm = load_channel(path, vocab)
+        assert len(vocab) == 2
+        assert set(cm.rows) == {0}
+        assert cm.rows[0] == pytest.approx({0: 0.75, 1: 0.25})
+
+    def test_loader_validates_sums_of_outside_rows(self, tmp_path):
+        path = tmp_path / "ch.model"
+        path.write_text("CHANNEL 2\nzz a 0.5\nzz b 0.2\n")
+        with pytest.raises(ValidationError, match="zz"):
+            load_channel(path, Vocabulary(["a", "b"]))

@@ -168,6 +168,26 @@ class TestAdapt:
         assert np.abs(lam_hat - lam_true).sum() <= 0.05
         diag = json.loads((tmp_path / "c.lambda.diag.json").read_text())
         assert diag["converged"]
+        assert diag["bins"] == 5000
+        assert diag["oov_cells"] == 0
+        assert diag["bins"] <= diag["cells"] <= diag["pairs"]
+
+    def test_diag_counts_hand_sized(self, small_run, tmp_path, capsys):
+        cnet = tmp_path / "h.cnet"
+        cnet.write_text(
+            "CONV h\nNET u1 2\nBIN w00:0.6 w01:0.4\n"
+            "BIN w02:0.7 w03:0.2 zzzoov:0.1\nNET u2 1\nBIN w04:1\n"
+        )
+        out = tmp_path / "h.lambda"
+        code, _, _ = run(
+            ["adapt", str(cnet), str(small_run / "topics.model"), str(out),
+             "--variant", "conf-tf", "--channel", str(small_run / "channel.model")],
+            capsys,
+        )
+        assert code == 0
+        diag = json.loads((tmp_path / "h.lambda.diag.json").read_text())
+        # the model has no <unk>, so the outside cell is dropped: widths 2, 2, 1
+        assert (diag["bins"], diag["cells"], diag["pairs"], diag["oov_cells"]) == (3, 5, 9, 1)
 
     def test_map_zero_equals_mle_files(self, synth_run, tmp_path, capsys):
         a, b = tmp_path / "a.lambda", tmp_path / "b.lambda"
@@ -231,6 +251,89 @@ class TestAdapt:
 
         _, probs = load_unigram_file(uni)
         assert probs.sum() == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("smallrun")
+    spec = synth_spec(tmp / "spec.json", bins=120, conversations=2)
+    d = tmp / "data"
+    assert main(["synth", str(spec), str(d)]) == 0
+    return d
+
+
+def rename_one_cell(src, dst, word="zzzoov"):
+    """Copy a CNET, renaming the second cell of its first multi-cell bin."""
+    lines = src.read_text().splitlines()
+    for i, line in enumerate(lines):
+        parts = line.split()
+        if parts[0] == "BIN" and len(parts) > 2:
+            parts[2] = word + ":" + parts[2].rpartition(":")[2]
+            lines[i] = " ".join(parts)
+            break
+    else:
+        raise AssertionError("no multi-cell bin to rename")
+    dst.parent.mkdir(parents=True, exist_ok=True)
+    dst.write_text("\n".join(lines) + "\n")
+
+
+def assert_full_unigram(path, vocab_size):
+    from cnadapt.cli import load_unigram_file
+
+    vocab, probs = load_unigram_file(path)
+    assert len(vocab) == vocab_size
+    assert probs.sum() == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("variant", ["self-tf", "conf-1best", "conf-tf"])
+class TestAdaptOutsideModel:
+    """Words outside the topic model never grow its vocabulary."""
+
+    def adapt(self, capsys, data, cnet, out, variant, channel=None, unigram=None):
+        argv = ["adapt", str(cnet), str(data / "topics.model"), str(out),
+                "--variant", variant,
+                "--channel", str(channel or data / "channel.model")]
+        if unigram is not None:
+            argv += ["--out-unigram"] + ([str(unigram)] if unigram is not True else [])
+        return run(argv, capsys)
+
+    def test_cnet_word_outside_model(self, small_run, tmp_path, capsys, variant):
+        cnet = tmp_path / "c.cnet"
+        rename_one_cell(small_run / "synth000.cnet", cnet)
+        out, uni = tmp_path / "c.lambda", tmp_path / "c.unigram"
+        code, _, err = self.adapt(capsys, small_run, cnet, out, variant, unigram=uni)
+        assert code == 0, err
+        assert_full_unigram(uni, 50)
+        diag = json.loads((tmp_path / "c.lambda.diag.json").read_text())
+        assert diag["oov_cells"] == 1
+
+    def test_channel_word_outside_model(self, small_run, tmp_path, capsys, variant):
+        lines = (small_run / "channel.model").read_text().splitlines()
+        count = int(lines[0].split()[1])
+        channel = tmp_path / "ch.model"
+        channel.write_text(
+            "\n".join([f"CHANNEL {count + 1}"] + lines[1:] + ["zzzoov zzzoov 1"]) + "\n"
+        )
+        out, uni = tmp_path / "c.lambda", tmp_path / "c.unigram"
+        code, _, err = self.adapt(
+            capsys, small_run, small_run / "synth000.cnet", out, variant,
+            channel=channel, unigram=uni,
+        )
+        assert code == 0, err
+        assert uni.read_text().startswith("UNIGRAM 50\n")
+        assert_full_unigram(uni, 50)
+
+    def test_directory_mode_fits_every_conversation(self, small_run, tmp_path, capsys, variant):
+        d = tmp_path / "cnets"
+        rename_one_cell(small_run / "synth000.cnet", d / "a.cnet")
+        (d / "b.cnet").write_text((small_run / "synth001.cnet").read_text())
+        out = tmp_path / "fit"
+        code, _, err = self.adapt(capsys, small_run, d, out, variant, unigram=True)
+        assert code == 0, err
+        for stem in ("a", "b"):
+            assert (out / f"{stem}.lambda").exists()
+            assert_full_unigram(out / f"{stem}.unigram", 50)
+        assert (out / "manifest.json").exists()
 
 
 class TestPpl:

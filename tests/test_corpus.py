@@ -157,6 +157,45 @@ class TestExpectedCounts:
             assert total_tf == pytest.approx(total_mass, abs=1e-12)
 
 
+class TestClosedVocabulary:
+    TEXT = (
+        "CONV c\n"
+        "NET u1 2\n"
+        "BIN a:0.5 xx:0.3 yy:0.2\n"
+        "BIN zz:1\n"
+        "NET u2 1\n"
+        "BIN qq:1\n"
+    )
+
+    def test_outside_words_map_to_unk_and_merge(self):
+        vocab = Vocabulary(["a", "<unk>"])
+        conv = parse_conversation(self.TEXT, vocab, closed=True)
+        assert len(vocab) == 2
+        assert conv.oov_cells == 4
+        bins = [b.cells for b in conv.iter_bins()]
+        assert bins[0] == ((0, 0.5), (1, pytest.approx(0.5)))
+        assert bins[1] == ((1, 1.0),)
+        assert bins[2] == ((1, 1.0),)
+
+    def test_without_unk_cells_bins_and_utterances_drop(self):
+        vocab = Vocabulary(["a", "b"])
+        conv = parse_conversation(self.TEXT, vocab, closed=True)
+        assert len(vocab) == 2
+        assert conv.oov_cells == 4
+        assert [net.uid for net in conv.networks] == ["u1"]
+        assert [b.cells for b in conv.iter_bins()] == [((0, 0.5),)]
+
+    def test_nothing_left_is_an_input_error(self):
+        with pytest.raises(ValidationError, match="no word"):
+            parse_conversation("CONV c\nNET u 1\nBIN zz:1\n", Vocabulary(["a"]), closed=True)
+
+    def test_open_vocabulary_interns(self):
+        vocab = Vocabulary(["a"])
+        conv = parse_conversation("CONV c\nNET u 1\nBIN zz:1\n", vocab)
+        assert "zz" in vocab
+        assert conv.oov_cells == 0
+
+
 words_st = st.text(
     alphabet=st.characters(min_codepoint=97, max_codepoint=122), min_size=1, max_size=4
 )

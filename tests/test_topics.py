@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
+from cnadapt.adapt import adapted_unigram
 from cnadapt.corpus import Vocabulary
 from cnadapt.errors import ParseError, TrainingError, ValidationError
 from cnadapt.topics import (
@@ -10,7 +11,6 @@ from cnadapt.topics import (
     MixtureWeights,
     TopicModel,
     load_topic_model,
-    mixture_distribution,
     mixture_prob,
     mu_to_lambda,
     save_topic_model,
@@ -97,7 +97,7 @@ class TestMixture:
         vocab, tm = self.make_tm()
         for _ in range(20):
             lam = rng.dirichlet(np.ones(2))
-            q = mixture_distribution(tm, MixtureWeights(lam))
+            q = adapted_unigram(tm, MixtureWeights(lam))
             assert q.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_linear_in_weights(self):
@@ -105,10 +105,10 @@ class TestMixture:
         _, tm = self.make_tm()
         l1 = rng.dirichlet(np.ones(2))
         l2 = rng.dirichlet(np.ones(2))
-        mid = mixture_distribution(tm, MixtureWeights((l1 + l2) / 2))
+        mid = adapted_unigram(tm, MixtureWeights((l1 + l2) / 2))
         avg = (
-            mixture_distribution(tm, MixtureWeights(l1))
-            + mixture_distribution(tm, MixtureWeights(l2))
+            adapted_unigram(tm, MixtureWeights(l1))
+            + adapted_unigram(tm, MixtureWeights(l2))
         ) / 2
         assert np.allclose(mid, avg, atol=1e-12)
 

@@ -7,12 +7,8 @@ from .adapt import (  # noqa: F401
     FitResult,
     adapted_unigram,
     fit,
-    fit_conf,
-    fit_conf_map,
-    fit_self_1best,
-    fit_self_tf,
 )
-from .channel import ChannelModel, channel_prob, estimate_channel  # noqa: F401
+from .channel import ChannelModel, estimate_channel  # noqa: F401
 from .corpus import (  # noqa: F401
     Bin,
     ConfusionNetwork,
@@ -28,7 +24,6 @@ from .synth import SynthSpec, sample_conversation  # noqa: F401
 from .topics import (  # noqa: F401
     MixtureWeights,
     TopicModel,
-    mixture_prob,
     mu_to_lambda,
     train_topic_model,
 )

@@ -1,6 +1,6 @@
 """EM estimators for conversation-level topic mixture weights.
 
-Four variants share one interface:
+Four variants share one entry point, ``fit``, and one EM driver:
 
 * ``self-1best`` / ``self-tf``: treat the recognizer output (1-best words,
   or posterior-weighted expected counts) as ground truth and fit the
@@ -27,9 +27,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelModel
-from .corpus import Bin, Conversation, expected_counts
+from .corpus import Conversation, expected_counts
 from .errors import EstimationError, ValidationError
-from .topics import MixtureWeights, TopicModel
+from .topics import MixtureWeights, TopicModel, mu_to_lambda
 
 VARIANTS = ("self-1best", "self-tf", "conf-1best", "conf-tf")
 
@@ -46,7 +46,6 @@ class EstimatorConfig:
     map_strength: float = 0.0
     max_iters: int = 200
     rel_tol: float = 1e-6
-    init: np.ndarray | None = None
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -65,41 +64,13 @@ class FitResult:
     converged: bool = False
 
 
-def topic_posterior(tm: TopicModel, lam, wid: int) -> np.ndarray:
-    """Posterior over topics given one word: lam_t q(w|t) / sum."""
-    r = np.asarray(lam, dtype=np.float64) * tm.probs[:, wid]
-    return r / r.sum()
-
-
-def loglik_self_1best(conv: Conversation, tm: TopicModel, lam) -> float:
-    q = np.asarray(lam, dtype=np.float64) @ tm.probs
-    return float(sum(np.log(q[b.one_best()[0]]) for b in conv.iter_bins()))
-
-
-def loglik_self_tf(conv: Conversation, tm: TopicModel, lam) -> float:
-    q = np.asarray(lam, dtype=np.float64) @ tm.probs
-    tf = expected_counts(conv)
-    return float(sum(c * np.log(q[w]) for w, c in sorted(tf.items())))
-
-
-def reference_posterior(
-    b: Bin, tm: TopicModel, lam, cm: ChannelModel, observed: int
-) -> dict:
-    """Posterior that each bin word is the spoken word given the observed one.
-
-    Proportional to mixture probability times channel probability; the bin's
-    mixture normalizer cancels.  If the channel gives zero mass to the
-    observed word from every bin word, falls back to a point mass on it.
-    """
-    wids = b.word_ids()
-    if observed not in wids:
-        raise ValidationError(f"observed word id {observed} not in bin")
-    lam = np.asarray(lam, dtype=np.float64)
-    scores = {w: float(lam @ tm.probs[:, w]) * cm.prob(observed, w) for w in wids}
-    total = sum(scores.values())
-    if total <= 0.0:
-        return {w: 1.0 if w == observed else 0.0 for w in wids}
-    return {w: s / total for w, s in scores.items()}
+def _check_in_model(wids: np.ndarray, tm: TopicModel) -> None:
+    V = tm.probs.shape[1]
+    bad = wids >= V
+    if bad.any():
+        raise ValidationError(
+            f"word id {int(wids[bad.argmax()])} is outside the topic model's {V} words"
+        )
 
 
 def _channel_lookup(cm: ChannelModel, words: np.ndarray):
@@ -146,6 +117,7 @@ class _ConfKernel:
         bins = list(conv.iter_bins())
         width = np.fromiter(map(len, bins), np.int64, len(bins))
         words = np.fromiter((w for b in bins for w, _ in b.cells), np.int64, width.sum())
+        _check_in_model(words, tm)
         post = np.fromiter((p for b in bins for _, p in b.cells), np.float64, words.size)
         keys, probs, base = _channel_lookup(cm, words)
         first = np.cumsum(width) - width
@@ -230,25 +202,15 @@ def conf_lower_bound(
     nonnegative at the update the estimator takes, zero at ``delta = 0``,
     and never above the true Q-difference.
     """
-    mu = np.asarray(mu, dtype=np.float64)
+    lam = mu_to_lambda(mu)
     delta = np.asarray(delta, dtype=np.float64)
     kernel = _ConfKernel(conv, tm, cm)
-    emu = np.exp(mu - np.max(mu))
-    ww = kernel.stats(emu / emu.sum(), use_tf)[3]
-    a = emu @ kernel.Q
-    ad = np.divide((emu * delta) @ kernel.Q, a, out=np.zeros_like(a), where=a > 0.0)
-    A = emu @ kernel.S
-    Ad = (emu * np.exp(delta)) @ kernel.S
+    ww = kernel.stats(lam, use_tf)[3]
+    a = lam @ kernel.Q
+    ad = np.divide((lam * delta) @ kernel.Q, a, out=np.zeros_like(a), where=a > 0.0)
+    A = lam @ kernel.S
+    Ad = (lam * np.exp(delta)) @ kernel.S
     return float(ww.sum() + ww @ ad - kernel.binw[use_tf] @ (Ad / A))
-
-
-def _init_lambda(cfg: EstimatorConfig, T: int) -> np.ndarray:
-    if cfg.init is None:
-        return np.full(T, 1.0 / T)
-    lam = np.asarray(cfg.init, dtype=np.float64)
-    if lam.shape != (T,) or np.any(lam < 0) or abs(lam.sum() - 1.0) > 1e-9:
-        raise ValidationError(f"bad initial weights {lam!r}")
-    return lam / lam.sum()
 
 
 def _penalized(ll: float, lam: np.ndarray, m: float) -> float:
@@ -346,7 +308,11 @@ def _run_em(lam0, stats, update, m, max_iters, rel_tol) -> FitResult:
     return FitResult(MixtureWeights(lam), trace, iterations, converged)
 
 
-def _observed_weights(conv: Conversation, use_tf: bool):
+def _self_stats(conv: Conversation, tm: TopicModel, use_tf: bool):
+    """Per-iteration statistics of the self-* EM: at ``lam``, the expected
+    topic counts and the log-likelihood of the observed words (1-best words,
+    or expected counts), each distinct word counted once with its weight.
+    """
     if use_tf:
         tf = expected_counts(conv)
     else:
@@ -355,80 +321,24 @@ def _observed_weights(conv: Conversation, use_tf: bool):
             w = b.one_best()[0]
             tf[w] = tf.get(w, 0.0) + 1.0
     wids = np.array(sorted(tf), dtype=np.int64)
+    _check_in_model(wids, tm)
     wts = np.array([tf[w] for w in wids], dtype=np.float64)
-    return wids, wts
-
-
-def _fit_self(conv: Conversation, tm: TopicModel, cfg: EstimatorConfig, use_tf: bool):
-    wids, wts = _observed_weights(conv, use_tf)
     Qw = np.ascontiguousarray(tm.probs[:, wids])
-    m = cfg.map_strength
 
     def stats(lam):
         qmix = lam @ Qw
         c = lam * (Qw @ (wts / qmix))
         return c, float(wts @ np.log(qmix))
 
-    def update(c, lam, it):
-        return _self_update(c, m, it)
-
-    lam0 = _init_lambda(cfg, tm.num_topics)
-    return _run_em(lam0, stats, update, m, cfg.max_iters, cfg.rel_tol)
+    return stats
 
 
-def fit_self_1best(conv: Conversation, tm: TopicModel, cfg: EstimatorConfig) -> FitResult:
-    """EM on the 1-best words; MAP when cfg.map_strength is nonzero."""
-    if cfg.variant != "self-1best":
-        raise ValidationError(f"config variant is {cfg.variant!r}")
-    return _fit_self(conv, tm, cfg, use_tf=False)
+def loglik_self_1best(conv: Conversation, tm: TopicModel, lam) -> float:
+    return _self_stats(conv, tm, False)(np.asarray(lam, dtype=np.float64))[1]
 
 
-def fit_self_tf(conv: Conversation, tm: TopicModel, cfg: EstimatorConfig) -> FitResult:
-    """EM on expected counts; MAP when cfg.map_strength is nonzero."""
-    if cfg.variant != "self-tf":
-        raise ValidationError(f"config variant is {cfg.variant!r}")
-    return _fit_self(conv, tm, cfg, use_tf=True)
-
-
-def _fit_conf_impl(conv, tm, cm, cfg) -> FitResult:
-    use_tf = cfg.variant == "conf-tf"
-    kernel = _ConfKernel(conv, tm, cm)
-    m = cfg.map_strength
-
-    def stats(lam):
-        N, D, ll, _ = kernel.stats(lam, use_tf)
-        return (N, D), ll
-
-    def update(acc, lam, it):
-        u = _conf_update(*acc, lam, m, it)
-        return u / u.sum()
-
-    lam0 = _init_lambda(cfg, tm.num_topics)
-    return _run_em(lam0, stats, update, m, cfg.max_iters, cfg.rel_tol)
-
-
-def fit_conf(
-    conv: Conversation, tm: TopicModel, cm: ChannelModel, cfg: EstimatorConfig
-) -> FitResult:
-    """Confusion-aware maximum-likelihood fit (multiplicative updates)."""
-    if cfg.variant not in ("conf-1best", "conf-tf"):
-        raise ValidationError(f"config variant is {cfg.variant!r}")
-    if cfg.map_strength != 0.0:
-        raise ValidationError("use fit_conf_map for nonzero map_strength")
-    return _fit_conf_impl(conv, tm, cm, cfg)
-
-
-def fit_conf_map(
-    conv: Conversation, tm: TopicModel, cm: ChannelModel, cfg: EstimatorConfig
-) -> FitResult:
-    """Confusion-aware MAP fit; the prior-difference bound (and therefore
-    the update form) depends on the sign of map_strength.
-    """
-    if cfg.variant not in ("conf-1best", "conf-tf"):
-        raise ValidationError(f"config variant is {cfg.variant!r}")
-    if cfg.map_strength == 0.0:
-        raise ValidationError("map_strength is zero; use fit_conf")
-    return _fit_conf_impl(conv, tm, cm, cfg)
+def loglik_self_tf(conv: Conversation, tm: TopicModel, lam) -> float:
+    return _self_stats(conv, tm, True)(np.asarray(lam, dtype=np.float64))[1]
 
 
 def conf_em_step(
@@ -458,16 +368,34 @@ def fit(
     cfg: EstimatorConfig,
     cm: ChannelModel | None = None,
 ) -> FitResult:
-    """Dispatch on variant and map_strength."""
-    if cfg.variant == "self-1best":
-        return fit_self_1best(conv, tm, cfg)
-    if cfg.variant == "self-tf":
-        return fit_self_tf(conv, tm, cfg)
-    if cm is None:
-        raise ValidationError(f"variant {cfg.variant!r} requires a channel model")
-    if cfg.map_strength == 0.0:
-        return fit_conf(conv, tm, cm, cfg)
-    return fit_conf_map(conv, tm, cm, cfg)
+    """Fit the mixture weights by EM from uniform weights.
+
+    The variant picks the per-iteration statistics and the update; MAP
+    when cfg.map_strength is nonzero.  conf-* variants need the channel ``cm``.
+    """
+    m = cfg.map_strength
+    if cfg.variant in ("self-1best", "self-tf"):
+        stats = _self_stats(conv, tm, cfg.variant == "self-tf")
+
+        def update(c, lam, it):
+            return _self_update(c, m, it)
+
+    else:
+        if cm is None:
+            raise ValidationError(f"variant {cfg.variant!r} requires a channel model")
+        kernel = _ConfKernel(conv, tm, cm)
+        use_tf = cfg.variant == "conf-tf"
+
+        def stats(lam):
+            N, D, ll, _ = kernel.stats(lam, use_tf)
+            return (N, D), ll
+
+        def update(acc, lam, it):
+            u = _conf_update(*acc, lam, m, it)
+            return u / u.sum()
+
+    T = tm.num_topics
+    return _run_em(np.full(T, 1.0 / T), stats, update, m, cfg.max_iters, cfg.rel_tol)
 
 
 def adapted_unigram(tm: TopicModel, weights) -> np.ndarray:

@@ -39,10 +39,6 @@ class ChannelModel:
         return row.get(v, 0.0)
 
 
-def channel_prob(cm: ChannelModel, v: int, w: int) -> float:
-    return cm.prob(v, w)
-
-
 def estimate_channel(
     convs, rel_floor: float = 0.05, max_words: int = 10
 ) -> ChannelModel:

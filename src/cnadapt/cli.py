@@ -10,6 +10,7 @@ usage or input.
 from __future__ import annotations
 
 import argparse
+import functools
 import glob as globmod
 import json
 import os
@@ -135,7 +136,7 @@ def cmd_channel(args):
     }
 
 
-def _adapt_one(cnet_path, topic_model_path, channel_path, cfg_kwargs, out_lambda, out_unigram):
+def _adapt_one(topic_model_path, channel_path, cfg_kwargs, cnet_path, out_lambda, out_unigram):
     tm = topics.load_topic_model(topic_model_path)
     # the model vocabulary stays closed, so every output covers exactly its words
     cm = load_channel(channel_path, tm.vocab) if channel_path else None
@@ -185,31 +186,22 @@ def cmd_adapt(args):
         os.makedirs(args.out_lambda, exist_ok=True)
         jobs = []
         for p in paths:
-            stem = os.path.splitext(os.path.basename(p))[0]
-            out_l = os.path.join(args.out_lambda, stem + ".lambda")
-            out_u = (
-                os.path.join(args.out_lambda, stem + ".unigram")
-                if args.out_unigram
-                else None
-            )
-            jobs.append((p, args.topic_model, args.channel, cfg_kwargs, out_l, out_u))
-        if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                results = list(pool.map(_adapt_one_star, jobs))
-        else:
-            results = [_adapt_one(*j) for j in jobs]
-        for cid, iters, converged in results:
-            print(f"{cid}: {iters} iterations, converged={converged}")
+            out = os.path.join(args.out_lambda, os.path.splitext(os.path.basename(p))[0])
+            jobs.append((p, out + ".lambda", out + ".unigram" if args.out_unigram else None))
         manifest = os.path.join(args.out_lambda, "manifest.json")
     else:
         if args.out_unigram is True:
             raise InputError("--out-unigram requires a path when adapting a single file")
-        cid, iters, converged = _adapt_one(
-            args.cnet, args.topic_model, args.channel, cfg_kwargs,
-            args.out_lambda, args.out_unigram,
-        )
-        print(f"{cid}: {iters} iterations, converged={converged}")
+        jobs = [(args.cnet, args.out_lambda, args.out_unigram)]
         manifest = args.out_lambda + ".manifest.json"
+    adapt_one = functools.partial(_adapt_one, args.topic_model, args.channel, cfg_kwargs)
+    if args.jobs > 1 and len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            results = list(pool.map(adapt_one, *zip(*jobs)))
+    else:
+        results = list(map(adapt_one, *zip(*jobs)))
+    for cid, iters, converged in results:
+        print(f"{cid}: {iters} iterations, converged={converged}")
     return manifest, {
         "inputs": {
             "cnet": args.cnet,
@@ -219,10 +211,6 @@ def cmd_adapt(args):
         "params": cfg_kwargs,
         "seed": None,
     }
-
-
-def _adapt_one_star(job):
-    return _adapt_one(*job)
 
 
 def cmd_ppl(args):

@@ -181,21 +181,13 @@ def observed_marginal(truth: SynthTruth) -> np.ndarray:
 
 
 def save_truth(truth: SynthTruth, conv: Conversation, path) -> None:
-    """Sidecar with the true weights, channel, and spoken word per bin."""
+    """Sidecar with the true weights and the spoken word per bin."""
     vocab = truth.vocab
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"TRUTH {conv.cid}\n")
         fh.write(f"LAMBDA {len(truth.lam)}\n")
         for label, w in zip(truth.topics.labels, truth.lam):
             fh.write(f"{label} {w:.12g}\n")
-        entries = []
-        for w, row in truth.channel.rows.items():
-            for v, p in row.items():
-                entries.append((vocab.word(w), vocab.word(v), p))
-        entries.sort(key=lambda e: (e[0], e[1]))
-        fh.write(f"CHANNEL {len(entries)}\n")
-        for w, v, p in entries:
-            fh.write(f"{w} {v} {p:.12g}\n")
         fh.write(f"REFS {len(truth.refs)}\n")
         i = 0
         for net in conv.networks:

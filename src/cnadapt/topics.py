@@ -2,9 +2,8 @@
 
 A topic model is a row-stochastic matrix: one smoothed unigram distribution
 per topic over a shared vocabulary.  A conversation-level mixture is a
-simplex weight vector, kept alongside its softmax parameters because the
-confusion-aware estimators update the weights multiplicatively in that
-parameterization.
+simplex weight vector; ``mu_to_lambda`` maps softmax parameters, in which
+the confusion-aware estimators take their multiplicative steps, onto it.
 """
 
 from __future__ import annotations
@@ -67,26 +66,13 @@ def mu_to_lambda(mu) -> np.ndarray:
 
 
 class MixtureWeights:
-    """Simplex weights over topics plus their softmax preimage."""
+    """Simplex weights over topics."""
 
-    def __init__(self, lam, mu=None):
+    def __init__(self, lam):
         lam = np.asarray(lam, dtype=np.float64)
         if np.any(lam < 0) or abs(lam.sum() - 1.0) > ROW_SUM_TOL:
             raise ValidationError(f"weights not on the simplex: {lam}")
-        if mu is None:
-            with np.errstate(divide="ignore"):
-                mu = np.log(lam)
-        else:
-            mu = np.asarray(mu, dtype=np.float64)
-            if np.max(np.abs(mu_to_lambda(mu) - lam)) > 1e-12:
-                raise ValidationError("mu is not a softmax preimage of lambda")
         self.lam = lam
-        self.mu = mu
-
-    @classmethod
-    def from_mu(cls, mu) -> "MixtureWeights":
-        mu = np.asarray(mu, dtype=np.float64)
-        return cls(mu_to_lambda(mu), mu)
 
     def __repr__(self):
         return f"MixtureWeights({self.lam!r})"
@@ -137,11 +123,6 @@ def train_topic_model(labeled_corpus, vocab: Vocabulary) -> TopicModel:
                 row[wid] = cnt / n_tokens
         rows[t] = row
     return TopicModel(labels, vocab, floor_and_normalize(rows))
-
-
-def mixture_prob(tm: TopicModel, weights: MixtureWeights, wid: int) -> float:
-    """Mixture probability of one word: sum_t lambda_t q(w|t)."""
-    return float(weights.lam @ tm.probs[:, wid])
 
 
 def save_topic_model(tm: TopicModel, path) -> None:

@@ -7,13 +7,11 @@ from cnadapt.adapt import (
     _ConfKernel,
     conf_em_step,
     conf_lower_bound,
-    fit_conf,
+    fit,
     loglik_conf,
-    reference_posterior,
 )
 from cnadapt.channel import ChannelModel
 from cnadapt.corpus import Bin, ConfusionNetwork, Conversation, Vocabulary
-from cnadapt.errors import ValidationError
 from cnadapt.topics import TopicModel
 from helpers import (
     bins_as_lists,
@@ -39,10 +37,27 @@ def identity_channel(V):
     return ChannelModel({w: {w: 1.0} for w in range(V)})
 
 
+def reference_posteriors(conv, tm, lam, cm):
+    """Per bin, {word: posterior that it was spoken given the 1-best word},
+    read from the kernel's conf-1best slot weights."""
+    kernel = _ConfKernel(conv, tm, cm)
+    cells = np.zeros(kernel.cell.max() + 1)
+    cells[kernel.cell] = kernel.stats(np.asarray(lam, dtype=np.float64), False)[3]
+    out, start = [], 0
+    for b in conv.iter_bins():
+        out.append({w: float(cells[start + j]) for j, w in enumerate(b.word_ids())})
+        start += len(b)
+    return out
+
+
+def single_bin(b):
+    return Conversation("c", (ConfusionNetwork("u", (b,)),))
+
+
 class TestReferencePosterior:
     def test_hand_example(self, hand_case):
         conv, tm, cm = hand_case
-        r = reference_posterior(conv.networks[0].bins[0], tm, [1.0], cm, 0)
+        (r,) = reference_posteriors(conv, tm, [1.0], cm)
         assert r[0] == pytest.approx(88 / 115, abs=1e-12)
         assert r[1] == pytest.approx(27 / 115, abs=1e-12)
         assert sum(r.values()) == pytest.approx(1.0, abs=1e-12)
@@ -50,9 +65,9 @@ class TestReferencePosterior:
     def test_identity_channel_point_mass(self):
         conv, tm, _ = make_instance(3, T=2, V=10, M=10, max_width=4)
         cm = identity_channel(10)
-        for b in conv.iter_bins():
+        posts = reference_posteriors(conv, tm, [0.5, 0.5], cm)
+        for b, r in zip(conv.iter_bins(), posts):
             obs = b.one_best()[0]
-            r = reference_posterior(b, tm, [0.5, 0.5], cm, obs)
             assert r[obs] == pytest.approx(1.0)
             assert all(v == 0.0 for w, v in r.items() if w != obs)
 
@@ -63,7 +78,7 @@ class TestReferencePosterior:
             {w: {v: 1 / 3 for v in range(3)} for w in range(3)}
         )
         b = Bin([(0, 0.5), (1, 0.3), (2, 0.2)])
-        r = reference_posterior(b, tm, [1.0], cm, 0)
+        (r,) = reference_posteriors(single_bin(b), tm, [1.0], cm)
         assert r[0] == pytest.approx(0.5, abs=1e-12)
         assert r[1] == pytest.approx(0.3, abs=1e-12)
 
@@ -73,13 +88,8 @@ class TestReferencePosterior:
         # channel never emits "a" from any bin word
         cm = ChannelModel({0: {1: 1.0}, 1: {1: 1.0}})
         b = Bin([(0, 0.6), (1, 0.4)])
-        r = reference_posterior(b, tm, [1.0], cm, 0)
+        (r,) = reference_posteriors(single_bin(b), tm, [1.0], cm)
         assert r == {0: 1.0, 1: 0.0}
-
-    def test_observed_outside_bin(self, hand_case):
-        conv, tm, cm = hand_case
-        with pytest.raises(ValidationError):
-            reference_posterior(conv.networks[0].bins[0], tm, [1.0], cm, 42)
 
 
 class TestLoglikConf:
@@ -126,7 +136,7 @@ class TestFitConf:
         conv, tm, _ = make_instance(7, T=2, V=10, M=20, max_width=1)
         cm = identity_channel(10)
         cfg = EstimatorConfig("conf-1best", max_iters=50)
-        res = fit_conf(conv, tm, cm, cfg)
+        res = fit(conv, tm, cfg, cm)
         assert np.allclose(res.weights.lam, [0.5, 0.5], atol=1e-12)
         assert res.loglik_trace[0] == pytest.approx(0.0, abs=1e-12)
         assert res.converged
@@ -161,7 +171,7 @@ class TestFitConf:
         for seed in range(20):
             conv, tm, cm = make_instance(seed, T=3, V=20, M=60)
             cfg = EstimatorConfig(variant, max_iters=40)
-            res = fit_conf(conv, tm, cm, cfg)
+            res = fit(conv, tm, cfg, cm)
             assert non_decreasing(res.loglik_trace)
             assert res.weights.lam.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -171,7 +181,7 @@ class TestFitConf:
         for seed in (31, 32, 33):
             conv, tm, cm = make_instance(seed, T=2, V=20, M=50)
             cfg = EstimatorConfig(variant, max_iters=3000, rel_tol=1e-13)
-            res = fit_conf(conv, tm, cm, cfg)
+            res = fit(conv, tm, cfg, cm)
             bins = bins_as_lists(conv)
             best, _ = oracles.grid_best_t2(
                 lambda lam: oracles.loglik_conf(bins, lam, tm.probs, cm.prob, use_tf)
@@ -182,7 +192,7 @@ class TestFitConf:
     def test_fixed_point_gradient(self):
         conv, tm, cm = make_instance(41, T=3, V=20, M=60)
         cfg = EstimatorConfig("conf-1best", max_iters=5000, rel_tol=1e-13)
-        res = fit_conf(conv, tm, cm, cfg)
+        res = fit(conv, tm, cfg, cm)
         bins = bins_as_lists(conv)
 
         def obj(mu):
@@ -193,11 +203,6 @@ class TestFitConf:
         grad = oracles.fd_gradient(obj, np.log(res.weights.lam))
         assert np.max(np.abs(grad)) < 1e-4
 
-    def test_map_strength_rejected(self):
-        conv, tm, cm = make_instance(1, T=2, V=10, M=10)
-        with pytest.raises(ValidationError):
-            fit_conf(conv, tm, cm, EstimatorConfig("conf-1best", map_strength=0.1))
-
     def test_zero_channel_mass_fallback_runs(self):
         vocab = Vocabulary(["a", "b"])
         tm = TopicModel(["t1", "t2"], vocab, np.array([[0.9, 0.1], [0.2, 0.8]]))
@@ -206,7 +211,7 @@ class TestFitConf:
             "c", (ConfusionNetwork("u", (Bin([(0, 0.7), (1, 0.3)]),)),)
         )
         cfg = EstimatorConfig("conf-1best", max_iters=5)
-        res = fit_conf(conv, tm, cm, cfg)
+        res = fit(conv, tm, cfg, cm)
         assert res.loglik_trace[0] == -np.inf
         assert non_decreasing(res.loglik_trace)
 

@@ -6,19 +6,11 @@ from cnadapt.adapt import (
     EstimatorConfig,
     conf_em_step,
     fit,
-    fit_conf,
-    fit_conf_map,
 )
-from cnadapt.errors import ValidationError
 from helpers import bins_as_lists, make_instance, non_decreasing
 
 
 class TestUpdateForms:
-    def test_zero_strength_rejected(self):
-        conv, tm, cm = make_instance(1, T=2, V=10, M=10)
-        with pytest.raises(ValidationError):
-            fit_conf_map(conv, tm, cm, EstimatorConfig("conf-1best"))
-
     def test_step_at_zero_equals_mle(self):
         conv, tm, cm = make_instance(2, T=3, V=15, M=40)
         lam = np.array([0.2, 0.5, 0.3])
@@ -48,7 +40,7 @@ class TestMapProperties:
         for seed in range(15):
             conv, tm, cm = make_instance(seed, T=3, V=20, M=60)
             cfg = EstimatorConfig(variant, map_strength=map_strength, max_iters=40)
-            res = fit_conf_map(conv, tm, cm, cfg)
+            res = fit(conv, tm, cfg, cm)
             assert non_decreasing(res.loglik_trace)
             assert res.weights.lam.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -56,7 +48,7 @@ class TestMapProperties:
         conv, tm, cm = make_instance(70, T=3, V=20, M=60)
         use_tf = variant == "conf-tf"
         cfg = EstimatorConfig(variant, map_strength=map_strength, max_iters=40)
-        res = fit_conf_map(conv, tm, cm, cfg)
+        res = fit(conv, tm, cfg, cm)
         lam = res.weights.lam
         ll = oracles.loglik_conf(bins_as_lists(conv), lam, tm.probs, cm.prob, use_tf)
         assert res.loglik_trace[-1] == pytest.approx(
@@ -70,7 +62,7 @@ class TestMapProperties:
             cfg = EstimatorConfig(
                 variant, map_strength=map_strength, max_iters=5000, rel_tol=1e-13
             )
-            res = fit_conf_map(conv, tm, cm, cfg)
+            res = fit(conv, tm, cfg, cm)
             bins = bins_as_lists(conv)
 
             def objective(lam):
@@ -89,7 +81,7 @@ class TestSparseClamp:
         # strong sparsity prior wipes out topics with no support
         conv, tm, cm = make_instance(9, T=3, V=20, M=60)
         cfg = EstimatorConfig("conf-1best", map_strength=-0.05, max_iters=100)
-        res = fit_conf_map(conv, tm, cm, cfg)
+        res = fit(conv, tm, cfg, cm)
         assert np.all(res.weights.lam >= 0)
         assert res.weights.lam.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -99,6 +91,6 @@ class TestSparseClamp:
         # instead of failing
         conv, tm, cm = make_instance(4, T=2, V=10, M=3, max_width=2)
         cfg = EstimatorConfig("conf-1best", map_strength=-50.0, max_iters=50)
-        res = fit_conf_map(conv, tm, cm, cfg)
+        res = fit(conv, tm, cfg, cm)
         assert sorted(res.weights.lam) == [0.0, 1.0]
         assert non_decreasing(res.loglik_trace)

@@ -5,13 +5,17 @@ import oracles
 from cnadapt.adapt import (
     EstimatorConfig,
     fit,
-    fit_self_1best,
-    fit_self_tf,
     loglik_self_1best,
     loglik_self_tf,
-    topic_posterior,
 )
-from cnadapt.corpus import Bin, ConfusionNetwork, Conversation, Vocabulary
+from cnadapt.channel import estimate_channel
+from cnadapt.corpus import (
+    Bin,
+    ConfusionNetwork,
+    Conversation,
+    Vocabulary,
+    parse_conversation,
+)
 from cnadapt.errors import EstimationError, ValidationError
 from cnadapt.topics import TopicModel
 from helpers import bins_as_lists, make_instance, non_decreasing
@@ -25,24 +29,6 @@ def two_topic():
         "c1", (ConfusionNetwork("u1", (Bin([(0, 1.0)]), Bin([(1, 1.0)]))),)
     )
     return conv, tm
-
-
-class TestTopicPosterior:
-    def test_hand_example(self, two_topic):
-        _, tm = two_topic
-        r = topic_posterior(tm, [0.5, 0.5], 0)
-        assert np.allclose(r, [9 / 11, 2 / 11], atol=1e-12)
-        assert r.sum() == pytest.approx(1.0, abs=1e-12)
-
-    def test_one_hot(self, two_topic):
-        _, tm = two_topic
-        assert np.allclose(topic_posterior(tm, [0.0, 1.0], 0), [0.0, 1.0])
-
-    def test_identical_rows_give_lambda(self):
-        vocab = Vocabulary(["a", "b"])
-        tm = TopicModel(["t1", "t2"], vocab, np.array([[0.3, 0.7], [0.3, 0.7]]))
-        lam = np.array([0.25, 0.75])
-        assert np.allclose(topic_posterior(tm, lam, 1), lam, atol=1e-12)
 
 
 class TestObjectives:
@@ -93,7 +79,7 @@ class TestObjectives:
 class TestOneStep:
     def test_mle_step(self, two_topic):
         conv, tm = two_topic
-        res = fit_self_1best(conv, tm, EstimatorConfig("self-1best", max_iters=1))
+        res = fit(conv, tm, EstimatorConfig("self-1best", max_iters=1))
         assert np.allclose(res.weights.lam, [46 / 99, 53 / 99], atol=1e-12)
         assert res.iterations == 1
         assert len(res.loglik_trace) == 2
@@ -101,13 +87,13 @@ class TestOneStep:
     def test_map_step(self, two_topic):
         conv, tm = two_topic
         cfg = EstimatorConfig("self-1best", map_strength=-0.2, max_iters=1)
-        res = fit_self_1best(conv, tm, cfg)
+        res = fit(conv, tm, cfg)
         assert np.allclose(res.weights.lam, [361 / 792, 431 / 792], atol=1e-12)
 
     def test_map_zero_is_mle(self, two_topic):
         conv, tm = two_topic
-        r_mle = fit_self_1best(conv, tm, EstimatorConfig("self-1best", max_iters=25))
-        r_map0 = fit_self_1best(
+        r_mle = fit(conv, tm, EstimatorConfig("self-1best", max_iters=25))
+        r_map0 = fit(
             conv, tm, EstimatorConfig("self-1best", map_strength=0.0, max_iters=25)
         )
         assert r_mle.loglik_trace == r_map0.loglik_trace
@@ -122,8 +108,8 @@ class TestTfDegeneracy:
         conv1 = Conversation("c", (ConfusionNetwork("u", bins),))
         cfg1 = EstimatorConfig("self-1best", max_iters=30)
         cfg2 = EstimatorConfig("self-tf", max_iters=30)
-        r1 = fit_self_1best(conv1, tm, cfg1)
-        r2 = fit_self_tf(conv1, tm, cfg2)
+        r1 = fit(conv1, tm, cfg1)
+        r2 = fit(conv1, tm, cfg2)
         assert r1.loglik_trace == r2.loglik_trace
         assert np.array_equal(r1.weights.lam, r2.weights.lam)
 
@@ -159,14 +145,14 @@ class TestConvergence:
     def test_converges_and_stops(self):
         conv, tm, _ = make_instance(5, T=2, V=20, M=80)
         cfg = EstimatorConfig("self-tf", rel_tol=1e-10, max_iters=500)
-        res = fit_self_tf(conv, tm, cfg)
+        res = fit(conv, tm, cfg)
         assert res.converged
         assert res.iterations < 500
 
     def test_gradient_vanishes_at_fixed_point(self):
         conv, tm, _ = make_instance(6, T=3, V=20, M=80)
         cfg = EstimatorConfig("self-tf", rel_tol=1e-13, max_iters=5000)
-        res = fit_self_tf(conv, tm, cfg)
+        res = fit(conv, tm, cfg)
         bins = bins_as_lists(conv)
 
         def obj(mu):
@@ -179,40 +165,27 @@ class TestConvergence:
 
 
 class TestInitialization:
-    def test_custom_init_used(self, two_topic):
-        conv, tm = two_topic
-        given = fit_self_1best(
-            conv, tm,
-            EstimatorConfig("self-1best", max_iters=1, init=np.array([0.9, 0.1])),
-        )
-        uniform = fit_self_1best(conv, tm, EstimatorConfig("self-1best", max_iters=1))
-        assert not np.allclose(given.weights.lam, uniform.weights.lam)
-
-    def test_bad_init_rejected(self, two_topic):
-        conv, tm = two_topic
-        cfg = EstimatorConfig("self-1best", init=np.array([0.7, 0.7]))
-        with pytest.raises(ValidationError):
-            fit_self_1best(conv, tm, cfg)
-
     def test_fit_requires_channel_for_conf(self, two_topic):
         conv, tm = two_topic
-        from cnadapt.adapt import fit
-
         with pytest.raises(ValidationError, match="channel"):
             fit(conv, tm, EstimatorConfig("conf-1best"))
 
 
 class TestErrors:
-    def test_variant_mismatch(self, two_topic):
-        conv, tm = two_topic
-        with pytest.raises(ValidationError):
-            fit_self_1best(conv, tm, EstimatorConfig("self-tf"))
+    @pytest.mark.parametrize("variant", ["self-tf", "conf-tf"])
+    def test_word_outside_model_rejected(self, two_topic, variant):
+        # an open-vocabulary parse interns the unknown word past the model's end
+        _, tm = two_topic
+        conv = parse_conversation("CONV c\nNET u 1\nBIN a:0.6 zzz:0.3\n", tm.vocab)
+        cm = estimate_channel([conv])
+        with pytest.raises(ValidationError, match="word id 2 is outside"):
+            fit(conv, tm, EstimatorConfig(variant), cm)
 
     def test_all_topics_clamped(self, two_topic):
         conv, tm = two_topic
         cfg = EstimatorConfig("self-1best", map_strength=-1.5, max_iters=10)
         with pytest.raises(EstimationError, match="map_strength"):
-            fit_self_1best(conv, tm, cfg)
+            fit(conv, tm, cfg)
 
     def test_bad_config(self):
         with pytest.raises(ValidationError):

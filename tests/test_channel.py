@@ -3,7 +3,6 @@ import pytest
 
 from cnadapt.channel import (
     ChannelModel,
-    channel_prob,
     estimate_channel,
     load_channel,
     save_channel,
@@ -91,16 +90,16 @@ class TestLookup:
     def test_stored_value(self):
         conv = conv_of_bins([[(0, 0.6), (1, 0.4)], [(0, 0.7), (2, 0.3)]])
         cm = estimate_channel([conv])
-        assert channel_prob(cm, 1, 0) == pytest.approx(0.25)
+        assert cm.prob(1, 0) == pytest.approx(0.25)
 
     def test_identity_backoff(self):
         cm = ChannelModel({0: {0: 1.0}})
-        assert channel_prob(cm, 99, 99) == 1.0
-        assert channel_prob(cm, 0, 99) == 0.0
+        assert cm.prob(99, 99) == 1.0
+        assert cm.prob(0, 99) == 0.0
 
     def test_missing_v_in_present_row(self):
         cm = ChannelModel({0: {0: 0.5, 1: 0.5}})
-        assert channel_prob(cm, 2, 0) == 0.0
+        assert cm.prob(2, 0) == 0.0
 
 
 class TestChannelFile:

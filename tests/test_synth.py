@@ -114,6 +114,8 @@ class TestTruthSidecar:
         text = path.read_text()
         assert text.startswith("TRUTH ")
         assert f"REFS {conv.total_bins}\n" in text
+        # the channel is written once per directory, as channel.model
+        assert not any(line.startswith("CHANNEL") for line in text.splitlines())
 
 
 class TestSpecValidation:

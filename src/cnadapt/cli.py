@@ -10,7 +10,6 @@ usage or input.
 from __future__ import annotations
 
 import argparse
-import functools
 import glob as globmod
 import json
 import os
@@ -30,14 +29,12 @@ DEFAULT_MAX_WORDS = 10
 DEFAULT_THRESHOLDS = (1, 2, 3, 4, 5)
 
 
-def _write_manifest(path, subcommand, inputs, params, seed, wall_time):
+def _write_manifest(path, subcommand, info, wall_time):
     doc = {
         "subcommand": subcommand,
-        "inputs": inputs,
-        "params": params,
-        "seed": seed,
         "version": __version__,
         "wall_time_s": round(wall_time, 6),
+        **info,
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
@@ -56,10 +53,10 @@ def write_lambda_file(path, cid, labels, lam) -> None:
 
 
 def write_unigram_file(path, vocab, probs) -> None:
+    lines = [f"UNIGRAM {len(vocab)}\n"]
+    lines += [f"{word} {p:.12g}\n" for word, p in zip(vocab.words, probs.tolist())]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"UNIGRAM {len(vocab)}\n")
-        for wid, word in enumerate(vocab.words):
-            fh.write(f"{word} {probs[wid]:.12g}\n")
+        fh.write("".join(lines))
 
 
 def load_unigram_file(path):
@@ -136,12 +133,10 @@ def cmd_channel(args):
     }
 
 
-def _adapt_one(topic_model_path, channel_path, cfg_kwargs, cnet_path, out_lambda, out_unigram):
-    tm = topics.load_topic_model(topic_model_path)
-    # the model vocabulary stays closed, so every output covers exactly its words
-    cm = load_channel(channel_path, tm.vocab) if channel_path else None
+def _adapt_one(tm, cm, cfg, cnet_path, out_lambda, out_unigram):
+    """Fit one conversation and write its outputs; returns its manifest entry."""
+    start = time.perf_counter()
     conv = load_conversation(cnet_path, tm.vocab, closed=True)
-    cfg = adapt.EstimatorConfig(**cfg_kwargs)
     result = adapt.fit(conv, tm, cfg, cm)
     write_lambda_file(out_lambda, conv.cid, tm.labels, result.weights.lam)
     widths = [len(b) for b in conv.iter_bins()]
@@ -162,7 +157,38 @@ def _adapt_one(topic_model_path, channel_path, cfg_kwargs, cnet_path, out_lambda
         fh.write("\n")
     if out_unigram:
         write_unigram_file(out_unigram, tm.vocab, adapt.adapted_unigram(tm, result.weights))
-    return conv.cid, result.iterations, result.converged
+    return {
+        "cnet": cnet_path,
+        "cid": conv.cid,
+        "iterations": result.iterations,
+        "converged": result.converged,
+        "seconds": round(time.perf_counter() - start, 6),
+    }
+
+
+def _adapt_guarded(tm, cm, cfg, job):
+    """``_adapt_one`` for directory mode: a conversation's input or compute
+    error becomes its manifest entry, so the others still run and nothing
+    but plain data crosses a process pool."""
+    try:
+        return _adapt_one(tm, cm, cfg, *job)
+    except (InputError, OSError) as exc:
+        return {"cnet": job[0], "error": str(exc), "exit_code": 2}
+    except ComputeError as exc:
+        return {"cnet": job[0], "error": str(exc), "exit_code": 1}
+
+
+# set in pool workers only, by the pool's initializer
+_worker_models = None
+
+
+def _init_worker(tm, cm, cfg):
+    global _worker_models
+    _worker_models = (tm, cm, cfg)
+
+
+def _adapt_in_worker(job):
+    return _adapt_guarded(*_worker_models, job)
 
 
 def cmd_adapt(args):
@@ -178,30 +204,44 @@ def cmd_adapt(args):
         "max_iters": args.max_iters,
         "rel_tol": args.tol,
     }
-
-    if os.path.isdir(args.cnet):
+    cfg = adapt.EstimatorConfig(**cfg_kwargs)
+    directory = os.path.isdir(args.cnet)
+    if directory:
         paths = sorted(globmod.glob(os.path.join(args.cnet, "*.cnet")))
         if not paths:
             raise InputError(f"no .cnet files under {args.cnet!r}")
+    elif args.out_unigram is True:
+        raise InputError("--out-unigram requires a path when adapting a single file")
+
+    # one load per run, before any output exists, so a bad model writes nothing
+    load_start = time.perf_counter()
+    tm = topics.load_topic_model(args.topic_model)
+    # the model vocabulary stays closed, so every output covers exactly its words
+    cm = load_channel(args.channel, tm.vocab) if args.channel else None
+    models_load_s = round(time.perf_counter() - load_start, 6)
+
+    if directory:
         os.makedirs(args.out_lambda, exist_ok=True)
         jobs = []
         for p in paths:
             out = os.path.join(args.out_lambda, os.path.splitext(os.path.basename(p))[0])
             jobs.append((p, out + ".lambda", out + ".unigram" if args.out_unigram else None))
         manifest = os.path.join(args.out_lambda, "manifest.json")
+        if args.jobs > 1 and len(jobs) > 1:
+            with ProcessPoolExecutor(max_workers=args.jobs, initializer=_init_worker,
+                                     initargs=(tm, cm, cfg)) as pool:
+                entries = list(pool.map(_adapt_in_worker, jobs))
+        else:
+            entries = [_adapt_guarded(tm, cm, cfg, job) for job in jobs]
     else:
-        if args.out_unigram is True:
-            raise InputError("--out-unigram requires a path when adapting a single file")
-        jobs = [(args.cnet, args.out_lambda, args.out_unigram)]
+        entries = [_adapt_one(tm, cm, cfg, args.cnet, args.out_lambda, args.out_unigram)]
         manifest = args.out_lambda + ".manifest.json"
-    adapt_one = functools.partial(_adapt_one, args.topic_model, args.channel, cfg_kwargs)
-    if args.jobs > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(adapt_one, *zip(*jobs)))
-    else:
-        results = list(map(adapt_one, *zip(*jobs)))
-    for cid, iters, converged in results:
-        print(f"{cid}: {iters} iterations, converged={converged}")
+    for entry in entries:
+        if "error" in entry:
+            print(f"error: {entry['cnet']}: {entry['error']}", file=sys.stderr)
+        else:
+            print(f"{entry['cid']}: {entry['iterations']} iterations, "
+                  f"converged={entry['converged']}")
     return manifest, {
         "inputs": {
             "cnet": args.cnet,
@@ -210,6 +250,9 @@ def cmd_adapt(args):
         },
         "params": cfg_kwargs,
         "seed": None,
+        "models_load_s": models_load_s,
+        "conversations": entries,
+        "exit_code": max(e.get("exit_code", 0) for e in entries),
     }
 
 
@@ -265,8 +308,7 @@ def cmd_synth(args):
     spec, n_conversations = _load_synth_spec(args.spec, args.seed)
     os.makedirs(args.out_dir, exist_ok=True)
     truth = None
-    for k in range(n_conversations):
-        conv, truth = synth.sample_conversation(spec, k)
+    for conv, truth in synth.sample_conversations(spec, n_conversations):
         save_conversation(conv, truth.vocab, os.path.join(args.out_dir, conv.cid + ".cnet"))
         synth.save_truth(truth, conv, os.path.join(args.out_dir, conv.cid + ".truth"))
         print(f"{conv.cid}: {conv.total_bins} bins")
@@ -352,12 +394,10 @@ def main(argv=None) -> int:
     except ComputeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    exit_code = info.pop("exit_code", 0)
     if manifest_path:
-        _write_manifest(
-            manifest_path, args.subcommand, info["inputs"], info["params"],
-            info["seed"], time.perf_counter() - start,
-        )
-    return 0
+        _write_manifest(manifest_path, args.subcommand, info, time.perf_counter() - start)
+    return exit_code
 
 
 if __name__ == "__main__":

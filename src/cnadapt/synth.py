@@ -134,7 +134,19 @@ def _assemble_bin(obs, spoken, cm, cohort):
 
 def sample_conversation(spec: SynthSpec, index: int = 0):
     """Sample conversation ``index`` of a spec; returns (Conversation, SynthTruth)."""
-    tm, cm, vocab, cohort_of = _shared_structures(spec)
+    return _sample(spec, index, _shared_structures(spec))
+
+
+def sample_conversations(spec: SynthSpec, count: int):
+    """Yield conversations 0..count-1 of a spec, as ``sample_conversation``
+    would, building the shared topic rows and channel once."""
+    shared = _shared_structures(spec)
+    for index in range(count):
+        yield _sample(spec, index, shared)
+
+
+def _sample(spec: SynthSpec, index: int, shared):
+    tm, cm, vocab, cohort_of = shared
     rng = np.random.default_rng([spec.seed ^ index, 1])
     T, V, M = spec.topics, spec.vocab_size, spec.bins
 

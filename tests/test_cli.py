@@ -5,7 +5,10 @@ import os
 import numpy as np
 import pytest
 
+from cnadapt import adapt, cli, synth, topics
 from cnadapt.cli import main
+from cnadapt.corpus import Vocabulary
+from cnadapt.errors import EstimationError
 from cnadapt.synth import load_truth_lambda
 
 
@@ -38,6 +41,19 @@ def synth_spec(path, **over):
     doc.update(over)
     path.write_text(json.dumps(doc))
     return path
+
+
+def count_calls(monkeypatch, owner, name):
+    """Replace ``owner.name`` with a wrapper that records each call."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
 
 
 def read_nonmanifest(directory):
@@ -131,6 +147,13 @@ class TestSynthCmd:
         run(["synth", str(spec), str(d1)], capsys)
         run(["synth", str(spec), str(d2), "--seed", "77"], capsys)
         assert (d1 / "synth000.cnet").read_bytes() != (d2 / "synth000.cnet").read_bytes()
+
+    def test_shared_structures_built_once(self, tmp_path, capsys, monkeypatch):
+        calls = count_calls(monkeypatch, synth, "_shared_structures")
+        spec = synth_spec(tmp_path / "spec.json", bins=50, conversations=3)
+        code, _, _ = run(["synth", str(spec), str(tmp_path / "o")], capsys)
+        assert code == 0
+        assert len(calls) == 1
 
     def test_bad_spec_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "spec.json"
@@ -235,6 +258,17 @@ class TestAdapt:
         }
         assert files1 == read_nonmanifest(out2)
 
+    def test_unigram_format(self, tmp_path):
+        probs = np.array([1 / 3, 0.1, 1.0, 0.0, 1e-300, 5e-324, 2.5e-7, 123456789.125])
+        vocab = Vocabulary(f"w{i}" for i in range(len(probs)))
+        path = tmp_path / "u.unigram"
+        cli.write_unigram_file(path, vocab, probs)
+        # reference: one line per word, formatting the numpy scalar
+        expected = f"UNIGRAM {len(probs)}\n" + "".join(
+            f"w{i} {probs[i]:.12g}\n" for i in range(len(probs))
+        )
+        assert path.read_bytes() == expected.encode("utf-8")
+
     def test_unigram_written_and_normalized(self, synth_run, tmp_path, capsys):
         out = tmp_path / "c.lambda"
         uni = tmp_path / "c.unigram"
@@ -334,6 +368,98 @@ class TestAdaptOutsideModel:
             assert (out / f"{stem}.lambda").exists()
             assert_full_unigram(out / f"{stem}.unigram", 50)
         assert (out / "manifest.json").exists()
+
+
+class TestAdaptDirectory:
+    """Directory mode: one model load per run, and per-conversation failures."""
+
+    def adapt(self, capsys, data, cnets, out, jobs=1, topic_model=None, channel=None):
+        return run(
+            ["adapt", str(cnets), str(topic_model or data / "topics.model"), str(out),
+             "--variant", "conf-tf", "--channel", str(channel or data / "channel.model"),
+             "--out-unigram", "--jobs", str(jobs)],
+            capsys,
+        )
+
+    def test_models_loaded_once(self, small_run, tmp_path, capsys, monkeypatch):
+        d = tmp_path / "cnets"
+        d.mkdir()
+        for name, src in (("a", "synth000"), ("b", "synth001"), ("c", "synth000")):
+            (d / f"{name}.cnet").write_text((small_run / f"{src}.cnet").read_text())
+        topic_loads = count_calls(monkeypatch, topics, "load_topic_model")
+        channel_loads = count_calls(monkeypatch, cli, "load_channel")
+        out = tmp_path / "fit"
+        code, _, err = self.adapt(capsys, small_run, d, out)
+        assert code == 0, err
+        assert (len(topic_loads), len(channel_loads)) == (1, 1)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["models_load_s"] >= 0
+        entries = manifest["conversations"]
+        assert [e["cnet"] for e in entries] == [str(d / f"{n}.cnet") for n in "abc"]
+        assert [e["cid"] for e in entries] == ["synth000", "synth001", "synth000"]
+        for name, e in zip("abc", entries):
+            assert set(e) == {"cnet", "cid", "iterations", "converged", "seconds"}
+            assert e["seconds"] >= 0
+            diag = json.loads((out / f"{name}.lambda.diag.json").read_text())
+            assert (e["iterations"], e["converged"]) == (diag["iterations"], diag["converged"])
+            assert "seconds" not in diag
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_bad_conversation_does_not_stop_the_rest(self, small_run, tmp_path, capsys, jobs):
+        alone, mixed = tmp_path / "alone", tmp_path / "mixed"
+        for d in (alone, mixed):
+            d.mkdir()
+            (d / "b.cnet").write_text((small_run / "synth001.cnet").read_text())
+        bad = mixed / "a.cnet"
+        bad.write_text("CONV a\nNET u 1\nBIN zzz:1\n")
+        code, _, err = self.adapt(capsys, small_run, alone, tmp_path / "fit_alone")
+        assert code == 0, err
+        code, out, err = self.adapt(capsys, small_run, mixed, tmp_path / "fit_mixed", jobs)
+        assert code == 2
+        assert err == f"error: {bad}: conversation 'a' has no word in the vocabulary\n"
+        assert out.startswith("synth001: ")
+        fitted = read_nonmanifest(tmp_path / "fit_mixed")
+        assert set(fitted) == {"b.lambda", "b.lambda.diag.json", "b.unigram"}
+        assert fitted == read_nonmanifest(tmp_path / "fit_alone")
+        entries = json.loads((tmp_path / "fit_mixed" / "manifest.json").read_text())["conversations"]
+        assert entries[0] == {
+            "cnet": str(bad), "exit_code": 2,
+            "error": "conversation 'a' has no word in the vocabulary",
+        }
+        assert entries[1]["cid"] == "synth001"
+
+    def test_compute_error_exit_1(self, small_run, tmp_path, capsys, monkeypatch):
+        d = tmp_path / "cnets"
+        d.mkdir()
+        for name, src in (("a", "synth000"), ("b", "synth001")):
+            (d / f"{name}.cnet").write_text((small_run / f"{src}.cnet").read_text())
+        fit = adapt.fit
+
+        def failing_fit(conv, *args):
+            if conv.cid == "synth000":
+                raise EstimationError("no progress")
+            return fit(conv, *args)
+
+        monkeypatch.setattr(adapt, "fit", failing_fit)
+        out = tmp_path / "fit"
+        code, _, err = self.adapt(capsys, small_run, d, out)
+        assert code == 1
+        assert err == f"error: {d / 'a.cnet'}: no progress\n"
+        assert (out / "b.lambda").exists() and not (out / "a.lambda").exists()
+        entries = json.loads((out / "manifest.json").read_text())["conversations"]
+        assert entries[0]["exit_code"] == 1
+
+    @pytest.mark.parametrize("corrupt", ["topic_model", "channel"])
+    def test_bad_model_writes_nothing(self, small_run, tmp_path, capsys, corrupt):
+        bad = tmp_path / "bad.model"
+        bad.write_text("TOPICS 3 50\nTOPIC t0\n" if corrupt == "topic_model"
+                       else "CHANNEL 2\nw00 w00 1\n")
+        out = tmp_path / "fit"
+        code, stdout, err = self.adapt(capsys, small_run, small_run, out, **{corrupt: bad})
+        assert code == 2
+        assert not out.exists()
+        assert stdout == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestPpl:

@@ -8,6 +8,7 @@ from cnadapt.synth import (
     load_truth_lambda,
     observed_marginal,
     sample_conversation,
+    sample_conversations,
     save_truth,
 )
 
@@ -88,6 +89,17 @@ class TestDeterminism:
             conv2, truth2.vocab
         )
         assert np.array_equal(truth1.lam, truth2.lam)
+
+    def test_batch_matches_one_at_a_time(self):
+        batch = list(sample_conversations(spec(), 3))
+        assert len(batch) == 3
+        for index, (conv, truth) in enumerate(batch):
+            conv1, truth1 = sample_conversation(spec(), index)
+            assert serialize_conversation(conv, truth.vocab) == serialize_conversation(
+                conv1, truth1.vocab
+            )
+            assert np.array_equal(truth.lam, truth1.lam)
+            assert truth.refs == truth1.refs
 
     def test_different_index_differs(self):
         conv0, t0 = sample_conversation(spec(), 0)

@@ -76,21 +76,27 @@ def _check_in_model(wids: np.ndarray, tm: TopicModel) -> None:
 def _channel_lookup(cm: ChannelModel, words: np.ndarray):
     """Sorted pair keys ``w * base + v``, their probabilities and ``base``.
 
-    Only the rows of ``words`` are read, so the cost does not grow with the
-    channel; a word without a row emits itself.  A sentinel key ends the
-    array, so every lookup lands on an entry.
+    Only the rows of ``words`` are gathered, so the cost does not grow with
+    the channel; a word without a row emits itself.  The rows are taken in
+    word order and hold their observed words in order, so the keys come out
+    sorted.  A sentinel key ends the array, so every lookup lands on an entry.
     """
-    ws, vs, ps = [], [], []
-    for w in np.unique(words).tolist():
-        row = cm.rows.get(w, {w: 1.0})
-        ws.extend([w] * len(row))
-        vs.extend(row)
-        ps.extend(row.values())
-    base = max(int(words.max()), max(vs)) + 1
-    keys = np.asarray(ws, np.int64) * base + np.asarray(vs, np.int64)
-    order = np.argsort(keys)
-    keys = np.append(keys[order], np.iinfo(np.int64).max)
-    return keys, np.append(np.asarray(ps, np.float64)[order], 0.0), base
+    ws = np.unique(words)
+    last = cm.ptr.size - 1
+    start = cm.ptr[np.minimum(ws, last)]
+    size = cm.ptr[np.minimum(ws + 1, last)] - start
+    rowless = size == 0
+    size[rowless] = 1
+    spoken = np.repeat(ws, size)
+    at = np.arange(spoken.size) + np.repeat(start - np.cumsum(size) + size, size)
+    stored = ~np.repeat(rowless, size)
+    vs = spoken.copy()
+    vs[stored] = cm.obs[at[stored]]
+    ps = np.ones(spoken.size)
+    ps[stored] = cm.probs[at[stored]]
+    base = max(int(words.max()), int(vs.max())) + 1
+    keys = np.append(spoken * base + vs, np.iinfo(np.int64).max)
+    return keys, np.append(ps, 0.0), base
 
 
 class _ConfKernel:

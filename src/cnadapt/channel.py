@@ -10,17 +10,29 @@ normalizing per conditioning word.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
+from functools import cached_property
+from itertools import repeat
+
+import numpy as np
 
 from .corpus import Conversation, Vocabulary, prune_bin
 from .errors import ParseError, ValidationError
+from .modelfile import read_lines, split_fields
 
 ROW_SUM_TOL = 1e-9
 
 
 class ChannelModel:
-    """Sparse rows: rows[w][v] = p(observed v | spoken w)."""
+    """p(observed v | spoken w) as compressed sparse rows keyed by spoken word.
+
+    The row of spoken word w is entries ``ptr[w]`` to ``ptr[w + 1]`` of
+    ``obs`` (observed word ids, ascending) and ``probs``.  A word without
+    entries, or past the end of ``ptr``, has no row and emits itself.
+    """
 
     def __init__(self, rows):
+        """Build from nested dicts, ``rows[w][v] = p``, checking each row."""
         for w, row in rows.items():
             if not row:
                 raise ValidationError(f"empty channel row for word id {w}")
@@ -29,14 +41,53 @@ class ChannelModel:
                 raise ValidationError(f"channel row {w} sums to {total!r}")
             if any(p <= 0.0 for p in row.values()):
                 raise ValidationError(f"non-positive probability in channel row {w}")
-        self.rows = rows
+        entries = [(w, v, p) for w in sorted(rows) for v, p in sorted(rows[w].items())]
+        spoken = np.array([w for w, _, _ in entries], dtype=np.int64)
+        self.ptr = _row_starts(spoken, spoken[-1] + 1 if entries else 0)
+        self.obs = np.array([v for _, v, _ in entries], dtype=np.int64)
+        self.probs = np.array([p for _, _, p in entries], dtype=np.float64)
+
+    @classmethod
+    def from_sorted(cls, spoken, obs, probs, n: int) -> ChannelModel:
+        """Wrap entries sorted by (spoken, observed) word id, every spoken
+        id below ``n``; nothing is checked."""
+        cm = cls.__new__(cls)
+        cm.ptr, cm.obs, cm.probs = _row_starts(spoken, n), obs, probs
+        return cm
+
+    @cached_property
+    def _lists(self):
+        return self.ptr.tolist(), self.obs.tolist(), self.probs.tolist()
+
+    @cached_property
+    def rows(self):
+        """The rows as nested dicts, ``rows[w][v] = p``, built on first use
+        for inspection; the package itself reads only the arrays."""
+        ptr, obs, probs = self._lists
+        return {
+            w: dict(zip(obs[lo:hi], probs[lo:hi]))
+            for w, (lo, hi) in enumerate(zip(ptr, ptr[1:]))
+            if hi > lo
+        }
+
+    def spoken(self) -> np.ndarray:
+        """The spoken word of every entry."""
+        return np.repeat(np.arange(self.ptr.size - 1), np.diff(self.ptr))
+
+    def row(self, w: int):
+        """Observed word ids (ascending) and probabilities stored for spoken
+        word ``w``, an id below ``len(ptr) - 1``."""
+        lo, hi = self.ptr[w], self.ptr[w + 1]
+        return self.obs[lo:hi], self.probs[lo:hi]
 
     def prob(self, v: int, w: int) -> float:
-        """p(observed v | spoken w); unmodeled words back off to identity."""
-        row = self.rows.get(w)
-        if row is None:
-            return 1.0 if v == w else 0.0
-        return row.get(v, 0.0)
+        """p(observed v | spoken w), by binary search in the row of ``w``;
+        unmodeled words back off to identity."""
+        ptr, obs, probs = self._lists  # one conversion serves every call
+        if 0 <= w < len(ptr) - 1 and ptr[w + 1] > ptr[w]:
+            i = bisect_left(obs, v, ptr[w], ptr[w + 1])
+            return probs[i] if i < ptr[w + 1] and obs[i] == v else 0.0
+        return 1.0 if v == w else 0.0
 
 
 def estimate_channel(
@@ -48,35 +99,42 @@ def estimate_channel(
     but do not weight the counts.  Accumulation is a commutative reduction,
     so conversation order does not matter.
     """
-    counts = {}
+    by_width = {}  # pruned bins' word ids, grouped by bin width
     for conv in convs:
         if not isinstance(conv, Conversation):
             raise ValidationError(f"expected Conversation, got {type(conv)!r}")
         for b in conv.iter_bins():
             wids = prune_bin(b, rel_floor, max_words).word_ids()
-            for w in wids:
-                row = counts.setdefault(w, {})
-                for v in wids:
-                    row[v] = row.get(v, 0) + 1
-    if not counts:
+            by_width.setdefault(len(wids), []).append(wids)
+    if not by_width:
         raise ValidationError("no bins seen; cannot estimate a channel")
-    rows = {}
-    for w, row in counts.items():
-        total = sum(row.values())
-        rows[w] = {v: c / total for v, c in row.items()}
-    return ChannelModel(rows)
+    blocks = [np.array(bins, dtype=np.int64) for bins in by_width.values()]
+    base = max(int(b.max()) for b in blocks) + 1
+    keys, counts = np.unique(
+        np.concatenate([(b[:, :, None] * base + b[:, None, :]).ravel() for b in blocks]),
+        return_counts=True,
+    )
+    spoken, obs = np.divmod(keys, base)
+    totals = np.bincount(spoken, weights=counts, minlength=base)
+    return ChannelModel.from_sorted(spoken, obs, counts / totals[spoken], base)
 
 
 def save_channel(cm: ChannelModel, vocab: Vocabulary, path) -> None:
-    entries = []
-    for w, row in cm.rows.items():
-        for v, p in row.items():
-            entries.append((vocab.word(w), vocab.word(v), p))
-    entries.sort(key=lambda e: (e[0], e[1]))
+    """Write one ``<w> <v> <prob>`` line per entry, sorted by the words' strings."""
+    words = vocab.words
+    rank = np.empty(len(words), dtype=np.int64)
+    rank[sorted(range(len(words)), key=words.__getitem__)] = np.arange(len(words))
+    spoken = cm.spoken()
+    order = np.lexsort((rank[cm.obs], rank[spoken]))
+    lines = [f"CHANNEL {order.size}\n"]
+    lines += [
+        f"{words[w]} {words[v]} {p:.12g}\n"
+        for w, v, p in zip(
+            spoken[order].tolist(), cm.obs[order].tolist(), cm.probs[order].tolist()
+        )
+    ]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"CHANNEL {len(entries)}\n")
-        for w, v, p in entries:
-            fh.write(f"{w} {v} {p:.12g}\n")
+        fh.write("".join(lines))
 
 
 _CHANNEL_HEADER = re.compile(r"^CHANNEL (\d+)$")
@@ -87,49 +145,108 @@ def load_channel(path, vocab: Vocabulary) -> ChannelModel:
 
     ``vocab`` is never grown: entries naming a word it lacks are dropped
     after the row sums are checked, the rest of each row is renormalized,
-    and a row left empty is dropped.
+    and a row left empty is dropped.  A pair listed twice is an error.
+    Lines are parsed a chunk at a time (see ``modelfile``); a chunk that
+    fails a check is read again line by line for the error to report.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ParseError("empty channel file", 1)
-    m = _CHANNEL_HEADER.match(lines[0])
-    if not m:
-        raise ParseError(f"expected 'CHANNEL <rows>', got {lines[0]!r}", 1)
-    nrows = int(m.group(1))
-    if len(lines) - 1 != nrows:
-        raise ParseError(f"header declares {nrows} rows, found {len(lines) - 1}", 1)
-    known = len(vocab)
-    outside = {}  # ids from ``known`` up stand for the words ``vocab`` lacks
-    get = vocab.get
-    raw = {}
-    for no, line in enumerate(lines[1:], start=2):
-        parts = line.split()
+        nlines, header, chunks = read_lines(fh)
+        if not nlines:
+            raise ParseError("empty channel file", 1)
+        m = _CHANNEL_HEADER.match(header)
+        if not m:
+            raise ParseError(f"expected 'CHANNEL <rows>', got {header!r}", 1)
+        nrows = int(m.group(1))
+        if nlines - 1 != nrows:
+            raise ParseError(f"header declares {nrows} rows, found {nlines - 1}", 1)
+        known = len(vocab)
+        outside = {}  # ids from ``known`` up stand for the words ``vocab`` lacks
+        ws = np.empty(nrows, dtype=np.int64)
+        vs = np.empty(nrows, dtype=np.int64)
+        ps = np.empty(nrows, dtype=np.float64)
+        line = 2  # file line of the chunk's first line
+        for chunk in chunks:
+            parsed = _read_channel_lines(chunk)
+            if parsed is None:
+                raise _first_channel_error(chunk, line)
+            fields, p = parsed
+            at = slice(line - 2, line - 2 + len(chunk))
+            ps[at] = p
+            ws[at] = _word_ids(fields[0::3], vocab, outside)
+            vs[at] = _word_ids(fields[1::3], vocab, outside)
+            line += len(chunk)
+    names = list(outside)
+
+    def name(wid):
+        return vocab.word(wid) if wid < known else names[wid - known]
+
+    # entries by (w, v); files written by save_channel over ids in string
+    # order are sorted already
+    nid = known + len(outside)
+    key = ws * nid + vs
+    order = None
+    if not (key[1:] > key[:-1]).all():
+        order = np.argsort(key, kind="stable")
+        dup = np.flatnonzero(key[order[1:]] == key[order[:-1]])
+        if dup.size:
+            i = int(order[dup + 1].min())
+            raise ParseError(f"duplicate entry {name(ws[i])!r} {name(vs[i])!r}", i + 2)
+    # bincount adds each row's entries in file order, as a line-by-line sum does
+    totals = np.bincount(ws, weights=ps, minlength=nid)
+    bad = (np.abs(totals - 1.0) > 1e-6) & (np.bincount(ws, minlength=nid) > 0)
+    if bad.any():
+        w = int(ws[bad[ws]][0])  # the bad row whose first entry comes first
+        raise ValidationError(f"channel row {name(w)!r} sums to {float(totals[w])!r}")
+    take = order
+    if outside:
+        keep = (ws < known) & (vs < known)
+        totals = np.bincount(ws[keep], weights=ps[keep], minlength=nid)
+        take = np.flatnonzero(keep) if order is None else order[keep[order]]
+    if take is not None:
+        ws, vs, ps = ws[take], vs[take], ps[take]
+    return ChannelModel.from_sorted(ws, vs, ps / totals[ws], known)
+
+
+def _row_starts(spoken: np.ndarray, n: int) -> np.ndarray:
+    """``ptr`` over word ids below ``n`` of entries sorted by spoken word."""
+    return np.concatenate([[0], np.cumsum(np.bincount(spoken, minlength=n))])
+
+
+def _read_channel_lines(chunk):
+    """The fields of a chunk of channel lines and their probabilities, or
+    None if any line is bad."""
+    fields = split_fields(chunk, 3)
+    if fields is None:
+        return None
+    try:
+        p = np.array(fields[2::3], dtype=np.float64)
+    except ValueError:
+        return None
+    return (fields, p) if (p > 0.0).all() else None  # also None for NaN
+
+
+def _word_ids(tokens, vocab: Vocabulary, outside) -> np.ndarray:
+    """Ids of ``tokens``; a word ``vocab`` lacks gets the next id in ``outside``."""
+    ids = np.fromiter(map(vocab.get, tokens, repeat(-1)), dtype=np.int64, count=len(tokens))
+    for i in np.flatnonzero(ids < 0).tolist():
+        ids[i] = outside.setdefault(tokens[i], len(vocab) + len(outside))
+    return ids
+
+
+def _first_channel_error(chunk, line):
+    """The error of the first bad line of ``chunk``, read line by line."""
+    for no, text in enumerate(chunk, start=line):
+        text = text.rstrip("\n")
+        parts = text.split()
         if len(parts) != 3:
-            raise ParseError(f"expected '<w> <v> <prob>', got {line!r}", no)
-        w, v, ptok = parts
+            return ParseError(f"expected '<w> <v> <prob>', got {text!r}", no)
+        ptok = parts[2]
         try:
             p = float(ptok)
         except ValueError:
-            raise ParseError(f"bad probability {ptok!r}", no) from None
+            return ParseError(f"bad probability {ptok!r}", no)
+        if p != p:
+            return ValidationError(f"line {no}: probability {ptok} is not a number")
         if p <= 0.0:
-            raise ValidationError(f"line {no}: non-positive probability {ptok}")
-        wid, vid = get(w), get(v)
-        if wid is None:
-            wid = outside.setdefault(w, known + len(outside))
-        if vid is None:
-            vid = outside.setdefault(v, known + len(outside))
-        raw.setdefault(wid, {})[vid] = p
-    rows = {}
-    for w, row in raw.items():
-        total = sum(row.values())
-        if abs(total - 1.0) > 1e-6:
-            name = vocab.word(w) if w < known else list(outside)[w - known]
-            raise ValidationError(f"channel row {name!r} sums to {total!r}")
-        if outside:
-            row = {v: p for v, p in row.items() if v < known}
-            if w >= known or not row:
-                continue
-            total = sum(row.values())
-        rows[w] = {v: p / total for v, p in row.items()}
-    return ChannelModel(rows)
+            return ValidationError(f"line {no}: non-positive probability {ptok}")
+    raise AssertionError(f"no bad line among lines {line}-{no}")

@@ -125,7 +125,8 @@ def cmd_channel(args):
     convs = [load_conversation(p, vocab) for p in paths]
     cm = estimate_channel(convs, args.rel_floor, args.max_words)
     save_channel(cm, vocab, args.out_channel)
-    print(f"estimated channel rows for {len(cm.rows)} words -> {args.out_channel}")
+    rows = np.count_nonzero(np.diff(cm.ptr))
+    print(f"estimated channel rows for {rows} words -> {args.out_channel}")
     return args.out_channel + ".manifest.json", {
         "inputs": {"cnet_glob": args.cnet_glob, "files": paths},
         "params": {"rel_floor": args.rel_floor, "max_words": args.max_words},
@@ -216,9 +217,10 @@ def cmd_adapt(args):
     # one load per run, before any output exists, so a bad model writes nothing
     load_start = time.perf_counter()
     tm = topics.load_topic_model(args.topic_model)
+    topics_end = time.perf_counter()
     # the model vocabulary stays closed, so every output covers exactly its words
     cm = load_channel(args.channel, tm.vocab) if args.channel else None
-    models_load_s = round(time.perf_counter() - load_start, 6)
+    load_end = time.perf_counter()
 
     if directory:
         os.makedirs(args.out_lambda, exist_ok=True)
@@ -250,7 +252,9 @@ def cmd_adapt(args):
         },
         "params": cfg_kwargs,
         "seed": None,
-        "models_load_s": models_load_s,
+        "models_load_s": round(load_end - load_start, 6),
+        "topics_load_s": round(topics_end - load_start, 6),
+        "channel_load_s": round(load_end - topics_end, 6) if cm else None,
         "conversations": entries,
         "exit_code": max(e.get("exit_code", 0) for e in entries),
     }

@@ -1,0 +1,70 @@
+"""Chunked reading of the line-oriented model files.
+
+The topic model and the channel files hold a header line, then one record
+of a fixed number of whitespace-separated fields per line.  ``read_lines``
+yields the record lines a chunk at a time, and ``split_fields`` splits a
+whole chunk with one ``str.split``, so the loaders parse in bulk without
+holding every line of a large file at once.  Lines are counted and
+numbered as ``str.splitlines`` counts them.
+"""
+
+from __future__ import annotations
+
+from itertools import islice
+
+CHUNK_LINES = 8192
+# blocks of the line count; under glibc's mmap threshold, so the heap reuses
+# them instead of keeping a larger block resident after the load
+_BLOCK_CHARS = 1 << 16
+# line breaks of str.splitlines other than "\n"; text mode already turns
+# "\r" and "\r\n" into "\n"
+_OTHER_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+# between the lines of a chunk, so the split shows where each line ended
+_SEP = "\x00"
+
+
+def read_lines(fh):
+    """Return (line count, first line, chunks of the remaining lines) of ``fh``.
+
+    ``fh`` is a text file opened for reading.  Each chunk is a list of at
+    most CHUNK_LINES lines, each possibly ending in "\\n"; the chunks must
+    be consumed while ``fh`` is open.
+    """
+    count, last, plain = 0, "\n", True
+    for block in iter(lambda: fh.read(_BLOCK_CHARS), ""):
+        count += block.count("\n")
+        plain = plain and not any(c in block for c in _OTHER_BREAKS)
+        last = block[-1]
+    count += last != "\n"
+    fh.seek(0)
+    if plain:
+        lines = iter(fh)
+    else:
+        # rare enough to afford holding every line
+        everything = fh.read().splitlines()
+        count, lines = len(everything), iter(everything)
+    first = next(lines, "").rstrip("\n")
+    return count, first, iter(lambda: list(islice(lines, CHUNK_LINES)), [])
+
+
+def split_fields(chunk, k: int):
+    """The fields of the lines of ``chunk`` in one flat list, or None when
+    some line does not hold exactly ``k`` fields."""
+    n = len(chunk)
+    text = f" {_SEP} ".join(chunk)
+    fields = text.split()
+    if (
+        len(fields) == (k + 1) * n - 1
+        and text.count(_SEP) == n - 1
+        and fields[k :: k + 1].count(_SEP) == n - 1
+    ):
+        del fields[k :: k + 1]
+        return fields
+    # some line holds another number of fields, or the text holds a NUL
+    fields = []
+    for line in chunk:
+        parts = line.split()
+        if len(parts) != k:
+            return None
+        fields += parts
+    return fields

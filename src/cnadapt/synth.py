@@ -89,20 +89,26 @@ def _shared_structures(spec: SynthSpec):
         sorted(int(w) for w in perm[i : i + spec.bin_width])
         for i in range(0, V, spec.bin_width)
     ]
-    chan_rows = {}
+    # row w keeps 1 - noise on w and spreads noise evenly over its cohort
+    spoken, obs, probs = [], [], []
     for cohort in cohorts:
-        for w in cohort:
-            if spec.channel_noise == 0.0 or len(cohort) == 1:
-                chan_rows[w] = {w: 1.0}
-                continue
-            row = {w: 1.0 - spec.channel_noise}
-            share = spec.channel_noise / (len(cohort) - 1)
-            for v in cohort:
-                if v != w:
-                    row[v] = share
-            chan_rows[w] = row
+        c, k = np.array(cohort, dtype=np.int64), len(cohort)
+        if spec.channel_noise == 0.0 or k == 1:
+            spoken.append(c)
+            obs.append(c)
+            probs.append(np.ones(k))
+            continue
+        spoken.append(np.repeat(c, k))
+        obs.append(np.tile(c, k))
+        share = spec.channel_noise / (k - 1)
+        probs.append(np.where(np.eye(k, dtype=bool), 1.0 - spec.channel_noise, share).ravel())
+    spoken = np.concatenate(spoken)
+    order = np.argsort(spoken, kind="stable")
+    cm = ChannelModel.from_sorted(
+        spoken[order], np.concatenate(obs)[order], np.concatenate(probs)[order], V
+    )
     cohort_of = {w: cohort for cohort in cohorts for w in cohort}
-    return tm, ChannelModel(chan_rows), vocab, cohort_of
+    return tm, cm, vocab, cohort_of
 
 
 def _assemble_bin(obs, spoken, cm, cohort):
@@ -113,7 +119,8 @@ def _assemble_bin(obs, spoken, cm, cohort):
     if len(cohort) == 1:
         return Bin([(obs, 1.0)])
     a = OBSERVED_CONFIDENCE_WEIGHT
-    row = cm.rows[spoken]
+    emitted, probs = cm.row(spoken)
+    row = dict(zip(emitted.tolist(), probs.tolist()))
     s = np.array(
         [(a if v == obs else 0.0) + (1.0 - a) * row.get(v, 0.0) for v in cohort]
     )
@@ -164,8 +171,7 @@ def _sample(spec: SynthSpec, index: int, shared):
     observed = np.empty(M, dtype=np.int64)
     for w in sorted(set(spoken.tolist())):
         idx = np.nonzero(spoken == w)[0]
-        support = sorted(cm.rows[w])
-        probs = np.array([cm.rows[w][v] for v in support])
+        support, probs = cm.row(w)
         observed[idx] = rng.choice(support, size=idx.size, p=probs)
 
     bins = [
@@ -184,11 +190,9 @@ def _sample(spec: SynthSpec, index: int, shared):
 def observed_marginal(truth: SynthTruth) -> np.ndarray:
     """Distribution of the observed word implied by mixture and channel."""
     q_star = truth.lam @ truth.topics.probs
-    V = len(truth.vocab)
-    p = np.zeros(V)
-    for w, row in truth.channel.rows.items():
-        for v, pc in row.items():
-            p[v] += q_star[w] * pc
+    cm = truth.channel
+    p = np.zeros(len(truth.vocab))
+    np.add.at(p, cm.obs, q_star[cm.spoken()] * cm.probs)
     return p
 
 

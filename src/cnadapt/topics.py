@@ -14,6 +14,7 @@ import numpy as np
 
 from .corpus import UNK_WORD, Vocabulary
 from .errors import ParseError, TrainingError, ValidationError
+from .modelfile import read_lines, split_fields
 
 PROB_FLOOR = 1e-10
 ROW_SUM_TOL = 1e-9
@@ -137,50 +138,116 @@ def save_topic_model(tm: TopicModel, path) -> None:
 
 
 def load_topic_model(path) -> TopicModel:
-    """Read a topic model file, validating block structure and row sums."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ParseError("empty topic model file", 1)
-    parts = lines[0].split()
-    if len(parts) != 3 or parts[0] != "TOPICS":
-        raise ParseError(f"expected 'TOPICS <T> <V>', got {lines[0]!r}", 1)
-    try:
-        T, V = int(parts[1]), int(parts[2])
-    except ValueError:
-        raise ParseError(f"bad counts in header {lines[0]!r}", 1) from None
-    expect = 1 + T * (V + 1)
-    if len(lines) != expect:
-        raise ParseError(f"expected {expect} lines, found {len(lines)}", len(lines))
+    """Read a topic model file, validating block structure and row sums.
 
-    vocab = Vocabulary()
-    labels = []
-    rows = np.empty((T, V), dtype=np.float64)
-    pos = 1
-    for t in range(T):
-        parts = lines[pos].split()
-        if len(parts) != 2 or parts[0] != "TOPIC":
-            raise ParseError(f"expected 'TOPIC <label>', got {lines[pos]!r}", pos + 1)
-        labels.append(parts[1])
-        pos += 1
-        for v in range(V):
-            parts = lines[pos].split()
-            if len(parts) != 2:
-                raise ParseError(f"expected '<word> <prob>', got {lines[pos]!r}", pos + 1)
-            word, ptok = parts
-            if t == 0:
-                if vocab.add(word) != v:
-                    raise ParseError(f"duplicate word {word!r}", pos + 1)
-            elif word not in vocab or vocab.id(word) != v:
-                raise ParseError(
-                    f"word {word!r} out of order in topic {labels[t]!r}", pos + 1
-                )
-            try:
-                rows[t, v] = float(ptok)
-            except ValueError:
-                raise ParseError(f"bad probability {ptok!r}", pos + 1) from None
-            pos += 1
+    Lines are parsed a chunk at a time (see ``modelfile``); a chunk that
+    fails a check is read again line by line for the error to report.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        nlines, header, chunks = read_lines(fh)
+        if not nlines:
+            raise ParseError("empty topic model file", 1)
+        parts = header.split()
+        if len(parts) != 3 or parts[0] != "TOPICS":
+            raise ParseError(f"expected 'TOPICS <T> <V>', got {header!r}", 1)
+        try:
+            T, V = int(parts[1]), int(parts[2])
+        except ValueError:
+            raise ParseError(f"bad counts in header {header!r}", 1) from None
+        expect = 1 + T * (V + 1)
+        if nlines != expect:
+            raise ParseError(f"expected {expect} lines, found {nlines}", nlines)
+        if T < 0 or V < 0:
+            raise ParseError(f"bad counts in header {header!r}", 1)
+
+        vocab = Vocabulary()
+        labels = []
+        rows = np.empty((T, V), dtype=np.float64)
+        line = 2  # file line of the chunk's first line
+        for chunk in chunks:
+            if not _read_topic_lines(chunk, line, vocab, labels, rows):
+                raise _first_topic_error(chunk, line, vocab, labels[-1] if labels else None, V)
+            line += len(chunk)
     sums = rows.sum(axis=1)
     if np.any(rows < 0) or np.any(np.abs(sums - 1.0) > 1e-6):
         raise ValidationError(f"topic rows do not sum to 1: {sums}")
     return TopicModel(labels, vocab, floor_and_normalize(rows))
+
+
+def _read_topic_lines(chunk, line, vocab, labels, rows) -> bool:
+    """Parse a chunk of the lines after the header in bulk; False if any is bad.
+
+    ``line`` is the file line of the chunk's first line.  The words of the
+    first topic are interned into ``vocab``; ``labels`` grows only when
+    every line of the chunk is good.
+    """
+    fields = split_fields(chunk, 2)
+    if fields is None:
+        return False
+    heads, tails = fields[0::2], fields[1::2]
+    V = rows.shape[1]
+    new_labels = []
+    words = None
+    i = 0
+    while i < len(chunk):
+        t, r = divmod(line - 2 + i, V + 1)
+        if r == 0:
+            if heads[i] != "TOPIC":
+                return False
+            new_labels.append(tails[i])
+            i += 1
+            continue
+        end = min(len(chunk), i + V + 1 - r)
+        seg = heads[i:end]
+        if t == 0:
+            size = len(vocab)
+            for word in seg:
+                vocab.add(word)
+            if len(vocab) != size + len(seg):
+                return False
+        else:
+            words = words or vocab.words
+            if tuple(seg) != words[r - 1 : r - 1 + len(seg)]:
+                return False
+        try:
+            probs = np.array(tails[i:end], dtype=np.float64)
+        except ValueError:
+            return False
+        if np.isnan(probs).any():
+            return False
+        rows[t, r - 1 : r - 1 + len(seg)] = probs
+        i = end
+    labels += new_labels
+    return True
+
+
+def _first_topic_error(chunk, line, vocab, label, V):
+    """The error of the first bad line of ``chunk``, read line by line.
+
+    ``label`` is the topic open before the chunk; words of the first topic
+    that ``_read_topic_lines`` interned keep their ids, so they read as good.
+    """
+    for no, text in enumerate(chunk, start=line):
+        text = text.rstrip("\n")
+        parts = text.split()
+        t, r = divmod(no - 2, V + 1)
+        if r == 0:
+            if len(parts) != 2 or parts[0] != "TOPIC":
+                return ParseError(f"expected 'TOPIC <label>', got {text!r}", no)
+            label = parts[1]
+            continue
+        if len(parts) != 2:
+            return ParseError(f"expected '<word> <prob>', got {text!r}", no)
+        word, ptok = parts
+        if t == 0:
+            if vocab.add(word) != r - 1:
+                return ParseError(f"duplicate word {word!r}", no)
+        elif vocab.get(word) != r - 1:
+            return ParseError(f"word {word!r} out of order in topic {label!r}", no)
+        try:
+            p = float(ptok)
+        except ValueError:
+            return ParseError(f"bad probability {ptok!r}", no)
+        if p != p:
+            return ValidationError(f"line {no}: probability {ptok} is not a number")
+    raise AssertionError(f"no bad line among lines {line}-{no}")

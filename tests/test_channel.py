@@ -1,6 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cnadapt import modelfile
 from cnadapt.channel import (
     ChannelModel,
     estimate_channel,
@@ -9,6 +14,7 @@ from cnadapt.channel import (
 )
 from cnadapt.corpus import Bin, ConfusionNetwork, Conversation, Vocabulary
 from cnadapt.errors import ParseError, ValidationError
+from cnadapt.modelfile import CHUNK_LINES
 from helpers import make_conversation
 
 
@@ -144,3 +150,190 @@ class TestChannelFile:
         path.write_text("CHANNEL 2\nzz a 0.5\nzz b 0.2\n")
         with pytest.raises(ValidationError, match="zz"):
             load_channel(path, Vocabulary(["a", "b"]))
+
+
+def long_channel_file(bad_line, replacement):
+    """9000 one-entry rows over words w0000..w8999, with line ``bad_line`` replaced."""
+    lines = ["CHANNEL 9000"] + [f"w{i:04d} w{i:04d} 1" for i in range(9000)]
+    lines[bad_line - 1] = replacement
+    return "\n".join(lines) + "\n"
+
+
+LONG_VOCAB = [f"w{i:04d}" for i in range(9000)]
+
+# (file text, exception, message): every error the loader reports, with its
+# line; the vocabulary is {a, b} unless the case is one of the long files
+CHANNEL_ERRORS = [
+    ("", ParseError, "line 1: empty channel file"),
+    ("CHANNEL\n", ParseError, "line 1: expected 'CHANNEL <rows>', got 'CHANNEL'"),
+    ("CHANNEL two\na a 1\n", ParseError, "line 1: expected 'CHANNEL <rows>', got 'CHANNEL two'"),
+    ("CHANNEL 3\na a 0.5\na b 0.5\n", ParseError, "line 1: header declares 3 rows, found 2"),
+    ("CHANNEL 1\na a 0.5\na b 0.5\n", ParseError, "line 1: header declares 1 rows, found 2"),
+    ("CHANNEL 2\na a 0.5\na b\n", ParseError, "line 3: expected '<w> <v> <prob>', got 'a b'"),
+    # one field too many and one too few: the file still holds three per line
+    ("CHANNEL 2\na a 0.5 a\nb 0.5\n", ParseError,
+     "line 2: expected '<w> <v> <prob>', got 'a a 0.5 a'"),
+    ("CHANNEL 2\na a 0.5\n\n", ParseError, "line 3: expected '<w> <v> <prob>', got ''"),
+    ("CHANNEL 2\na a half\na b 0.5\n", ParseError, "line 2: bad probability 'half'"),
+    ("CHANNEL 2\na a 1\na b 0\n", ValidationError, "line 3: non-positive probability 0"),
+    ("CHANNEL 2\na a 1.5\na b -0.5\n", ValidationError, "line 3: non-positive probability -0.5"),
+    # the first bad line wins
+    ("CHANNEL 3\na a 0\na b x\nb\n", ValidationError, "line 2: non-positive probability 0"),
+    ("CHANNEL 3\na a 1\nb b x\nb a 0\n", ParseError, "line 3: bad probability 'x'"),
+    ("CHANNEL 3\na a 0.5\nb b 1\nb a x\n", ParseError, "line 4: bad probability 'x'"),
+    ("CHANNEL 2\na a 0.5\na b 0.25\n", ValidationError, "channel row 'a' sums to 0.75"),
+    # rows are checked in the order their spoken word first appears
+    ("CHANNEL 3\nb b 0.5\na a 0.5\nb a 0.25\n", ValidationError, "channel row 'b' sums to 0.75"),
+    ("CHANNEL 4\na a 0.25\nb b 1\nzz a 0.5\na b 0.5\n", ValidationError,
+     "channel row 'a' sums to 0.75"),
+    # a row outside the vocabulary, and a row summed before outside words drop
+    ("CHANNEL 2\nzz a 0.5\nzz b 0.25\n", ValidationError, "channel row 'zz' sums to 0.75"),
+    ("CHANNEL 2\na zz 0.5\na a 0.25\n", ValidationError, "channel row 'a' sums to 0.75"),
+    ("CHANNEL 3\nb b 1\nyy a 0.5\nyy zz 0.25\n", ValidationError, "channel row 'yy' sums to 0.75"),
+    # past the first few thousand lines
+    (long_channel_file(9001, "w8999 w8999 x"), ParseError, "line 9001: bad probability 'x'"),
+    (long_channel_file(8194, "w8192 w8192"), ParseError,
+     "line 8194: expected '<w> <v> <prob>', got 'w8192 w8192'"),
+    (long_channel_file(8500, "w8498 w8498 -1"), ValidationError,
+     "line 8500: non-positive probability -1"),
+    (long_channel_file(8700, "w8698 w8698 0.5"), ValidationError,
+     "channel row 'w8698' sums to 0.5"),
+]
+
+
+class TestLoaderErrors:
+    @pytest.mark.parametrize("text,exc,message", CHANNEL_ERRORS,
+                             ids=[m for _, _, m in CHANNEL_ERRORS])
+    def test_message_and_line(self, tmp_path, text, exc, message):
+        path = tmp_path / "ch.model"
+        path.write_text(text, encoding="utf-8")
+        vocab = Vocabulary(LONG_VOCAB if text.startswith("CHANNEL 9000") else ["a", "b"])
+        with pytest.raises(exc) as info:
+            load_channel(path, vocab)
+        assert str(info.value) == message
+
+    def test_other_line_breaks_count_as_lines(self, tmp_path):
+        # lines break where str.splitlines breaks them: \v, \f, \x1c-\x1e, \x85, ...
+        path = tmp_path / "ch.model"
+        path.write_text("CHANNEL 3\r\na a 0.5\x0ca b 0.5\x85b b 1", encoding="utf-8")
+        cm = load_channel(path, Vocabulary(["a", "b"]))
+        assert cm.rows == {0: {0: 0.5, 1: 0.5}, 1: {1: 1.0}}
+
+
+def reference_load_channel(text, vocab):
+    """The loader's contract, line by line: rows summed in file order, then
+    entries outside ``vocab`` dropped and the rest renormalized."""
+    lines = text.splitlines()[1:]
+    known = len(vocab)
+    outside = {}
+    raw = {}
+    for line in lines:
+        w, v, ptok = line.split()
+        wid, vid = vocab.get(w), vocab.get(v)
+        if wid is None:
+            wid = outside.setdefault(w, known + len(outside))
+        if vid is None:
+            vid = outside.setdefault(v, known + len(outside))
+        raw.setdefault(wid, {})[vid] = float(ptok)
+    rows = {}
+    for w, row in raw.items():
+        total = sum(row.values())
+        assert abs(total - 1.0) <= 1e-6
+        if outside:
+            row = {v: p for v, p in row.items() if v < known}
+            if w >= known or not row:
+                continue
+            total = sum(row.values())
+        rows[w] = {v: p / total for v, p in row.items()}
+    return rows
+
+
+WORDS = st.text(alphabet="abcxyzé", min_size=1, max_size=3)
+
+
+@st.composite
+def channel_files(draw):
+    """A vocabulary whose ids are not in string order, words outside it, and
+    the entries of every row shuffled together, as a channel file's text."""
+    names = draw(st.lists(WORDS, min_size=2, max_size=12, unique=True))
+    n_known = draw(st.integers(1, len(names)))
+    known, others = names[:n_known], ["o" + w for w in names[n_known:]]
+    words = known + others
+    entries = []
+    for w in draw(st.lists(st.sampled_from(words), min_size=1, unique=True)):
+        observed = draw(st.lists(st.sampled_from(words), min_size=1, unique=True))
+        weights = draw(st.lists(st.integers(1, 10**6), min_size=len(observed),
+                                max_size=len(observed)))
+        fmt = draw(st.sampled_from(["{!r}", "{:.12g}", "{:.17e}"]))
+        total = sum(weights)
+        entries += [(w, v, fmt.format(c / total)) for v, c in zip(observed, weights)]
+    entries = draw(st.permutations(entries))
+    text = f"CHANNEL {len(entries)}\n" + "".join(f"{w} {v} {p}\n" for w, v, p in entries)
+    return text, known
+
+
+class TestLoaderExactness:
+    @given(channel_files())
+    @settings(max_examples=150, deadline=None)
+    def test_rows_equal_line_by_line_reference(self, tmp_path_factory, case):
+        text, known = case
+        path = tmp_path_factory.mktemp("ch") / "ch.model"
+        path.write_text(text, encoding="utf-8")
+        vocab = Vocabulary(known)
+        cm = load_channel(path, vocab)
+        assert len(vocab) == len(known)
+        assert cm.rows == reference_load_channel(text, Vocabulary(known))
+
+    @pytest.mark.parametrize("chunk_lines", [2, CHUNK_LINES])
+    @given(case=channel_files())
+    @settings(max_examples=80, deadline=None)
+    def test_chunk_boundaries_do_not_matter(self, tmp_path_factory, chunk_lines, case):
+        text, known = case
+        path = tmp_path_factory.mktemp("ch") / "ch.model"
+        path.write_text(text, encoding="utf-8")
+        with mock.patch.object(modelfile, "CHUNK_LINES", chunk_lines):
+            cm = load_channel(path, Vocabulary(known))
+        assert cm.rows == reference_load_channel(text, Vocabulary(known))
+
+    def test_arrays_hold_sorted_rows(self, tmp_path):
+        path = tmp_path / "ch.model"
+        path.write_text("CHANNEL 5\nb a 0.5\na b 0.25\nb b 0.5\na a 0.5\na c 0.25\n")
+        cm = load_channel(path, Vocabulary(["c", "b", "a"]))
+        assert cm.ptr.tolist() == [0, 0, 2, 5]
+        assert cm.obs.tolist() == [1, 2, 0, 1, 2]
+        assert cm.probs.tolist() == [0.5, 0.5, 0.25, 0.25, 0.5]
+
+
+class TestLoaderRejects:
+    """Files the loader rejects although a line-by-line read once took them."""
+
+    @pytest.mark.parametrize("text,line", [
+        ("CHANNEL 2\na a nan\na b 0.5\n", 2),
+        ("CHANNEL 3\na a 1\nb b 0.5\nb a NaN\n", 4),
+        (long_channel_file(8999, "w8997 w8997 nan"), 8999),
+    ], ids=["first-row", "later-row", "past-first-chunk"])
+    def test_nan_probability(self, tmp_path, text, line):
+        path = tmp_path / "ch.model"
+        path.write_text(text, encoding="utf-8")
+        vocab = Vocabulary(LONG_VOCAB if text.startswith("CHANNEL 9000") else ["a", "b"])
+        with pytest.raises(ValidationError,
+                           match=rf"^line {line}: probability \S+ is not a number$"):
+            load_channel(path, vocab)
+
+    @pytest.mark.parametrize("text,message", [
+        # the last entry once won, so this row summed to 1
+        ("CHANNEL 3\na a 0.5\na a 0.5\na b 0.5\n", "line 3: duplicate entry 'a' 'a'"),
+        ("CHANNEL 4\na b 0.5\nb b 1\na a 0.5\na b 0.5\n", "line 5: duplicate entry 'a' 'b'"),
+        # the first line that repeats an earlier one is named
+        ("CHANNEL 5\nb b 1\na a 0.5\na b 0.5\na b 0.5\nb b 1\n",
+         "line 5: duplicate entry 'a' 'b'"),
+        ("CHANNEL 4\nzz a 1\nzz zz 0.5\na a 1\nzz zz 0.5\n", "line 5: duplicate entry 'zz' 'zz'"),
+        (long_channel_file(9001, "w0001 w0001 1"), "line 9001: duplicate entry 'w0001' 'w0001'"),
+    ], ids=["adjacent", "apart", "first-repeat", "outside", "past-first-chunk"])
+    def test_duplicate_entry(self, tmp_path, text, message):
+        path = tmp_path / "ch.model"
+        path.write_text(text, encoding="utf-8")
+        vocab = Vocabulary(LONG_VOCAB if text.startswith("CHANNEL 9000") else ["a", "b"])
+        with pytest.raises(ParseError) as info:
+            load_channel(path, vocab)
+        assert str(info.value) == message

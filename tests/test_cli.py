@@ -212,6 +212,27 @@ class TestAdapt:
         # the model has no <unk>, so the outside cell is dropped: widths 2, 2, 1
         assert (diag["bins"], diag["cells"], diag["pairs"], diag["oov_cells"]) == (3, 5, 9, 1)
 
+    @pytest.mark.parametrize("directory", [False, True], ids=["file", "directory"])
+    @pytest.mark.parametrize("corrupt", ["topic_model", "channel"])
+    def test_nan_probability_exit_2(self, small_run, tmp_path, capsys, corrupt, directory):
+        models = {"topic_model": small_run / "topics.model",
+                  "channel": small_run / "channel.model"}
+        lines = models[corrupt].read_text().splitlines()
+        lines[2] = lines[2].rpartition(" ")[0] + " nan"
+        models[corrupt] = tmp_path / "bad.model"
+        models[corrupt].write_text("\n".join(lines) + "\n")
+        cnet = small_run if directory else small_run / "synth000.cnet"
+        out = tmp_path / ("fit" if directory else "c.lambda")
+        code, stdout, err = run(
+            ["adapt", str(cnet), str(models["topic_model"]), str(out),
+             "--variant", "conf-tf", "--channel", str(models["channel"])],
+            capsys,
+        )
+        assert code == 2
+        assert err == "error: line 3: probability nan is not a number\n"
+        assert stdout == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.model"]
+
     def test_map_zero_equals_mle_files(self, synth_run, tmp_path, capsys):
         a, b = tmp_path / "a.lambda", tmp_path / "b.lambda"
         base = [
@@ -394,6 +415,9 @@ class TestAdaptDirectory:
         assert (len(topic_loads), len(channel_loads)) == (1, 1)
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["models_load_s"] >= 0
+        assert manifest["topics_load_s"] >= 0 and manifest["channel_load_s"] >= 0
+        assert manifest["topics_load_s"] + manifest["channel_load_s"] == pytest.approx(
+            manifest["models_load_s"], abs=2e-6)
         entries = manifest["conversations"]
         assert [e["cnet"] for e in entries] == [str(d / f"{n}.cnet") for n in "abc"]
         assert [e["cid"] for e in entries] == ["synth000", "synth001", "synth000"]

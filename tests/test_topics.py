@@ -1,15 +1,22 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from cnadapt.adapt import adapted_unigram
+from cnadapt import modelfile
 from cnadapt.corpus import Vocabulary
 from cnadapt.errors import ParseError, TrainingError, ValidationError
+from cnadapt.modelfile import CHUNK_LINES
 from cnadapt.topics import (
     PROB_FLOOR,
     UNK_WORD,
     MixtureWeights,
     TopicModel,
+    floor_and_normalize,
     load_topic_model,
     mu_to_lambda,
     save_topic_model,
@@ -171,3 +178,159 @@ class TestModelFile:
         save_topic_model(tm, p1)
         save_topic_model(tm, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def long_topics_file(bad_line, replacement):
+    """Two topics over 5000 words (10003 lines) with line ``bad_line`` replaced."""
+    words = [f"w{i:04d}" for i in range(5000)]
+    lines = ["TOPICS 2 5000"]
+    for label in ("s", "t"):
+        lines.append(f"TOPIC {label}")
+        lines += [f"{w} 0.0002" for w in words]
+    lines[bad_line - 1] = replacement
+    return "\n".join(lines) + "\n"
+
+
+# (file text, exception, message): every error the loader reports, with its line
+TOPIC_ERRORS = [
+    ("", ParseError, "line 1: empty topic model file"),
+    ("TOPIC 1 2\n", ParseError, "line 1: expected 'TOPICS <T> <V>', got 'TOPIC 1 2'"),
+    ("TOPICS 1\n", ParseError, "line 1: expected 'TOPICS <T> <V>', got 'TOPICS 1'"),
+    ("TOPICS one 2\nTOPIC t\na 0.5\nb 0.5\n", ParseError,
+     "line 1: bad counts in header 'TOPICS one 2'"),
+    ("TOPICS 1 2\nTOPIC t\na 0.5\n", ParseError, "line 3: expected 4 lines, found 3"),
+    ("TOPICS 1 2\nTOPIC t\na 0.5\nb 0.5\nc 0\n", ParseError,
+     "line 5: expected 4 lines, found 5"),
+    # the line count is checked before any line
+    ("TOPICS 1 2\nTOPC t\na x\n", ParseError, "line 3: expected 4 lines, found 3"),
+    ("TOPICS 1 2\nTOPC t\na 0.5\nb 0.5\n", ParseError,
+     "line 2: expected 'TOPIC <label>', got 'TOPC t'"),
+    ("TOPICS 1 2\nTOPIC t u\na 0.5\nb 0.5\n", ParseError,
+     "line 2: expected 'TOPIC <label>', got 'TOPIC t u'"),
+    ("TOPICS 2 1\nTOPIC s\na 1\nTOPIK t\na 1\n", ParseError,
+     "line 4: expected 'TOPIC <label>', got 'TOPIK t'"),
+    ("TOPICS 1 2\nTOPIC t\na 0.5 x\nb 0.5\n", ParseError,
+     "line 3: expected '<word> <prob>', got 'a 0.5 x'"),
+    # one field too many and one too few: the file still holds two per line
+    ("TOPICS 1 3\nTOPIC t\na 0.5 b\n0.25\nc 0.25\n", ParseError,
+     "line 3: expected '<word> <prob>', got 'a 0.5 b'"),
+    ("TOPICS 1 2\nTOPIC t\n\nb 0.5\n", ParseError, "line 3: expected '<word> <prob>', got ''"),
+    ("TOPICS 1 2\nTOPIC t\na 0.5\na 0.5\n", ParseError, "line 4: duplicate word 'a'"),
+    ("TOPICS 2 2\nTOPIC s\na 0.5\nb 0.5\nTOPIC t\nb 0.5\na 0.5\n", ParseError,
+     "line 6: word 'b' out of order in topic 't'"),
+    ("TOPICS 2 2\nTOPIC s\na 0.5\nb 0.5\nTOPIC t\na 0.5\nc 0.5\n", ParseError,
+     "line 7: word 'c' out of order in topic 't'"),
+    ("TOPICS 1 2\nTOPIC t\na 0.5\nb half\n", ParseError, "line 4: bad probability 'half'"),
+    # the first bad line wins, and on one line the word is checked first
+    ("TOPICS 1 3\nTOPIC t\na x\nb 0.5 y\nb 0.5\n", ParseError, "line 3: bad probability 'x'"),
+    ("TOPICS 1 2\nTOPIC t\na 0.5\na x\n", ParseError, "line 4: duplicate word 'a'"),
+    ("TOPICS 1 2\nTOPIC t\na 0.9\nb 0.3\n", ValidationError,
+     "topic rows do not sum to 1: [1.2]"),
+    ("TOPICS 1 2\nTOPIC t\na 1.5\nb -0.5\n", ValidationError,
+     "topic rows do not sum to 1: [1.]"),
+    ("TOPICS 2 2\nTOPIC s\na 0.5\nb 0.5\nTOPIC t\na 0.5\nb 0.4\n", ValidationError,
+     "topic rows do not sum to 1: [1.  0.9]"),
+    # a later topic block, past the first few thousand lines
+    (long_topics_file(9003, "w4000 0.0002"), ParseError,
+     "line 9003: word 'w4000' out of order in topic 't'"),
+    (long_topics_file(9500, "w4496 x"), ParseError, "line 9500: bad probability 'x'"),
+    (long_topics_file(8193, "w3189"), ParseError, "line 8193: expected '<word> <prob>', got 'w3189'"),
+    (long_topics_file(5003, "TOPIC"), ParseError, "line 5003: expected 'TOPIC <label>', got 'TOPIC'"),
+    (long_topics_file(10003, "w4999 0.5"), ValidationError, "topic rows do not sum to 1"),
+]
+
+
+class TestLoaderErrors:
+    @pytest.mark.parametrize("text,exc,message", TOPIC_ERRORS,
+                             ids=[m for _, _, m in TOPIC_ERRORS])
+    def test_message_and_line(self, tmp_path, text, exc, message):
+        path = tmp_path / "m.topics"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(exc) as info:
+            load_topic_model(path)
+        if exc is ValidationError and message.endswith("to 1"):
+            assert str(info.value).startswith(message + ": [1.")
+        else:
+            assert str(info.value) == message
+
+    def test_other_line_breaks_count_as_lines(self, tmp_path):
+        # lines break where str.splitlines breaks them: \v, \f, \x1c-\x1e, \x85, ...
+        path = tmp_path / "m.topics"
+        path.write_text("TOPICS 1 3\r\nTOPIC t\na 0.5\x0bb 0.25\u2028c 0.25", encoding="utf-8")
+        tm = load_topic_model(path)
+        assert tm.vocab.words == ("a", "b", "c")
+        assert tm.probs[0].tolist() == [0.5, 0.25, 0.25]
+
+
+@st.composite
+def topic_files(draw):
+    """Topic rows over words whose ids are not in string order, written with
+    assorted float formats, and the rows as each token reads with float()."""
+    words = draw(st.lists(st.text(alphabet="abcxyzé", min_size=1, max_size=3),
+                          min_size=1, max_size=10, unique=True))
+    T = draw(st.integers(1, 4))
+    lines = [f"TOPICS {T} {len(words)}"]
+    rows = []
+    for t in range(T):
+        weights = draw(st.lists(st.floats(1e-12, 1.0), min_size=len(words),
+                                max_size=len(words)))
+        fmt = draw(st.sampled_from(["{!r}", "{:.12g}", "{:.17e}"]))
+        total = sum(weights)
+        toks = [fmt.format(x / total) for x in weights]
+        lines.append(f"TOPIC t{t}")
+        lines += [f"{w} {p}" for w, p in zip(words, toks)]
+        rows.append([float(p) for p in toks])
+    return "\n".join(lines) + "\n", words, np.array(rows)
+
+
+class TestLoaderExactness:
+    @given(topic_files())
+    @settings(max_examples=100, deadline=None)
+    def test_probs_equal_per_token_float(self, tmp_path_factory, case):
+        text, words, rows = case
+        path = tmp_path_factory.mktemp("tm") / "m.topics"
+        path.write_text(text, encoding="utf-8")
+        tm = load_topic_model(path)
+        assert tm.vocab.words == tuple(words)
+        assert np.array_equal(tm.probs, floor_and_normalize(rows))
+
+    @pytest.mark.parametrize("chunk_lines", [3, CHUNK_LINES])
+    @given(case=topic_files())
+    @settings(max_examples=60, deadline=None)
+    def test_chunk_boundaries_do_not_matter(self, tmp_path_factory, chunk_lines, case):
+        text, words, rows = case
+        path = tmp_path_factory.mktemp("tm") / "m.topics"
+        path.write_text(text, encoding="utf-8")
+        with mock.patch.object(modelfile, "CHUNK_LINES", chunk_lines):
+            tm = load_topic_model(path)
+        assert tm.vocab.words == tuple(words)
+        assert np.array_equal(tm.probs, floor_and_normalize(rows))
+
+
+class TestLoaderRejects:
+    """Files the loader rejects although a line-by-line read once took them."""
+
+    @pytest.mark.parametrize("text,line", [
+        ("TOPICS 1 2\nTOPIC t\na nan\nb 0.5\n", 3),
+        ("TOPICS 2 2\nTOPIC s\na 0.5\nb 0.5\nTOPIC t\na 1\nb NaN\n", 7),
+        (long_topics_file(9100, "w4096 -nan"), 9100),
+    ], ids=["first-topic", "later-topic", "past-first-chunk"])
+    def test_nan_probability(self, tmp_path, text, line):
+        path = tmp_path / "m.topics"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValidationError,
+                           match=rf"^line {line}: probability \S+ is not a number$"):
+            load_topic_model(path)
+
+    @pytest.mark.parametrize("text", ["TOPICS -1 -2\nTOPIC t\n", "TOPICS 0 -3\n",
+                                      "TOPICS 2 -1\n"], ids=["-1 -2", "0 -3", "2 -1"])
+    def test_negative_counts(self, tmp_path, text):
+        path = tmp_path / "m.topics"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match="^line 1: bad counts in header"):
+            load_topic_model(path)
+
+    def test_nul_inside_a_word_is_part_of_it(self, tmp_path):
+        path = tmp_path / "m.topics"
+        path.write_text("TOPICS 1 2\nTOPIC t\na\x00b 0.5\n\x00 0.5\n", encoding="utf-8")
+        assert load_topic_model(path).vocab.words == ("a\x00b", "\x00")

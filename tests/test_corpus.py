@@ -10,6 +10,7 @@ from cnadapt.corpus import (
     Vocabulary,
     expected_counts,
     format_posterior,
+    load_conversation,
     parse_conversation,
     prune_bin,
     serialize_conversation,
@@ -251,3 +252,119 @@ class TestSerialization:
             "c", (ConfusionNetwork("u", (Bin([(1, 0.4), (0, 0.6)]),)),)
         )
         assert serialize_conversation(conv1, vocab) == serialize_conversation(conv2, vocab)
+
+
+# (id, lines, message, index of the line it names or None, error type, closed vocabulary);
+# "{no}" is that line's number in the file as laid out, "{cr}" stands for the
+# "\r" a CRLF string keeps at the end of a line it quotes
+PARSE_ERRORS = [
+    ("header", ["CONVX c1", "NET u 1", "BIN a:1"],
+     "line {no}: expected 'CONV <id>', got 'CONVX c1{cr}'", 0, ParseError, None),
+    ("header-short", ["CONV"], "line {no}: expected 'CONV <id>', got 'CONV{cr}'", 0,
+     ParseError, None),
+    ("empty", [], "line 1: empty input", None, ParseError, None),
+    ("net-line", ["CONV c", "NOT u 1", "BIN a:1"],
+     "line {no}: expected 'NET <id> <bin-count>', got 'NOT u 1{cr}'", 1, ParseError, None),
+    ("net-fields", ["CONV c", "NET u 1 2"],
+     "line {no}: expected 'NET <id> <bin-count>', got 'NET u 1 2{cr}'", 1, ParseError, None),
+    ("bin-count", ["CONV c", "NET u x"], "line {no}: bad bin count 'x'", 1, ParseError, None),
+    ("nbins-zero", ["CONV c", "NET u 0"], "line {no}: utterance 'u' declares 0 bins", 1,
+     ValidationError, None),
+    ("nbins-negative", ["CONV c", "NET u -2"], "line {no}: utterance 'u' declares -2 bins", 1,
+     ValidationError, None),
+    ("end-of-input", ["CONV c", "NET u 2", "BIN a:1"],
+     "unexpected end of input inside NET 'u'", None, ParseError, None),
+    ("bin-line", ["CONV c", "NET u 1", "BOGUS a:0.5"],
+     "line {no}: expected 'BIN <word>:<posterior> ...', got 'BOGUS a:0.5{cr}'", 2,
+     ParseError, None),
+    ("bin-no-cells", ["CONV c", "NET u 1", "BIN"],
+     "line {no}: expected 'BIN <word>:<posterior> ...', got 'BIN{cr}'", 2, ParseError, None),
+    ("bin-missing", ["CONV c", "NET u 2", "BIN a:1", "NET v 1", "BIN a:1"],
+     "line {no}: expected 'BIN <word>:<posterior> ...', got 'NET v 1{cr}'", 3,
+     ParseError, None),
+    ("bin-before-net-error", ["CONV c", "NET u 1", "BIN a:2", "NET v"],
+     "line {no}: posterior 2 outside [0, 1]", 2, ValidationError, None),
+    ("cell", ["CONV c", "NET u 1", "BIN a:0.5 b0.5"], "line {no}: bad cell 'b0.5'", 2,
+     ParseError, None),
+    ("cell-no-word", ["CONV c", "NET u 1", "BIN :0.5"], "line {no}: bad cell ':0.5'", 2,
+     ParseError, None),
+    ("posterior", ["CONV c", "NET u 1", "BIN a:x"], "line {no}: bad posterior 'x'", 2,
+     ParseError, None),
+    ("posterior-no-whole", ["CONV c", "NET u 1", "BIN a:.5"],
+     "line {no}: bad posterior '.5'", 2, ParseError, None),
+    ("posterior-no-fraction", ["CONV c", "NET u 1", "BIN a:1."],
+     "line {no}: bad posterior '1.'", 2, ParseError, None),
+    ("posterior-sign", ["CONV c", "NET u 1", "BIN a:-0.5"],
+     "line {no}: bad posterior '-0.5'", 2, ParseError, None),
+    ("posterior-empty", ["CONV c", "NET u 1", "BIN a:"], "line {no}: bad posterior ''", 2,
+     ParseError, None),
+    ("posterior-exponent", ["CONV c", "NET u 1", "BIN a:0.5 b:1e-3"],
+     "line {no}: bad posterior '1e-3'", 2, ParseError, None),
+    ("posterior-in-word", ["CONV c", "NET u 1", "BIN a:1:x"],
+     "line {no}: bad posterior 'x'", 2, ParseError, None),
+    ("fraction-digits", ["CONV c", "NET u 1", "BIN a:0.1234567891"],
+     "line {no}: posterior '0.1234567891' has more than 9 fraction digits", 2,
+     ParseError, None),
+    ("above-one", ["CONV c", "NET u 1", "BIN a:1.5"],
+     "line {no}: posterior 1.5 outside [0, 1]", 2, ValidationError, None),
+    ("zero", ["CONV c", "NET u 1", "BIN a:0.5 b:0"],
+     "line {no}: posterior 0.0 outside (0, 1]", 2, ValidationError, None),
+    ("duplicate", ["CONV c", "NET u 1", "BIN a:0.5 a:0.4"],
+     "line {no}: duplicate word id 0 in bin", 2, ValidationError, None),
+    ("duplicate-later", ["CONV c", "NET u 1", "BIN b:0.3 a:0.5 b:0.2"],
+     "line {no}: duplicate word id 1 in bin", 2, ValidationError, None),
+    ("bin-sum", ["CONV c", "NET u 2", "BIN a:0.5", "BIN a:0.7 b:0.7"],
+     "line {no}: bin posteriors sum to 1.4 > 1", 3, ValidationError, None),
+    ("no-utterances", ["CONV c"], "line 1: conversation has no utterances", None,
+     ParseError, None),
+    ("no-word-in-vocabulary", ["CONV c", "NET u 1", "BIN zz:1"],
+     "conversation 'c' has no word in the vocabulary", None, ValidationError, ["a"]),
+]
+# cases whose error comes after the utterances: padding bins before it would change it
+NOT_DEEP = {"header", "header-short", "empty", "no-utterances", "no-word-in-vocabulary"}
+# more bin lines than a parser would plausibly hold in one chunk
+DEEP_BINS = 5000
+
+
+def _lay_out(lines, layout):
+    """The file's lines under ``layout`` and the map from a case's line index
+    to its line number."""
+    if layout == "blank":
+        spaced = []
+        for i, line in enumerate(lines):
+            spaced += ["  \t" if i % 2 else "", line]
+        return spaced + [""], lambda i: 2 * i + 2
+    if layout == "deep":
+        pad = ["NET pad %d" % DEEP_BINS] + ["BIN a:1"] * DEEP_BINS
+        return lines[:1] + pad + lines[1:], lambda i: i + 1 + (len(pad) if i else 0)
+    return lines, lambda i: i + 1
+
+
+class TestParseErrors:
+    """Every parse error keeps its message and line number, wherever it sits."""
+
+    @pytest.mark.parametrize(
+        "layout,name,lines,message,at,exc,closed",
+        [
+            pytest.param(layout, *case, id=f"{case[0]}-{layout}")
+            for case in PARSE_ERRORS
+            for layout in ("plain", "blank", "deep", "crlf-str", "crlf-file")
+            if not (layout == "deep" and case[0] in NOT_DEEP)
+        ],
+    )
+    def test_message_and_line(self, tmp_path, layout, name, lines, message, at, exc, closed):
+        laid, number = _lay_out(lines, layout)
+        eol = "\r\n" if layout.startswith("crlf") else "\n"
+        text = eol.join(laid) + (eol if laid else "")
+        vocab = Vocabulary(closed or ["a"])
+        want = message.format(
+            no=None if at is None else number(at), cr="\\r" if layout == "crlf-str" else ""
+        )
+        with pytest.raises(exc) as info:
+            if layout == "crlf-file":
+                path = tmp_path / "c.cnet"
+                path.write_bytes(text.encode("utf-8"))
+                load_conversation(path, vocab, closed=closed is not None)
+            else:
+                parse_conversation(text, vocab, closed=closed is not None)
+        assert str(info.value) == want

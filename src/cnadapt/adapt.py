@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelModel
-from .corpus import Conversation, expected_counts
+from .corpus import Conversation
 from .errors import EstimationError, ValidationError
 from .topics import MixtureWeights, TopicModel, mu_to_lambda
 
@@ -120,13 +120,11 @@ class _ConfKernel:
     """
 
     def __init__(self, conv: Conversation, tm: TopicModel, cm: ChannelModel):
-        bins = list(conv.iter_bins())
-        width = np.fromiter(map(len, bins), np.int64, len(bins))
-        words = np.fromiter((w for b in bins for w, _ in b.cells), np.int64, width.sum())
+        words, post = conv.words, conv.posts
+        width = np.diff(conv.bin_ptr)
         _check_in_model(words, tm)
-        post = np.fromiter((p for b in bins for _, p in b.cells), np.float64, words.size)
         keys, probs, base = _channel_lookup(cm, words)
-        first = np.cumsum(width) - width
+        first = conv.bin_ptr[:-1]
         kclass = np.minimum(np.left_shift(1, np.frexp(width - 1)[1]), width.max())
         wordx, postx = np.append(words, 0), np.append(post, 0.0)
         slots, bin_start = [], []
@@ -152,7 +150,7 @@ class _ConfKernel:
         self.S = np.add.reduceat(self.Q, bin_start, axis=1)
         self.binw = {
             True: np.add.reduceat(postx[self.cell], bin_start),
-            False: np.ones(len(bins)),
+            False: np.ones(width.size),
         }
 
     def stats(self, lam: np.ndarray, use_tf: bool):
@@ -320,15 +318,14 @@ def _self_stats(conv: Conversation, tm: TopicModel, use_tf: bool):
     or expected counts), each distinct word counted once with its weight.
     """
     if use_tf:
-        tf = expected_counts(conv)
+        words, weights = conv.words, conv.posts
     else:
-        tf = {}
-        for b in conv.iter_bins():
-            w = b.one_best()[0]
-            tf[w] = tf.get(w, 0.0) + 1.0
-    wids = np.array(sorted(tf), dtype=np.int64)
+        words = conv.words[conv.bin_ptr[:-1]]
+        weights = np.ones(words.size)
+    wids = np.unique(words)
     _check_in_model(wids, tm)
-    wts = np.array([tf[w] for w in wids], dtype=np.float64)
+    # bincount adds in cell order, so each weight is bitwise a running sum
+    wts = np.bincount(words, weights)[wids]
     Qw = np.ascontiguousarray(tm.probs[:, wids])
 
     def stats(lam):

@@ -16,7 +16,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .corpus import Conversation, Vocabulary, prune_bin
+from .corpus import Conversation, Vocabulary, pruned_widths
 from .errors import ParseError, ValidationError
 from .modelfile import read_lines, split_fields
 
@@ -99,16 +99,16 @@ def estimate_channel(
     but do not weight the counts.  Accumulation is a commutative reduction,
     so conversation order does not matter.
     """
-    by_width = {}  # pruned bins' word ids, grouped by bin width
+    blocks = []  # per conversation and pruned width K, the (bins, K) word ids
     for conv in convs:
         if not isinstance(conv, Conversation):
             raise ValidationError(f"expected Conversation, got {type(conv)!r}")
-        for b in conv.iter_bins():
-            wids = prune_bin(b, rel_floor, max_words).word_ids()
-            by_width.setdefault(len(wids), []).append(wids)
-    if not by_width:
+        width = pruned_widths(conv, rel_floor, max_words)
+        first = conv.bin_ptr[:-1]
+        for K in np.unique(width).tolist():
+            blocks.append(conv.words[first[width == K, None] + np.arange(K)])
+    if not blocks:
         raise ValidationError("no bins seen; cannot estimate a channel")
-    blocks = [np.array(bins, dtype=np.int64) for bins in by_width.values()]
     base = max(int(b.max()) for b in blocks) + 1
     keys, counts = np.unique(
         np.concatenate([(b[:, :, None] * base + b[:, None, :]).ravel() for b in blocks]),

@@ -140,11 +140,11 @@ def _adapt_one(tm, cm, cfg, cnet_path, out_lambda, out_unigram):
     conv = load_conversation(cnet_path, tm.vocab, closed=True)
     result = adapt.fit(conv, tm, cfg, cm)
     write_lambda_file(out_lambda, conv.cid, tm.labels, result.weights.lam)
-    widths = [len(b) for b in conv.iter_bins()]
+    widths = np.diff(conv.bin_ptr)
     diag = {
-        "bins": len(widths),
-        "cells": sum(widths),
-        "pairs": sum(k * k for k in widths),
+        "bins": int(widths.size),
+        "cells": int(widths.sum()),
+        "pairs": int(widths @ widths),
         "oov_cells": conv.oov_cells,
         "conversation": conv.cid,
         "variant": cfg.variant,

@@ -5,12 +5,15 @@ of a fixed number of whitespace-separated fields per line.  ``read_lines``
 yields the record lines a chunk at a time, and ``split_fields`` splits a
 whole chunk with one ``str.split``, so the loaders parse in bulk without
 holding every line of a large file at once.  Lines are counted and
-numbered as ``str.splitlines`` counts them.
+numbered as ``str.splitlines`` counts them.  ``utf8_error`` reports a text
+file of any kind that does not decode as UTF-8.
 """
 
 from __future__ import annotations
 
 from itertools import islice
+
+from .errors import ParseError
 
 CHUNK_LINES = 8192
 # blocks of the line count; under glibc's mmap threshold, so the heap reuses
@@ -31,10 +34,13 @@ def read_lines(fh):
     be consumed while ``fh`` is open.
     """
     count, last, plain = 0, "\n", True
-    for block in iter(lambda: fh.read(_BLOCK_CHARS), ""):
-        count += block.count("\n")
-        plain = plain and not any(c in block for c in _OTHER_BREAKS)
-        last = block[-1]
+    try:
+        for block in iter(lambda: fh.read(_BLOCK_CHARS), ""):
+            count += block.count("\n")
+            plain = plain and not any(c in block for c in _OTHER_BREAKS)
+            last = block[-1]
+    except UnicodeDecodeError:
+        raise utf8_error(fh.name) from None
     count += last != "\n"
     fh.seek(0)
     if plain:
@@ -68,3 +74,18 @@ def split_fields(chunk, k: int):
             return None
         fields += parts
     return fields
+
+
+def utf8_error(path) -> ParseError:
+    """The error for a text file that is not valid UTF-8: the line and the
+    value of its first bad byte."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return ParseError(
+            f"not valid UTF-8: {exc.reason} (byte 0x{raw[exc.start]:02x})",
+            raw.count(b"\n", 0, exc.start) + 1,
+        )
+    return ParseError("not valid UTF-8")  # the file changed since it failed to decode

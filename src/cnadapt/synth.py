@@ -206,9 +206,10 @@ def save_truth(truth: SynthTruth, conv: Conversation, path) -> None:
             fh.write(f"{label} {w:.12g}\n")
         fh.write(f"REFS {len(truth.refs)}\n")
         i = 0
-        for net in conv.networks:
-            for j in range(len(net.bins)):
-                fh.write(f"{net.uid} {j} {vocab.word(truth.refs[i])}\n")
+        ptr = conv.utt_ptr.tolist()
+        for uid, lo, hi in zip(conv.uids, ptr, ptr[1:]):
+            for j in range(hi - lo):
+                fh.write(f"{uid} {j} {vocab.word(truth.refs[i])}\n")
                 i += 1
 
 

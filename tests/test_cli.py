@@ -452,6 +452,23 @@ class TestAdaptDirectory:
         }
         assert entries[1]["cid"] == "synth001"
 
+    def test_conversation_not_utf8(self, small_run, tmp_path, capsys):
+        d = tmp_path / "cnets"
+        d.mkdir()
+        bad = d / "a.cnet"
+        bad.write_bytes(b"CONV a\nNET u 1\nBIN w\xe901:1\n")
+        (d / "b.cnet").write_text((small_run / "synth001.cnet").read_text())
+        out = tmp_path / "fit"
+        code, stdout, err = self.adapt(capsys, small_run, d, out)
+        message = "line 3: not valid UTF-8: invalid continuation byte (byte 0xe9)"
+        assert code == 2
+        assert err == f"error: {bad}: {message}\n"
+        assert stdout.startswith("synth001: ")
+        entries = json.loads((out / "manifest.json").read_text())["conversations"]
+        assert entries[0] == {"cnet": str(bad), "exit_code": 2, "error": message}
+        assert entries[1]["cid"] == "synth001"
+        assert (out / "b.lambda").exists() and not (out / "a.lambda").exists()
+
     def test_compute_error_exit_1(self, small_run, tmp_path, capsys, monkeypatch):
         d = tmp_path / "cnets"
         d.mkdir()
@@ -484,6 +501,43 @@ class TestAdaptDirectory:
         assert not out.exists()
         assert stdout == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestAdaptInputText:
+    """Bad text in any input file ends the run with one error line and exit 2."""
+
+    SOURCES = {"cnet": "synth000.cnet", "topic_model": "topics.model",
+               "channel": "channel.model"}
+
+    def adapt(self, capsys, data, out, **files):
+        paths = {kind: files.get(kind, data / name) for kind, name in self.SOURCES.items()}
+        return run(
+            ["adapt", str(paths["cnet"]), str(paths["topic_model"]), str(out),
+             "--variant", "conf-tf", "--channel", str(paths["channel"])],
+            capsys,
+        )
+
+    @pytest.mark.parametrize("posterior", ["\u00b2", "\u0660.\u0665"])
+    def test_non_ascii_digits(self, small_run, tmp_path, capsys, posterior):
+        cnet = tmp_path / "c.cnet"
+        cnet.write_text(f"CONV c\nNET u 1\nBIN w01:{posterior}\n", encoding="utf-8")
+        code, stdout, err = self.adapt(capsys, small_run, tmp_path / "c.lambda", cnet=cnet)
+        assert code == 2
+        assert err == f"error: line 3: bad posterior '{posterior}'\n"
+        assert stdout == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cnet"]
+
+    @pytest.mark.parametrize("kind", ["cnet", "topic_model", "channel"])
+    def test_not_utf8(self, small_run, tmp_path, capsys, kind):
+        lines = (small_run / self.SOURCES[kind]).read_bytes().split(b"\n")
+        lines[2] = b"\xff" + lines[2]
+        bad = tmp_path / "bad.file"
+        bad.write_bytes(b"\n".join(lines))
+        code, stdout, err = self.adapt(capsys, small_run, tmp_path / "c.lambda", **{kind: bad})
+        assert code == 2
+        assert err == "error: line 3: not valid UTF-8: invalid start byte (byte 0xff)\n"
+        assert stdout == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.file"]
 
 
 class TestPpl:

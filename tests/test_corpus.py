@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cnadapt import corpus
 from cnadapt.corpus import (
     Bin,
     ConfusionNetwork,
@@ -302,6 +305,10 @@ PARSE_ERRORS = [
      "line {no}: bad posterior '1e-3'", 2, ParseError, None),
     ("posterior-in-word", ["CONV c", "NET u 1", "BIN a:1:x"],
      "line {no}: bad posterior 'x'", 2, ParseError, None),
+    ("posterior-superscript", ["CONV c", "NET u 1", "BIN a:\u00b2"],
+     "line {no}: bad posterior '\u00b2'", 2, ParseError, None),
+    ("posterior-arabic-indic", ["CONV c", "NET u 1", "BIN a:0.5 b:\u0660.\u0665"],
+     "line {no}: bad posterior '\u0660.\u0665'", 2, ParseError, None),
     ("fraction-digits", ["CONV c", "NET u 1", "BIN a:0.1234567891"],
      "line {no}: posterior '0.1234567891' has more than 9 fraction digits", 2,
      ParseError, None),
@@ -313,8 +320,14 @@ PARSE_ERRORS = [
      "line {no}: duplicate word id 0 in bin", 2, ValidationError, None),
     ("duplicate-later", ["CONV c", "NET u 1", "BIN b:0.3 a:0.5 b:0.2"],
      "line {no}: duplicate word id 1 in bin", 2, ValidationError, None),
+    ("duplicate-beside-outside-word", ["CONV c", "NET u 1", "BIN a:0.5 a:0.4 zz:0.1"],
+     "line {no}: duplicate word id 0 in bin", 2, ValidationError, ["a", "b"]),
+    ("duplicate-beside-unk", ["CONV c", "NET u 1", "BIN a:0.5 zz:0.1 a:0.4"],
+     "line {no}: duplicate word id 0 in bin", 2, ValidationError, ["a", "<unk>"]),
     ("bin-sum", ["CONV c", "NET u 2", "BIN a:0.5", "BIN a:0.7 b:0.7"],
      "line {no}: bin posteriors sum to 1.4 > 1", 3, ValidationError, None),
+    ("bin-sum-past-slack", ["CONV c", "NET u 1", "BIN a:0.7 b:0.3001"],
+     "line {no}: bin posteriors sum to 1.0001 > 1", 2, ValidationError, None),
     ("no-utterances", ["CONV c"], "line 1: conversation has no utterances", None,
      ParseError, None),
     ("no-word-in-vocabulary", ["CONV c", "NET u 1", "BIN zz:1"],
@@ -368,3 +381,206 @@ class TestParseErrors:
             else:
                 parse_conversation(text, vocab, closed=closed is not None)
         assert str(info.value) == want
+
+
+def reference_parse(text, vocab, closed):
+    """Line-by-line CNET parser: every cell read on its own and every bin
+    checked as a ``Bin``.  Returns the conversation id, the (uid, cells of
+    each bin) of every utterance and the outside-word count."""
+    lines = enumerate(text.split("\n"), start=1)
+
+    def next_line():
+        for no, ln in lines:
+            if ln.strip():
+                return no, ln
+        return None, None
+
+    no, header = next_line()
+    if header is None:
+        raise ParseError("empty input", 1)
+    parts = header.split()
+    if len(parts) != 2 or parts[0] != "CONV":
+        raise ParseError(f"expected 'CONV <id>', got {header!r}", no)
+    cid = parts[1]
+    intern = vocab.get if closed else vocab.add
+    unk = vocab.get("<unk>") if closed else None
+    oov_cells = 0
+    networks = []
+    while True:
+        no, line = next_line()
+        if line is None:
+            break
+        parts = line.split()
+        if parts[0] != "NET" or len(parts) != 3:
+            raise ParseError(f"expected 'NET <id> <bin-count>', got {line!r}", no)
+        uid = parts[1]
+        nbins = int(parts[2])
+        bins = []
+        for _ in range(nbins):
+            no, bline = next_line()
+            if bline is None:
+                raise ParseError(f"unexpected end of input inside NET {uid!r}", no)
+            bparts = bline.split()
+            if bparts[0] != "BIN" or len(bparts) < 2:
+                raise ParseError(f"expected 'BIN <word>:<posterior> ...', got {bline!r}", no)
+            cells = []
+            bin_oov = 0
+            for cell in bparts[1:]:
+                word, sep, ptok = cell.rpartition(":")
+                if not sep or not word:
+                    raise ParseError(f"bad cell {cell!r}", no)
+                whole, dot, frac = ptok.partition(".")
+                if not (whole.isascii() and whole.isdigit()) or (
+                    dot and not (frac.isascii() and frac.isdigit())
+                ):
+                    raise ParseError(f"bad posterior {ptok!r}", no)
+                if len(frac) > 9:
+                    raise ParseError(
+                        f"posterior {ptok!r} has more than 9 fraction digits", no
+                    )
+                post = float(ptok)
+                if post > 1.0:
+                    raise ValidationError(f"line {no}: posterior {ptok} outside [0, 1]")
+                wid = intern(word)
+                if wid is None:
+                    bin_oov += 1
+                    wid = unk
+                if wid is not None:
+                    cells.append((wid, post))
+            oov_cells += bin_oov
+            if bin_oov and unk is not None:
+                merged = {}
+                for wid, post in cells:
+                    if wid == unk:
+                        merged[wid] = merged.get(wid, 0.0) + post
+                cells = [c for c in cells if c[0] != unk]
+                cells += [(wid, min(post, 1.0)) for wid, post in merged.items()]
+            if not cells:
+                continue
+            try:
+                bins.append(Bin(cells).cells)
+            except ValidationError as exc:
+                raise ValidationError(f"line {no}: {exc}") from None
+        if bins:
+            networks.append((uid, bins))
+    if not networks:
+        if oov_cells:
+            raise ValidationError(f"conversation {cid!r} has no word in the vocabulary")
+        raise ParseError("conversation has no utterances", 1)
+    return cid, networks, oov_cells
+
+
+def outcome(parse, *args):
+    try:
+        return parse(*args), None
+    except (ParseError, ValidationError) as exc:
+        return None, (type(exc), str(exc))
+
+
+# "a:b", "x:" and "q:q:1" hold ':' and are read by the last one; "zz" and
+# the ones after it are outside the closed vocabulary.  Words without ':'
+# come twice, so that more lines fit the bulk path.
+CNET_WORDS = ["a", "b", "c", "<unk>", "zz", "BIN", "NET"] * 2 + ["a:b", "x:", "q:q:1"]
+CLOSED_WORDS = ["a", "b", "c", "a:b"]
+# ties, leading and trailing zeros, nine fraction digits; "0.7" with
+# "0.3001" sums just past the slack
+CNET_POSTERIORS = [
+    "0.25", "0.250", "00.1", "0.1", "0.05", "0.123456789", "0.3", "0.3000001", "0.3001",
+    "0.7",
+]
+# each makes most bins it lands in bad, so about one cell in fourteen draws one
+RARE_POSTERIORS = ["0", "1", "1.5"]
+
+
+@st.composite
+def cnet_texts(draw):
+    def blanks():
+        return draw(st.lists(st.sampled_from(["", " ", "\t "]), max_size=2))
+
+    sep = st.sampled_from([" ", " ", " ", "\t", "  "])
+    out = blanks() + ["CONV c"]
+    for n in range(draw(st.integers(1, 3))):
+        nbins = draw(st.integers(1, 5))
+        out += blanks() + [f"NET u{n} {nbins}"]
+        for _ in range(nbins):
+            k = draw(st.integers(1, 4))
+            repeats = draw(st.integers(0, 3)) == 0
+            words = draw(st.lists(
+                st.sampled_from(CNET_WORDS), min_size=k, max_size=k, unique=not repeats
+            ))
+            posts = draw(st.lists(st.sampled_from(CNET_POSTERIORS * 4 + RARE_POSTERIORS),
+                                  min_size=k, max_size=k))
+            line = "BIN" + "".join(draw(sep) + f"{w}:{p}" for w, p in zip(words, posts))
+            lead = draw(st.sampled_from(["", "", "", "", "", " "]))
+            trail = draw(st.sampled_from(["", "", "", " ", "\r"]))
+            out += blanks() + [lead + line + trail]
+    return "\n".join(out + blanks()) + "\n"
+
+
+class TestParseMatchesReference:
+    """The chunked parser gives bitwise the arrays of a line-by-line parse."""
+
+    @given(
+        cnet_texts(),
+        st.sampled_from(["open", "closed", "closed-unk"]),
+        st.sampled_from([1, 2, 3, corpus.CHUNK_BINS]),
+    )
+    # cells meeting at <unk> merge, and their sum is capped at 1
+    @example("CONV c\nNET u 2\nBIN a:0.5 zz:0.1 NET:0.2\nBIN zz:0.7 <unk>:0.7\n", "closed-unk", 1)
+    @settings(max_examples=300, deadline=None)
+    def test_arrays_and_errors(self, text, mode, chunk):
+        closed = mode != "open"
+        base = CLOSED_WORDS + (["<unk>"] if mode == "closed-unk" else []) if closed else ["a"]
+        ref_vocab, vocab = Vocabulary(base), Vocabulary(base)
+        want, want_error = outcome(reference_parse, text, ref_vocab, closed)
+        by_line = []  # the chunks read line by line
+
+        def spy(lines, *args):
+            by_line.append(lines)
+            return read_by_line(lines, *args)
+
+        read_by_line = corpus._bins_by_line
+        with mock.patch.object(corpus, "CHUNK_BINS", chunk), mock.patch.object(
+            corpus, "_bins_by_line", spy
+        ):
+            conv, error = outcome(parse_conversation, text, vocab, closed)
+        assert error == want_error
+        if error:
+            return
+        # with no error in the file, only chunks the bulk pattern rejects go line by line
+        assert not any(corpus._BULK_LINES.fullmatch("\n".join(lines)) for lines in by_line)
+        cid, networks, oov_cells = want
+        bins = [cells for _, net in networks for cells in net]
+        assert (conv.cid, conv.uids, conv.oov_cells) == (
+            cid, tuple(uid for uid, _ in networks), oov_cells
+        )
+        assert vocab.words == ref_vocab.words
+        assert np.array_equal(np.diff(conv.utt_ptr), [len(net) for _, net in networks])
+        assert np.array_equal(np.diff(conv.bin_ptr), [len(cells) for cells in bins])
+        assert conv.words.dtype == np.int64 and conv.posts.dtype == np.float64
+        assert np.array_equal(conv.words, [w for cells in bins for w, _ in cells])
+        assert np.array_equal(conv.posts, [p for cells in bins for _, p in cells])
+        tf = {}
+        for cells in bins:
+            for wid, post in cells:
+                tf[wid] = tf.get(wid, 0.0) + post
+        assert expected_counts(conv) == tf
+
+    def test_bulk_path_reads_canonical_files(self):
+        """A file as save_conversation writes it never needs the line-by-line
+        path, which the reference shares."""
+        vocab = Vocabulary(f"w{i}" for i in range(20))
+        rng = np.random.default_rng(3)
+        nets = []
+        for u in range(3):
+            bins = []
+            for _ in range(30):
+                k = int(rng.integers(1, 6))
+                post = rng.dirichlet(np.ones(k)) * 0.999
+                wids = rng.choice(20, size=k, replace=False)
+                bins.append(Bin([(int(w), float(p)) for w, p in zip(wids, post)]))
+            nets.append(ConfusionNetwork(f"u{u}", tuple(bins)))
+        text = serialize_conversation(Conversation("c", nets), vocab)
+        with mock.patch.object(corpus, "_bins_by_line", side_effect=AssertionError):
+            conv = parse_conversation(text, vocab, closed=True)
+        assert serialize_conversation(conv, vocab) == text

@@ -205,12 +205,10 @@ def save_truth(truth: SynthTruth, conv: Conversation, path) -> None:
         for label, w in zip(truth.topics.labels, truth.lam):
             fh.write(f"{label} {w:.12g}\n")
         fh.write(f"REFS {len(truth.refs)}\n")
-        i = 0
         ptr = conv.utt_ptr.tolist()
         for uid, lo, hi in zip(conv.uids, ptr, ptr[1:]):
             for j in range(hi - lo):
-                fh.write(f"{uid} {j} {vocab.word(truth.refs[i])}\n")
-                i += 1
+                fh.write(f"{uid} {j} {vocab.word(truth.refs[lo + j])}\n")
 
 
 def load_truth_lambda(path) -> np.ndarray:

@@ -14,7 +14,6 @@ parser fills them a chunk of bin lines at a time.  ``Bin`` and
 from __future__ import annotations
 
 import re
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
@@ -32,13 +31,10 @@ CHUNK_BINS = 2048
 
 _POSTERIOR = re.compile(r"[0-9]+(?:\.([0-9]+))?")
 # the BIN lines the bulk path reads: "BIN" at the start of the line, a word
-# without ':' in every cell, and every posterior within MAX_FRACTION_DIGITS.
-# From Python 3.11 the quantifiers are possessive: they match the same lines,
-# twice as fast, as nothing here needs backtracking.
-_P = "+" if sys.version_info >= (3, 11) else ""
-_CELL = rf"[^\s:]+{_P}:[0-9]+{_P}(?:\.[0-9]{{1,{MAX_FRACTION_DIGITS}}}{_P})?{_P}"
-_LINE = rf"BIN(?:[ \t]+{_P}{_CELL})+{_P}[ \t\r]*{_P}"
-_BULK_LINES = re.compile(rf"{_LINE}(?:\n{_LINE})*{_P}")
+# without ':' in every cell, and every posterior within MAX_FRACTION_DIGITS
+_CELL = rf"[^\s:]+:[0-9]+(?:\.[0-9]{{1,{MAX_FRACTION_DIGITS}}})?"
+_LINE = rf"BIN(?:[ \t]+{_CELL})+[ \t\r]*"
+_BULK_LINES = re.compile(rf"{_LINE}(?:\n{_LINE})*")
 
 
 class Vocabulary:
@@ -382,11 +378,8 @@ def _bins_in_bulk(lines, vocab: Vocabulary, closed: bool, unk):
         width = np.bincount(bin_of, minlength=len(lines))
     if not (posts > 0.0).all():
         return None
-    same_bin = bin_of[1:] == bin_of[:-1]
-    canonical = (posts[:-1] > posts[1:]) | ((posts[:-1] == posts[1:]) & (ids[:-1] < ids[1:]))
-    if not canonical[same_bin].all():
-        order = np.lexsort((ids, -posts, bin_of))
-        ids, posts = ids[order], posts[order]
+    order = np.lexsort((ids, -posts, bin_of))
+    ids, posts = ids[order], posts[order]
     key = np.sort(bin_of * len(vocab) + ids)
     if (key[1:] == key[:-1]).any():
         return None  # a word twice in a bin
@@ -509,7 +502,7 @@ def load_conversation(path, vocab: Vocabulary, closed: bool = False) -> Conversa
         try:
             text = fh.read()
         except UnicodeDecodeError:
-            raise utf8_error(path) from None
+            raise utf8_error(path, universal=True) from None
     return parse_conversation(text, vocab, closed)
 
 

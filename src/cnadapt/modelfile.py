@@ -11,6 +11,7 @@ file of any kind that does not decode as UTF-8.
 
 from __future__ import annotations
 
+import re
 from itertools import islice
 
 from .errors import ParseError
@@ -24,6 +25,7 @@ _BLOCK_CHARS = 1 << 16
 _OTHER_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 # between the lines of a chunk, so the split shows where each line ended
 _SEP = "\x00"
+_UNIVERSAL_BREAK = re.compile(r"\r\n?|\n")
 
 
 def read_lines(fh):
@@ -76,16 +78,23 @@ def split_fields(chunk, k: int):
     return fields
 
 
-def utf8_error(path) -> ParseError:
+def utf8_error(path, universal: bool = False) -> ParseError:
     """The error for a text file that is not valid UTF-8: the line and the
-    value of its first bad byte."""
+    value of its first bad byte.  Lines are numbered as ``str.splitlines``
+    numbers them, or, when ``universal``, at the breaks of universal
+    newlines ("\\n", "\\r\\n" and "\\r") only."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
         raw.decode("utf-8")
     except UnicodeDecodeError as exc:
+        head = raw[: exc.start].decode("utf-8")
+        if universal:
+            lineno = len(_UNIVERSAL_BREAK.split(head))
+        else:
+            # the bad byte starts a line splitlines counts, even after a break
+            lineno = len((head + "x").splitlines())
         return ParseError(
-            f"not valid UTF-8: {exc.reason} (byte 0x{raw[exc.start]:02x})",
-            raw.count(b"\n", 0, exc.start) + 1,
+            f"not valid UTF-8: {exc.reason} (byte 0x{raw[exc.start]:02x})", lineno
         )
     return ParseError("not valid UTF-8")  # the file changed since it failed to decode

@@ -16,6 +16,7 @@ from cnadapt.corpus import (
     load_conversation,
     parse_conversation,
     prune_bin,
+    pruned_widths,
     serialize_conversation,
 )
 from cnadapt.errors import ParseError, ValidationError
@@ -120,6 +121,33 @@ class TestPrune:
             pruned = prune_bin(b)
             assert pruned.one_best() == b.one_best()
             assert prune_bin(pruned) == pruned
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        utterances=st.lists(
+            st.lists(
+                # posteriors in 64ths, so thresholds such as 0.5 * 4/64 land
+                # exactly on a posterior, and ties are common
+                st.lists(
+                    st.tuples(st.integers(0, 30), st.integers(1, 5)),
+                    min_size=1, max_size=12, unique_by=lambda c: c[0],
+                ),
+                min_size=1, max_size=3,
+            ),
+            min_size=1, max_size=3,
+        ),
+        rel_floor=st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.8, 1.0]), st.floats(0, 1)),
+        max_words=st.integers(1, 12),
+    )
+    def test_pruned_widths_match_prune_bin(self, utterances, rel_floor, max_words):
+        conv = Conversation("c", tuple(
+            ConfusionNetwork(f"u{n}", tuple(Bin([(w, k / 64) for w, k in b]) for b in bins))
+            for n, bins in enumerate(utterances)
+        ))
+        widths = pruned_widths(conv, rel_floor, max_words)
+        assert widths.tolist() == [
+            len(prune_bin(b, rel_floor, max_words)) for b in conv.iter_bins()
+        ]
 
 
 class TestExpectedCounts:

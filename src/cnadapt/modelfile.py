@@ -92,7 +92,7 @@ def utf8_error(path, universal: bool = False) -> ParseError:
         if universal:
             lineno = len(_UNIVERSAL_BREAK.split(head))
         else:
-            # the bad byte starts a line splitlines counts, even after a break
+            # "x" stands for the bad byte: a break just before it still counts
             lineno = len((head + "x").splitlines())
         return ParseError(
             f"not valid UTF-8: {exc.reason} (byte 0x{raw[exc.start]:02x})", lineno

@@ -112,14 +112,15 @@ class _ConfKernel:
       order; padding points one past the last cell;
     * ``Q`` (T, slots): topic probabilities of each slot's word;
     * ``S`` (T, bins): per-bin sums of ``Q``, in slot order;
-    * ``binw[use_tf]`` (bins,): evidence mass of each bin;
-    * ``blocks[use_tf]``: per class, its slot range, the (M, K, J) channel
-      block (row = spoken slot, column = observed slot) and the (M, J)
-      weights of the J observed slots: every slot with its posterior for
-      ``conf-tf``, the 1-best slot with weight 1 for ``conf-1best``.
+    * ``binw`` (bins,): evidence mass of each bin, for the variant ``use_tf`` picks;
+    * ``blocks``: per class, its slot range, the (M, K, J) channel block
+      (row = spoken slot, column = observed slot) and the (M, J) weights of
+      the J observed slots, for that variant only: every slot with its
+      posterior for ``conf-tf`` (J = K), the 1-best slot with weight 1 for
+      ``conf-1best`` (J = 1, so its channel blocks are (M, K, 1)).
     """
 
-    def __init__(self, conv: Conversation, tm: TopicModel, cm: ChannelModel):
+    def __init__(self, conv: Conversation, tm: TopicModel, cm: ChannelModel, use_tf: bool):
         words, post = conv.words, conv.posts
         width = np.diff(conv.bin_ptr)
         _check_in_model(words, tm)
@@ -127,33 +128,31 @@ class _ConfKernel:
         first = conv.bin_ptr[:-1]
         kclass = np.minimum(np.left_shift(1, np.frexp(width - 1)[1]), width.max())
         wordx, postx = np.append(words, 0), np.append(post, 0.0)
-        slots, bin_start = [], []
-        self.blocks = {True: [], False: []}
+        slots, bin_start, self.blocks = [], [], []
         for K in np.unique(kclass):
             b = np.flatnonzero(kclass == K)
             real = np.arange(K) < width[b, None]
             slot = np.where(real, first[b, None] + np.arange(K), words.size)
             w = wordx[slot]
-            key = w[:, :, None] * base + w[:, None, :]
+            obs, weight = (w, postx[slot]) if use_tf else (w[:, :1], np.ones((b.size, 1)))
+            key = w[:, :, None] * base + obs[:, None, :]
             pos = np.searchsorted(keys, key)
             chan = np.where(keys[pos] == key, probs[pos], 0.0)
             off = sum(s.size for s in slots)
-            sl = slice(off, off + slot.size)
             bin_start.append(off + K * np.arange(b.size))
             slots.append(slot.ravel())
-            self.blocks[True].append((sl, chan, postx[slot]))
-            self.blocks[False].append((sl, chan[:, :, :1].copy(), np.ones((b.size, 1))))
+            self.blocks.append((slice(off, off + slot.size), chan, weight))
         self.cell = np.concatenate(slots)
         bin_start = np.concatenate(bin_start)
         T = tm.probs.shape[0]
         self.Q = np.concatenate([tm.probs[:, words], np.zeros((T, 1))], axis=1)[:, self.cell]
         self.S = np.add.reduceat(self.Q, bin_start, axis=1)
-        self.binw = {
-            True: np.add.reduceat(postx[self.cell], bin_start),
-            False: np.ones(width.size),
-        }
+        if use_tf:
+            self.binw = np.add.reduceat(postx[self.cell], bin_start)
+        else:
+            self.binw = np.ones(width.size)
 
-    def stats(self, lam: np.ndarray, use_tf: bool):
+    def stats(self, lam: np.ndarray):
         """Return (N, D, log-likelihood, per-slot reference weights) at ``lam``.
 
         N[t] is the reference-posterior-weighted topic-t mass, D[t] the
@@ -165,7 +164,7 @@ class _ConfKernel:
         g = np.empty_like(q)  # reference weight over mixture probability
         ll = 0.0
         with np.errstate(divide="ignore"):
-            for sl, chan, w in self.blocks[use_tf]:
+            for sl, chan, w in self.blocks:
                 M, J = w.shape
                 qc, gc = q[sl].reshape(M, -1), g[sl].reshape(M, -1)
                 den = np.einsum("mab,ma->mb", chan, qc)
@@ -176,10 +175,9 @@ class _ConfKernel:
                 dead = live & (den == 0.0)
                 if dead.any():
                     gc[:, :J][dead] += w[dead] / qc[:, :J][dead]
-            binw = self.binw[use_tf]
             binq = lam @ self.S
-            ll -= float(binw @ np.log(binq))
-        return lam * (self.Q @ g), self.S @ (binw / binq), ll, q * g
+            ll -= float(self.binw @ np.log(binq))
+        return lam * (self.Q @ g), self.S @ (self.binw / binq), ll, q * g
 
 
 def loglik_conf(
@@ -188,8 +186,8 @@ def loglik_conf(
     """Log-likelihood of the observed words under the confusion channel,
     with the mixture renormalized inside each bin.
     """
-    kernel = _ConfKernel(conv, tm, cm)
-    return kernel.stats(np.asarray(lam, dtype=np.float64), use_tf)[2]
+    kernel = _ConfKernel(conv, tm, cm, use_tf)
+    return kernel.stats(np.asarray(lam, dtype=np.float64))[2]
 
 
 def conf_lower_bound(
@@ -208,13 +206,13 @@ def conf_lower_bound(
     """
     lam = mu_to_lambda(mu)
     delta = np.asarray(delta, dtype=np.float64)
-    kernel = _ConfKernel(conv, tm, cm)
-    ww = kernel.stats(lam, use_tf)[3]
+    kernel = _ConfKernel(conv, tm, cm, use_tf)
+    ww = kernel.stats(lam)[3]
     a = lam @ kernel.Q
     ad = np.divide((lam * delta) @ kernel.Q, a, out=np.zeros_like(a), where=a > 0.0)
     A = lam @ kernel.S
     Ad = (lam * np.exp(delta)) @ kernel.S
-    return float(ww.sum() + ww @ ad - kernel.binw[use_tf] @ (Ad / A))
+    return float(ww.sum() + ww @ ad - kernel.binw @ (Ad / A))
 
 
 def _penalized(ll: float, lam: np.ndarray, m: float) -> float:
@@ -358,7 +356,7 @@ def conf_em_step(
     update maximizes the surrogate at (before renormalization).
     """
     lam = np.asarray(lam, dtype=np.float64)
-    N, D, _, _ = _ConfKernel(conv, tm, cm).stats(lam, use_tf)
+    N, D, _, _ = _ConfKernel(conv, tm, cm, use_tf).stats(lam)
     u = _conf_update(N, D, lam, map_strength, 0)
     with np.errstate(divide="ignore"):
         delta = np.log(u) - np.log(lam)
@@ -386,11 +384,10 @@ def fit(
     else:
         if cm is None:
             raise ValidationError(f"variant {cfg.variant!r} requires a channel model")
-        kernel = _ConfKernel(conv, tm, cm)
-        use_tf = cfg.variant == "conf-tf"
+        kernel = _ConfKernel(conv, tm, cm, cfg.variant == "conf-tf")
 
         def stats(lam):
-            N, D, ll, _ = kernel.stats(lam, use_tf)
+            N, D, ll, _ = kernel.stats(lam)
             return (N, D), ll
 
         def update(acc, lam, it):

@@ -23,6 +23,7 @@ from . import __version__, adapt, metrics, synth, topics
 from .channel import estimate_channel, load_channel, save_channel
 from .corpus import Vocabulary, load_conversation, save_conversation
 from .errors import ComputeError, InputError
+from .modelfile import utf8_error
 
 DEFAULT_REL_FLOOR = 0.05
 DEFAULT_MAX_WORDS = 10
@@ -61,7 +62,10 @@ def write_unigram_file(path, vocab, probs) -> None:
 
 def load_unigram_file(path):
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+        try:
+            lines = fh.read().splitlines()
+        except UnicodeDecodeError:
+            raise InputError(f"{path}: {utf8_error(path)}") from None
     if not lines or not lines[0].startswith("UNIGRAM "):
         raise InputError(f"{path}: expected 'UNIGRAM <V>' header")
     try:
@@ -82,6 +86,8 @@ def load_unigram_file(path):
             probs[i] = float(parts[1])
         except ValueError:
             raise InputError(f"{path}: bad probability {parts[1]!r}") from None
+        if probs[i] != probs[i]:
+            raise InputError(f"{path}: probability {parts[1]} is not a number")
     if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-6:
         raise InputError(f"{path}: probabilities do not sum to 1")
     return vocab, probs
@@ -102,7 +108,11 @@ def cmd_topics_train(args):
             fpath = os.path.join(folder, name)
             if os.path.isfile(fpath):
                 with open(fpath, "r", encoding="utf-8") as fh:
-                    tokens.extend(fh.read().split())
+                    try:
+                        tokens.extend(fh.read().split())
+                    except UnicodeDecodeError:
+                        error = utf8_error(fpath, universal=True)
+                        raise InputError(f"{fpath}: {error}") from None
         if not tokens:
             raise InputError(f"topic folder {folder!r} has no tokens")
         corpus.append((label, tokens))

@@ -30,6 +30,9 @@ UNK_WORD = "<unk>"
 CHUNK_BINS = 2048
 
 _POSTERIOR = re.compile(r"[0-9]+(?:\.([0-9]+))?")
+# an optional "-" (a negative count has its own message) and ASCII digits:
+# int() also takes other scripts' digits, "+" and "_"
+_BIN_COUNT = re.compile(r"-?[0-9]+")
 # a BIN line the bulk path reads: "BIN" at the start of the line, a word
 # without ':' in every cell, and every posterior within MAX_FRACTION_DIGITS.
 # Matched one line at a time: over a whole chunk the engine keeps a
@@ -427,11 +430,10 @@ def parse_conversation(source, vocab: Vocabulary, closed: bool = False) -> Conve
             failure = ParseError(f"expected 'NET <id> <bin-count>', got {line!r}", no)
             break
         uid = parts[1]
-        try:
-            nbins = int(parts[2])
-        except ValueError:
+        if _BIN_COUNT.fullmatch(parts[2]) is None:
             failure = ParseError(f"bad bin count {parts[2]!r}", no)
             break
+        nbins = int(parts[2])
         if nbins < 1:
             failure = ValidationError(f"line {no}: utterance {uid!r} declares {nbins} bins")
             break

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Vocabulary
-from .errors import EvaluationError, ValidationError
+from .errors import EvaluationError, InputError, ValidationError
+from .modelfile import utf8_error
 from .topics import UNK_WORD
 
 
@@ -44,18 +45,21 @@ def load_reference(path, vocab: Vocabulary) -> ReferenceCorpus:
     Out-of-vocabulary tokens map to the unknown-word entry; if the model
     vocabulary has none, evaluation cannot proceed.
     """
-    ids = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            for tok in line.split():
-                if tok in vocab:
-                    ids.append(vocab.id(tok))
-                elif UNK_WORD in vocab:
-                    ids.append(vocab.id(UNK_WORD))
-                else:
-                    raise EvaluationError(
-                        f"token {tok!r} not covered: vocabulary has no {UNK_WORD!r}"
-                    )
+        try:
+            tokens = fh.read().split()
+        except UnicodeDecodeError:
+            raise InputError(f"{path}: {utf8_error(path, universal=True)}") from None
+    ids = []
+    for tok in tokens:
+        if tok in vocab:
+            ids.append(vocab.id(tok))
+        elif UNK_WORD in vocab:
+            ids.append(vocab.id(UNK_WORD))
+        else:
+            raise EvaluationError(
+                f"token {tok!r} not covered: vocabulary has no {UNK_WORD!r}"
+            )
     if not ids:
         raise EvaluationError(f"reference file {path} has no tokens")
     return ReferenceCorpus.from_tokens(ids)

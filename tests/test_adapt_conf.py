@@ -40,9 +40,9 @@ def identity_channel(V):
 def reference_posteriors(conv, tm, lam, cm):
     """Per bin, {word: posterior that it was spoken given the 1-best word},
     read from the kernel's conf-1best slot weights."""
-    kernel = _ConfKernel(conv, tm, cm)
+    kernel = _ConfKernel(conv, tm, cm, False)
     cells = np.zeros(kernel.cell.max() + 1)
-    cells[kernel.cell] = kernel.stats(np.asarray(lam, dtype=np.float64), False)[3]
+    cells[kernel.cell] = kernel.stats(np.asarray(lam, dtype=np.float64))[3]
     out, start = [], 0
     for b in conv.iter_bins():
         out.append({w: float(cells[start + j]) for j, w in enumerate(b.word_ids())})
@@ -131,6 +131,17 @@ class TestLoglikConf:
             assert got == pytest.approx(want, rel=1e-10)
 
 
+# (use_tf, ragged): ragged is None for the make_instance input, else
+# ragged_instance's (seed, dead_bin); the make_instance ids are the bare flag
+CONF_INPUTS = [
+    pytest.param(use_tf, ragged, id=str(use_tf) + (
+        "" if ragged is None else f"-ragged{ragged[0]}" + "-dead" * ragged[1]
+    ))
+    for use_tf in (False, True)
+    for ragged in [None] + [(seed, dead) for seed in range(3) for dead in (False, True)]
+]
+
+
 class TestFitConf:
     def test_identity_singleton_noop(self):
         conv, tm, _ = make_instance(7, T=2, V=10, M=20, max_width=1)
@@ -142,9 +153,12 @@ class TestFitConf:
         assert res.converged
         assert res.iterations == 1
 
-    @pytest.mark.parametrize("use_tf", [False, True])
-    def test_update_improves_surrogate(self, use_tf):
-        conv, tm, cm = make_instance(11, T=3, V=20, M=200)
+    @pytest.mark.parametrize("use_tf, ragged", CONF_INPUTS)
+    def test_update_improves_surrogate(self, use_tf, ragged):
+        if ragged is None:
+            conv, tm, cm = make_instance(11, T=3, V=20, M=200)
+        else:
+            conv, tm, cm = ragged_instance(*ragged)
         lam = np.full(3, 1 / 3)
         for _ in range(8):
             new_lam, delta = conf_em_step(conv, tm, cm, lam, use_tf=use_tf)
@@ -154,10 +168,13 @@ class TestFitConf:
             assert g >= -1e-9
             lam = new_lam
 
-    @pytest.mark.parametrize("use_tf", [False, True])
-    def test_lower_bound_below_q_difference(self, use_tf):
+    @pytest.mark.parametrize("use_tf, ragged", CONF_INPUTS)
+    def test_lower_bound_below_q_difference(self, use_tf, ragged):
         rng = np.random.default_rng(21)
-        conv, tm, cm = make_instance(13, T=3, V=15, M=30)
+        if ragged is None:
+            conv, tm, cm = make_instance(13, T=3, V=15, M=30)
+        else:
+            conv, tm, cm = ragged_instance(*ragged)
         bins = bins_as_lists(conv)
         for _ in range(25):
             mu = rng.normal(size=3)
@@ -265,9 +282,9 @@ class TestRaggedKernel:
             conv, tm, cm = ragged_instance(seed, dead_bin=True)
             lam = np.random.default_rng(seed).dirichlet(np.ones(3))
             bins = bins_as_lists(conv)
-            kernel = _ConfKernel(conv, tm, cm)
+            kernel = _ConfKernel(conv, tm, cm, use_tf)
             got = np.zeros(sum(map(len, bins)) + 1)
-            got[kernel.cell] = kernel.stats(lam, use_tf)[3]
+            got[kernel.cell] = kernel.stats(lam)[3]
             want = oracles.reference_weights(bins, lam, tm.probs, cm.prob, use_tf)
             flat = [wgt[w] for cells, wgt in zip(bins, want) for w, _ in cells]
             assert np.allclose(got[:-1], flat, rtol=1e-10, atol=1e-13)

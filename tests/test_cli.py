@@ -97,6 +97,17 @@ class TestTopicsTrain:
         code, _, _ = run(["topics-train", str(root), str(tmp_path / "m")], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_corpus_not_utf8(self, tmp_path, capsys, newline):
+        root = write_corpus(tmp_path / "corpus")
+        bad = root / "sport" / "b.txt"
+        bad.write_bytes(newline.encode().join([b"team", b"goal", b"\xffmatch", b""]))
+        code, stdout, err = run(["topics-train", str(root), str(tmp_path / "m")], capsys)
+        assert code == 2
+        assert err == f"error: {bad}: line 3: not valid UTF-8: invalid start byte (byte 0xff)\n"
+        assert stdout == ""
+        assert not (tmp_path / "m").exists()
+
 
 class TestChannel:
     def test_two_bin_fixture(self, tmp_path, capsys):
@@ -602,3 +613,32 @@ class TestPpl:
         code, _, err = run(["ppl", str(uni), str(ref)], capsys)
         assert code == 1
         assert "zzz" in err
+
+    def test_nan_probability_exit_2(self, tmp_path, capsys):
+        uni = tmp_path / "u.unigram"
+        uni.write_text("UNIGRAM 3\na nan\nb 0.5\n<unk> 0.5\n")
+        ref = tmp_path / "ref.txt"
+        ref.write_text("a b\n")
+        code, out, err = run(["ppl", str(uni), str(ref)], capsys)
+        assert code == 2
+        assert err == f"error: {uni}: probability nan is not a number\n"
+        assert out == ""
+
+    @pytest.mark.parametrize("kind", ["unigram", "ref"])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r", "\u2028"])
+    def test_not_utf8(self, tmp_path, capsys, kind, newline):
+        uni, ref = self.write_uniform(tmp_path)
+        ref.write_text("a b\nc\nd a\n")
+        bad = uni if kind == "unigram" else ref
+        lines = bad.read_bytes().split(b"\n")
+        lines[2] = b"\xff" + lines[2]
+        bad.write_bytes(newline.encode().join(lines))
+        code, out, err = run(["ppl", str(uni), str(ref)], capsys)
+        # the unigram file is split into lines by str.splitlines, which U+2028
+        # ends; the reference is read with universal newlines, which it does not
+        line = 1 if kind == "ref" and newline == "\u2028" else 3
+        assert code == 2
+        assert err == (
+            f"error: {bad}: line {line}: not valid UTF-8: invalid start byte (byte 0xff)\n"
+        )
+        assert out == ""

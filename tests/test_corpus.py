@@ -299,6 +299,12 @@ PARSE_ERRORS = [
     ("net-fields", ["CONV c", "NET u 1 2"],
      "line {no}: expected 'NET <id> <bin-count>', got 'NET u 1 2{cr}'", 1, ParseError, None),
     ("bin-count", ["CONV c", "NET u x"], "line {no}: bad bin count 'x'", 1, ParseError, None),
+    ("bin-count-arabic-indic", ["CONV c", "NET u \u0663", "BIN a:1", "BIN a:1", "BIN a:1"],
+     "line {no}: bad bin count '\u0663'", 1, ParseError, None),
+    ("bin-count-plus", ["CONV c", "NET u +3", "BIN a:1", "BIN a:1", "BIN a:1"],
+     "line {no}: bad bin count '+3'", 1, ParseError, None),
+    ("bin-count-underscore", ["CONV c", "NET u 1_0", "BIN a:1"],
+     "line {no}: bad bin count '1_0'", 1, ParseError, None),
     ("nbins-zero", ["CONV c", "NET u 0"], "line {no}: utterance 'u' declares 0 bins", 1,
      ValidationError, None),
     ("nbins-negative", ["CONV c", "NET u -2"], "line {no}: utterance 'u' declares -2 bins", 1,

@@ -18,6 +18,14 @@ Every conf-* iteration's accumulators come from one numpy kernel over a
 per-conversation layout of bins padded by width class (see ``_ConfKernel``);
 the reductions run in a fixed order, so repeated runs on one platform
 reproduce identical traces.
+
+The driver, ``_run_em``, accelerates every variant's EM update with
+safeguarded SQUAREM (Varadhan & Roland, Scand. J. Statist. 2008).  Each
+cycle takes one plain EM step, which alone decides convergence, then
+extrapolates in softmax space from it and a second EM step, and takes one
+EM step from the extrapolated point.  It keeps that point unless its
+objective is lower than the plain step's, in which case it keeps the
+second EM step instead, so the objective trace never falls.
 """
 
 from __future__ import annotations
@@ -58,10 +66,21 @@ class EstimatorConfig:
 
 @dataclass
 class FitResult:
+    """Fitted weights and how the fit got there.
+
+    ``loglik_trace`` holds the objective at the start and at every accepted
+    point: a SQUAREM cycle (see ``_run_em``) accepts two, its plain EM step
+    and its extrapolated or fallback point.  ``iterations`` is the number of
+    accepted points, ``len(loglik_trace) - 1``; ``evaluations`` counts every
+    call of the per-iteration statistics, rejected points included.
+    ``converged`` means a plain EM step gained at most ``rel_tol``.
+    """
+
     weights: MixtureWeights
     loglik_trace: list = field(default_factory=list)
     iterations: int = 0
     converged: bool = False
+    evaluations: int = 0
 
 
 def _check_in_model(wids: np.ndarray, tm: TopicModel) -> None:
@@ -291,23 +310,69 @@ def _conf_update(
 
 
 def _run_em(lam0, stats, update, m, max_iters, rel_tol) -> FitResult:
-    lam = lam0
-    acc, ll = stats(lam)
-    trace = [_penalized(ll, lam, m)]
-    iterations = 0
-    converged = False
-    for it in range(1, max_iters + 1):
-        iterations = it
-        lam = update(acc, lam, it)
+    """EM from ``lam0``, accelerated by safeguarded SQUAREM cycles.
+
+    A cycle from weights lam0 takes one plain EM step to lam1, the only step
+    the ``rel_tol`` test sees, then a second to lam2.  In softmax space, over
+    the topics where all three weights are nonzero, it extrapolates from the
+    two steps (Varadhan & Roland's SqS3 step length, bounded by ``step_max``)
+    and takes one EM step from the extrapolated point.  That point is kept if its
+    objective is no lower than lam1's; otherwise the cycle falls back to lam2
+    and ``step_max`` shrinks.  Each cycle appends lam1 and the kept point to
+    the trace, so the trace rises point by point.
+    """
+    evaluations = 0
+
+    def evaluate(lam):
+        nonlocal evaluations
+        evaluations += 1
         acc, ll = stats(lam)
-        obj = _penalized(ll, lam, m)
+        return acc, _penalized(ll, lam, m)
+
+    def check(obj, it):
         if np.isnan(obj):
             raise EstimationError(f"objective became NaN at iteration {it}")
+
+    lam = lam0
+    acc, obj = evaluate(lam)
+    trace = [obj]
+    step_max = 1.0
+    while len(trace) <= max_iters:
+        it = len(trace)
+        lam1 = update(acc, lam, it)
+        acc1, obj1 = evaluate(lam1)
+        check(obj1, it)
+        trace.append(obj1)
+        converged = _step_converged(obj, obj1, rel_tol)
+        if converged or it == max_iters:
+            return FitResult(MixtureWeights(lam1), trace, it, converged, evaluations)
+
+        lam2 = update(acc1, lam1, it + 1)
+        keep = (lam > 0.0) & (lam1 > 0.0) & (lam2 > 0.0)
+        mu0, mu1, mu2 = np.log(lam[keep]), np.log(lam1[keep]), np.log(lam2[keep])
+        r = mu1 - mu0
+        v = mu2 - mu1 - r
+        nr, nv = np.linalg.norm(r), np.linalg.norm(v)
+        alpha = -min(max(nr / nv, 1.0), step_max) if nv > 0.0 else -step_max
+        lamx = np.zeros_like(lam)
+        lamx[keep] = mu_to_lambda(mu0 - 2.0 * alpha * r + alpha * alpha * v)
+        try:
+            accx, _ = evaluate(lamx)
+            lam3 = update(accx, lamx, it + 1)
+            acc3, obj3 = evaluate(lam3)
+        except EstimationError:
+            obj3 = np.nan
+        if obj3 >= obj1:
+            lam, acc, obj = lam3, acc3, obj3
+            if alpha == -step_max:
+                step_max *= 4.0
+        else:
+            lam = lam2
+            acc, obj = evaluate(lam)
+            check(obj, it + 1)
+            step_max = max(1.0, step_max / 4.0)
         trace.append(obj)
-        if _step_converged(trace[-2], trace[-1], rel_tol):
-            converged = True
-            break
-    return FitResult(MixtureWeights(lam), trace, iterations, converged)
+    return FitResult(MixtureWeights(lam), trace, max_iters, False, evaluations)
 
 
 def _self_stats(conv: Conversation, tm: TopicModel, use_tf: bool):
@@ -369,7 +434,8 @@ def fit(
     cfg: EstimatorConfig,
     cm: ChannelModel | None = None,
 ) -> FitResult:
-    """Fit the mixture weights by EM from uniform weights.
+    """Fit the mixture weights by EM (SQUAREM cycles, see ``_run_em``) from
+    uniform weights.
 
     The variant picks the per-iteration statistics and the update; MAP
     when cfg.map_strength is nonzero.  conf-* variants need the channel ``cm``.

@@ -137,7 +137,7 @@ def save_channel(cm: ChannelModel, vocab: Vocabulary, path) -> None:
         fh.write("".join(lines))
 
 
-_CHANNEL_HEADER = re.compile(r"^CHANNEL (\d+)$")
+_CHANNEL_HEADER = re.compile(r"^CHANNEL ([0-9]+)$")
 
 
 def load_channel(path, vocab: Vocabulary) -> ChannelModel:

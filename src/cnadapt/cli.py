@@ -23,7 +23,7 @@ from . import __version__, adapt, metrics, synth, topics
 from .channel import estimate_channel, load_channel, save_channel
 from .corpus import Vocabulary, load_conversation, save_conversation
 from .errors import ComputeError, InputError
-from .modelfile import utf8_error
+from .modelfile import COUNT, utf8_error
 
 DEFAULT_REL_FLOOR = 0.05
 DEFAULT_MAX_WORDS = 10
@@ -68,10 +68,10 @@ def load_unigram_file(path):
             raise InputError(f"{path}: {utf8_error(path)}") from None
     if not lines or not lines[0].startswith("UNIGRAM "):
         raise InputError(f"{path}: expected 'UNIGRAM <V>' header")
-    try:
-        count = int(lines[0].split()[1])
-    except (IndexError, ValueError):
-        raise InputError(f"{path}: bad header {lines[0]!r}") from None
+    fields = lines[0].split()
+    if len(fields) < 2 or not COUNT.fullmatch(fields[1]):
+        raise InputError(f"{path}: bad header {lines[0]!r}")
+    count = int(fields[1])
     if len(lines) - 1 != count:
         raise InputError(f"{path}: header declares {count} words, found {len(lines) - 1}")
     vocab = Vocabulary()
@@ -160,6 +160,7 @@ def _adapt_one(tm, cm, cfg, cnet_path, out_lambda, out_unigram):
         "variant": cfg.variant,
         "map_strength": cfg.map_strength,
         "iterations": result.iterations,
+        "evaluations": result.evaluations,
         "converged": result.converged,
         "loglik_trace": result.loglik_trace,
     }
@@ -371,8 +372,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--channel", help="channel file (required for conf-* variants)")
     p.add_argument("--map-strength", type=float, default=0.0,
                    help="Dirichlet prior strength; 0 gives maximum likelihood")
-    p.add_argument("--tol", type=float, default=1e-6, help="relative objective tolerance")
-    p.add_argument("--max-iters", type=int, default=200)
+    p.add_argument("--tol", type=float, default=1e-6,
+                   help="relative objective tolerance, applied to each plain EM step "
+                        "(never to an extrapolated point)")
+    p.add_argument("--max-iters", type=int, default=200,
+                   help="most iterations; one iteration is one accepted point, and an "
+                        "accelerated EM cycle accepts two")
     p.add_argument("--out-unigram", nargs="?", const=True, default=None,
                    help="also write the adapted unigram (flag value is the path in file mode)")
     p.add_argument("--jobs", type=int, default=1, help="parallel workers in directory mode")

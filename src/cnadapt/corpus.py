@@ -21,7 +21,7 @@ from itertools import repeat
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .modelfile import utf8_error
+from .modelfile import COUNT, utf8_error
 
 POSTERIOR_SUM_SLACK = 1e-6
 MAX_FRACTION_DIGITS = 9
@@ -30,9 +30,6 @@ UNK_WORD = "<unk>"
 CHUNK_BINS = 2048
 
 _POSTERIOR = re.compile(r"[0-9]+(?:\.([0-9]+))?")
-# an optional "-" (a negative count has its own message) and ASCII digits:
-# int() also takes other scripts' digits, "+" and "_"
-_BIN_COUNT = re.compile(r"-?[0-9]+")
 # a BIN line the bulk path reads: "BIN" at the start of the line, a word
 # without ':' in every cell, and every posterior within MAX_FRACTION_DIGITS.
 # Matched one line at a time: over a whole chunk the engine keeps a
@@ -430,7 +427,7 @@ def parse_conversation(source, vocab: Vocabulary, closed: bool = False) -> Conve
             failure = ParseError(f"expected 'NET <id> <bin-count>', got {line!r}", no)
             break
         uid = parts[1]
-        if _BIN_COUNT.fullmatch(parts[2]) is None:
+        if COUNT.fullmatch(parts[2]) is None:
             failure = ParseError(f"bad bin count {parts[2]!r}", no)
             break
         nbins = int(parts[2])

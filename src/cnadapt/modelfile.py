@@ -26,6 +26,9 @@ _OTHER_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 # between the lines of a chunk, so the split shows where each line ended
 _SEP = "\x00"
 _UNIVERSAL_BREAK = re.compile(r"\r\n?|\n")
+# a header count: an optional "-" (a negative count has its own message) and
+# ASCII digits; int() and \d also take other scripts' digits, and int() "+" and "_"
+COUNT = re.compile(r"-?[0-9]+")
 
 
 def read_lines(fh):

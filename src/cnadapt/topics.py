@@ -14,7 +14,7 @@ import numpy as np
 
 from .corpus import UNK_WORD, Vocabulary
 from .errors import ParseError, TrainingError, ValidationError
-from .modelfile import read_lines, split_fields
+from .modelfile import COUNT, read_lines, split_fields
 
 PROB_FLOOR = 1e-10
 ROW_SUM_TOL = 1e-9
@@ -150,10 +150,9 @@ def load_topic_model(path) -> TopicModel:
         parts = header.split()
         if len(parts) != 3 or parts[0] != "TOPICS":
             raise ParseError(f"expected 'TOPICS <T> <V>', got {header!r}", 1)
-        try:
-            T, V = int(parts[1]), int(parts[2])
-        except ValueError:
-            raise ParseError(f"bad counts in header {header!r}", 1) from None
+        if not (COUNT.fullmatch(parts[1]) and COUNT.fullmatch(parts[2])):
+            raise ParseError(f"bad counts in header {header!r}", 1)
+        T, V = int(parts[1]), int(parts[2])
         expect = 1 + T * (V + 1)
         if nlines != expect:
             raise ParseError(f"expected {expect} lines, found {nlines}", nlines)
@@ -164,8 +163,10 @@ def load_topic_model(path) -> TopicModel:
         labels = []
         rows = np.empty((T, V), dtype=np.float64)
         line = 2  # file line of the chunk's first line
+        words = ()
         for chunk in chunks:
-            if not _read_topic_lines(chunk, line, vocab, labels, rows):
+            words = _read_topic_lines(chunk, line, vocab, labels, rows, words)
+            if words is None:
                 raise _first_topic_error(chunk, line, vocab, labels[-1] if labels else None, V)
             line += len(chunk)
     sums = rows.sum(axis=1)
@@ -174,26 +175,27 @@ def load_topic_model(path) -> TopicModel:
     return TopicModel(labels, vocab, floor_and_normalize(rows))
 
 
-def _read_topic_lines(chunk, line, vocab, labels, rows) -> bool:
-    """Parse a chunk of the lines after the header in bulk; False if any is bad.
+def _read_topic_lines(chunk, line, vocab, labels, rows, words):
+    """Parse a chunk of the lines after the header in bulk; None if any is bad.
 
     ``line`` is the file line of the chunk's first line.  The words of the
     first topic are interned into ``vocab``; ``labels`` grows only when
-    every line of the chunk is good.
+    every line of the chunk is good.  ``words`` is the model's words once
+    the first topic is read, an empty tuple before; the chunk's value of it
+    is returned.
     """
     fields = split_fields(chunk, 2)
     if fields is None:
-        return False
+        return None
     heads, tails = fields[0::2], fields[1::2]
     V = rows.shape[1]
     new_labels = []
-    words = None
     i = 0
     while i < len(chunk):
         t, r = divmod(line - 2 + i, V + 1)
         if r == 0:
             if heads[i] != "TOPIC":
-                return False
+                return None
             new_labels.append(tails[i])
             i += 1
             continue
@@ -204,21 +206,21 @@ def _read_topic_lines(chunk, line, vocab, labels, rows) -> bool:
             for word in seg:
                 vocab.add(word)
             if len(vocab) != size + len(seg):
-                return False
-        else:
-            words = words or vocab.words
-            if tuple(seg) != words[r - 1 : r - 1 + len(seg)]:
-                return False
+                return None
+            if len(vocab) == V:
+                words = vocab.words
+        elif tuple(seg) != words[r - 1 : r - 1 + len(seg)]:
+            return None
         try:
             probs = np.array(tails[i:end], dtype=np.float64)
         except ValueError:
-            return False
+            return None
         if np.isnan(probs).any():
-            return False
+            return None
         rows[t, r - 1 : r - 1 + len(seg)] = probs
         i = end
     labels += new_labels
-    return True
+    return words
 
 
 def _first_topic_error(chunk, line, vocab, label, V):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,14 +7,19 @@ import oracles
 from cnadapt.adapt import (
     EstimatorConfig,
     _ConfKernel,
+    _conf_update,
+    _run_em,
+    _step_converged,
     conf_em_step,
     conf_lower_bound,
     fit,
     loglik_conf,
 )
-from cnadapt.channel import ChannelModel
-from cnadapt.corpus import Bin, ConfusionNetwork, Conversation, Vocabulary
-from cnadapt.topics import TopicModel
+from cnadapt.channel import ChannelModel, save_channel
+from cnadapt.cli import main
+from cnadapt.corpus import Bin, ConfusionNetwork, Conversation, Vocabulary, save_conversation
+from cnadapt.errors import EstimationError
+from cnadapt.topics import TopicModel, save_topic_model
 from helpers import (
     bins_as_lists,
     make_channel,
@@ -290,3 +297,104 @@ class TestRaggedKernel:
             assert np.allclose(got[:-1], flat, rtol=1e-10, atol=1e-13)
             if not use_tf:
                 assert got[:2].tolist() == [1.0, 0.0]
+
+
+def plain_em(kernel, T, max_iters, rel_tol):
+    """Weights and objective trace of unaccelerated EM, one multiplicative
+    update after another, stopped by the relative test of the driver."""
+    lam = np.full(T, 1.0 / T)
+    N, D, ll, _ = kernel.stats(lam)
+    trace = [ll]
+    for it in range(1, max_iters + 1):
+        u = _conf_update(N, D, lam, 0.0, it)
+        lam = u / u.sum()
+        N, D, ll, _ = kernel.stats(lam)
+        trace.append(ll)
+        if _step_converged(trace[-2], trace[-1], rel_tol):
+            break
+    return lam, trace
+
+
+class TestEmDriver:
+    """The safeguarded SQUAREM cycles of ``adapt._run_em`` on conf-* fits."""
+
+    @pytest.mark.parametrize("variant", ["conf-1best", "conf-tf"])
+    def test_one_iteration_is_one_plain_step(self, variant):
+        conv, tm, cm = make_instance(12, T=3, V=20, M=60)
+        res = fit(conv, tm, EstimatorConfig(variant, max_iters=1), cm)
+        want, _ = conf_em_step(conv, tm, cm, np.full(3, 1.0 / 3), use_tf=variant == "conf-tf")
+        assert np.array_equal(res.weights.lam, want)
+        assert len(res.loglik_trace) == 2
+        assert (res.iterations, res.evaluations) == (1, 2)
+
+    @pytest.mark.parametrize("variant", ["conf-1best", "conf-tf"])
+    def test_diag_counts_kernel_evaluations(self, tmp_path, monkeypatch, variant):
+        conv, tm, cm = make_instance(14, T=3, V=20, M=60)
+        save_topic_model(tm, tmp_path / "t.model")
+        save_channel(cm, tm.vocab, tmp_path / "ch.model")
+        save_conversation(conv, tm.vocab, tmp_path / "c.cnet")
+        calls = []
+        stats = _ConfKernel.stats
+
+        def counted(self, lam):
+            calls.append(lam)
+            return stats(self, lam)
+
+        monkeypatch.setattr(_ConfKernel, "stats", counted)
+        code = main(["adapt", str(tmp_path / "c.cnet"), str(tmp_path / "t.model"),
+                     str(tmp_path / "c.lambda"), "--variant", variant,
+                     "--channel", str(tmp_path / "ch.model"), "--tol", "1e-10",
+                     "--max-iters", "1000"])
+        assert code == 0
+        diag = json.loads((tmp_path / "c.lambda.diag.json").read_text())
+        assert diag["evaluations"] == len(calls)
+        assert diag["evaluations"] >= diag["iterations"] + 1
+        assert diag["iterations"] == len(diag["loglik_trace"]) - 1
+        assert diag["converged"]
+
+    @pytest.mark.parametrize("variant", ["conf-1best", "conf-tf"])
+    def test_fewer_evaluations_than_plain_em(self, variant):
+        evaluations = plain_evaluations = 0
+        for seed in range(5):
+            conv, tm, cm = make_instance(seed, T=3, V=20, M=100)
+            res = fit(conv, tm, EstimatorConfig(variant, max_iters=5000, rel_tol=1e-10), cm)
+            kernel = _ConfKernel(conv, tm, cm, variant == "conf-tf")
+            _, trace = plain_em(kernel, 3, 5000, 1e-10)
+            assert res.converged
+            assert res.loglik_trace[-1] >= trace[-1] - 1e-9 * abs(trace[-1])
+            evaluations += res.evaluations
+            plain_evaluations += len(trace)
+        assert evaluations < plain_evaluations / 2
+
+    @pytest.mark.parametrize("use_tf", [False, True])
+    def test_rejected_extrapolation_falls_back_to_plain_em(self, use_tf):
+        conv, tm, cm = make_instance(15, T=3, V=20, M=60)
+        kernel = _ConfKernel(conv, tm, cm, use_tf)
+        lam0 = np.full(3, 1.0 / 3)
+        plain_points = [lam0]
+        rejected = []
+
+        def stats(lam):
+            N, D, ll, _ = kernel.stats(lam)
+            return (N, D), ll
+
+        def update(acc, lam, it):
+            # the extrapolated point is the only one no update returned
+            if not any(lam is p for p in plain_points):
+                rejected.append(it)
+                raise EstimationError("extrapolated point")
+            u = _conf_update(*acc, lam, 0.0, it)
+            plain_points.append(u / u.sum())
+            return plain_points[-1]
+
+        res = _run_em(lam0, stats, update, 0.0, 30, 1e-300)
+        lam, trace = plain_em(kernel, 3, 30, 1e-300)
+        # every cycle falls back to its second EM step, so the fit is plain EM
+        assert len(rejected) == 15
+        assert res.loglik_trace == trace
+        assert np.array_equal(res.weights.lam, lam)
+        assert non_decreasing(res.loglik_trace)
+        assert (res.iterations, res.converged) == (30, False)
+        # the start, then per cycle its plain step, the extrapolated point
+        # and the fallback
+        assert res.evaluations == 1 + 15 * 3

@@ -4,6 +4,7 @@ import pytest
 import oracles
 from cnadapt.adapt import (
     EstimatorConfig,
+    _ConfKernel,
     conf_em_step,
     fit,
 )
@@ -93,4 +94,30 @@ class TestSparseClamp:
         cfg = EstimatorConfig("conf-1best", map_strength=-50.0, max_iters=50)
         res = fit(conv, tm, cfg, cm)
         assert sorted(res.weights.lam) == [0.0, 1.0]
+        assert non_decreasing(res.loglik_trace)
+
+
+class TestDriverKeepsClamps:
+    @pytest.mark.parametrize("variant, map_strength, seed",
+                             [("conf-1best", -0.1, 38), ("conf-tf", -0.05, 28)])
+    def test_clamped_topic_stays_zero(self, monkeypatch, variant, map_strength, seed):
+        # a topic clamped to 0 is log 0 in softmax space: the extrapolation
+        # leaves it out, so no later point, extrapolated or not, revives it
+        conv, tm, cm = make_instance(seed, T=3, V=20, M=60)
+        points = []
+        stats = _ConfKernel.stats
+
+        def recorded(self, lam):
+            points.append(lam.copy())
+            return stats(self, lam)
+
+        monkeypatch.setattr(_ConfKernel, "stats", recorded)
+        cfg = EstimatorConfig(variant, map_strength=map_strength, max_iters=100)
+        res = fit(conv, tm, cfg, cm)
+        first = next(i for i, lam in enumerate(points) if (lam == 0.0).any())
+        zero = points[first] == 0.0
+        assert len(points) - first > 2
+        for lam in points[first:]:
+            assert np.all(lam[zero] == 0.0)
+        assert np.array_equal(res.weights.lam == 0.0, zero)
         assert non_decreasing(res.loglik_trace)

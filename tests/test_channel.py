@@ -337,3 +337,13 @@ class TestLoaderRejects:
         with pytest.raises(ParseError) as info:
             load_channel(path, vocab)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("header", ["CHANNEL \u0661", "CHANNEL \uff11"],
+                             ids=["arabic", "fullwidth"])
+    def test_row_count_takes_ascii_digits_only(self, tmp_path, header):
+        # \d once read each of these as 1 row
+        path = tmp_path / "ch.model"
+        path.write_text(header + "\na a 1\n", encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            load_channel(path, Vocabulary(["a"]))
+        assert str(info.value) == f"line 1: expected 'CHANNEL <rows>', got {header!r}"

@@ -624,6 +624,19 @@ class TestPpl:
         assert err == f"error: {uni}: probability nan is not a number\n"
         assert out == ""
 
+    @pytest.mark.parametrize("header", ["UNIGRAM \u0662", "UNIGRAM +2", "UNIGRAM \uff12"],
+                             ids=["arabic", "plus", "fullwidth"])
+    def test_count_takes_ascii_digits_only(self, tmp_path, capsys, header):
+        # int() once read each of these as 2 words, and the report exited 0
+        uni = tmp_path / "u.unigram"
+        uni.write_text(header + "\na 0.5\nb 0.5\n", encoding="utf-8")
+        ref = tmp_path / "ref.txt"
+        ref.write_text("a b\n")
+        code, out, err = run(["ppl", str(uni), str(ref)], capsys)
+        assert code == 2
+        assert err == f"error: {uni}: bad header {header!r}\n"
+        assert out == ""
+
     @pytest.mark.parametrize("kind", ["unigram", "ref"])
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r", "\u2028"])
     def test_not_utf8(self, tmp_path, capsys, kind, newline):

@@ -330,6 +330,17 @@ class TestLoaderRejects:
         with pytest.raises(ParseError, match="^line 1: bad counts in header"):
             load_topic_model(path)
 
+    @pytest.mark.parametrize("header", ["TOPICS \u0661 +2", "TOPICS +1 2", "TOPICS 1 \uff12",
+                                        "TOPICS 1 0_2"], ids=["arabic-plus", "plus",
+                                                              "fullwidth", "underscore"])
+    def test_counts_take_ascii_digits_only(self, tmp_path, header):
+        # int() once read each of these as 1 topic over 2 words
+        path = tmp_path / "m.topics"
+        path.write_text(header + "\nTOPIC t\na 0.5\nb 0.5\n", encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            load_topic_model(path)
+        assert str(info.value) == f"line 1: bad counts in header {header!r}"
+
     def test_nul_inside_a_word_is_part_of_it(self, tmp_path):
         path = tmp_path / "m.topics"
         path.write_text("TOPICS 1 2\nTOPIC t\na\x00b 0.5\n\x00 0.5\n", encoding="utf-8")

@@ -176,13 +176,13 @@ def load_topic_model(path) -> TopicModel:
 
 
 def _read_topic_lines(chunk, line, vocab, labels, rows, words):
-    """Parse a chunk of the lines after the header in bulk; None if any is bad.
+    """Parse a chunk of the lines after the header in bulk.
 
     ``line`` is the file line of the chunk's first line.  The words of the
     first topic are interned into ``vocab``; ``labels`` grows only when
-    every line of the chunk is good.  ``words`` is the model's words once
-    the first topic is read, an empty tuple before; the chunk's value of it
-    is returned.
+    every line of the chunk is good.  ``words`` holds the model's words
+    once the first topic is complete, and is empty before.  Returns
+    ``words`` as it stands after the chunk, or None if any line is bad.
     """
     fields = split_fields(chunk, 2)
     if fields is None:

@@ -60,8 +60,10 @@ class EstimatorConfig:
             raise ValidationError(f"unknown variant {self.variant!r}")
         if self.max_iters < 1:
             raise ValidationError("max_iters must be >= 1")
-        if self.rel_tol <= 0:
-            raise ValidationError("rel_tol must be > 0")
+        if not np.isfinite(self.map_strength):
+            raise ValidationError(f"map_strength {self.map_strength!r} is not finite")
+        if not (np.isfinite(self.rel_tol) and self.rel_tol > 0):
+            raise ValidationError(f"rel_tol {self.rel_tol!r} is not finite and > 0")
 
 
 @dataclass

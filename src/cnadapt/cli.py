@@ -10,6 +10,7 @@ usage or input.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import glob as globmod
 import json
 import os
@@ -144,12 +145,35 @@ def cmd_channel(args):
     }
 
 
+@contextlib.contextmanager
+def _written_together(paths):
+    """Yield a temporary name beside each of ``paths``.  Once the body has
+    written them all, each replaces its path; on any error the temporaries
+    and the paths already replaced are removed, so either every path is
+    written or none is."""
+    temps = [f"{p}.tmp{os.getpid()}" for p in paths]
+    done = []
+    try:
+        yield temps
+        for tmp, path in zip(temps, paths):
+            os.replace(tmp, path)
+            done.append(path)
+    except BaseException as exc:
+        for p in temps + done:
+            with contextlib.suppress(OSError):
+                os.remove(p)
+        if isinstance(exc, OSError) and exc.filename in temps:
+            # name the output in the message, not its temporary
+            path = paths[temps.index(exc.filename)]
+            raise OSError(exc.errno, exc.strerror, path) from None
+        raise
+
+
 def _adapt_one(tm, cm, cfg, cnet_path, out_lambda, out_unigram):
     """Fit one conversation and write its outputs; returns its manifest entry."""
     start = time.perf_counter()
     conv = load_conversation(cnet_path, tm.vocab, closed=True)
     result = adapt.fit(conv, tm, cfg, cm)
-    write_lambda_file(out_lambda, conv.cid, tm.labels, result.weights.lam)
     widths = np.diff(conv.bin_ptr)
     diag = {
         "bins": int(widths.size),
@@ -164,11 +188,15 @@ def _adapt_one(tm, cm, cfg, cnet_path, out_lambda, out_unigram):
         "converged": result.converged,
         "loglik_trace": result.loglik_trace,
     }
-    with open(out_lambda + ".diag.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(diag, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    if out_unigram:
-        write_unigram_file(out_unigram, tm.vocab, adapt.adapted_unigram(tm, result.weights))
+    outputs = [out_lambda, out_lambda + ".diag.json"] + ([out_unigram] if out_unigram else [])
+    with _written_together(outputs) as temps:
+        write_lambda_file(temps[0], conv.cid, tm.labels, result.weights.lam)
+        with open(temps[1], "w", encoding="utf-8", newline="\n") as fh:
+            json.dump(diag, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        if out_unigram:
+            unigram = adapt.adapted_unigram(tm, result.weights)
+            write_unigram_file(temps[2], tm.vocab, unigram)
     return {
         "cnet": cnet_path,
         "cid": conv.cid,
@@ -300,23 +328,38 @@ def _load_synth_spec(path, seed_override):
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InputError(f"synth spec {path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise InputError(f"synth spec {path}: expected a JSON object")
     required = ("topics", "vocab_size", "topic_sharpness", "channel_noise",
                 "bins", "bin_width", "seed")
     missing = [k for k in required if k not in doc]
     if missing:
         raise InputError(f"synth spec missing keys: {missing}")
+    doc.setdefault("conversations", 1)
+    for key in ("topics", "vocab_size", "bins", "bin_width", "seed", "conversations"):
+        if type(doc[key]) is not int:
+            raise InputError(f"synth spec {key} must be an integer, got {doc[key]!r}")
+    for key in ("topic_sharpness", "channel_noise"):
+        if type(doc[key]) not in (int, float):
+            raise InputError(f"synth spec {key} must be a number, got {doc[key]!r}")
     lam = doc.get("lambda_true")
+    if lam is not None and not (
+        isinstance(lam, list) and all(type(x) in (int, float) for x in lam)
+    ):
+        raise InputError(f"synth spec lambda_true must be a list of numbers, got {lam!r}")
+    if doc["conversations"] < 1:
+        raise InputError("synth spec conversations must be >= 1")
     spec = synth.SynthSpec(
-        topics=int(doc["topics"]),
-        vocab_size=int(doc["vocab_size"]),
+        topics=doc["topics"],
+        vocab_size=doc["vocab_size"],
         lambda_true=np.array(lam, dtype=np.float64) if lam is not None else None,
         topic_sharpness=float(doc["topic_sharpness"]),
         channel_noise=float(doc["channel_noise"]),
-        bins=int(doc["bins"]),
-        bin_width=int(doc["bin_width"]),
-        seed=int(seed_override if seed_override is not None else doc["seed"]),
+        bins=doc["bins"],
+        bin_width=doc["bin_width"],
+        seed=seed_override if seed_override is not None else doc["seed"],
     )
-    return spec, int(doc.get("conversations", 1))
+    return spec, doc["conversations"]
 
 
 def cmd_synth(args):

@@ -12,9 +12,10 @@ distribution, which keeps the expected-count estimator unbiased on its own
 generative family.  The truth (weights, topics, channel, spoken words) is
 returned alongside the data, so parameter-recovery tests need no speech.
 
-Topic rows and the channel are shared across the conversations of one spec;
-conversation k draws from a stream seeded with ``seed XOR k`` so sampling
-can be parallelized per conversation.
+Topic rows, cohorts and the channel are shared across the conversations of
+one spec; conversation k draws from a stream seeded with ``seed XOR k`` so
+sampling can be parallelized per conversation.  All bins of a conversation
+are built at once, straight into ``Conversation``'s flat arrays.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelModel
-from .corpus import Bin, ConfusionNetwork, Conversation, Vocabulary
+from .corpus import Conversation, Vocabulary
 from .errors import ValidationError
 from .topics import TopicModel, floor_and_normalize
 
@@ -51,11 +52,14 @@ class SynthSpec:
             raise ValidationError("bin_width must be >= 1")
         if not 0.0 <= self.channel_noise < 1.0:
             raise ValidationError("channel_noise must be in [0, 1)")
-        if self.topic_sharpness <= 0.0:
-            raise ValidationError("topic_sharpness must be > 0")
+        if not (np.isfinite(self.topic_sharpness) and self.topic_sharpness > 0.0):
+            raise ValidationError("topic_sharpness must be finite and > 0")
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
         if self.lambda_true is not None:
             lam = np.asarray(self.lambda_true, dtype=np.float64)
-            if lam.shape != (self.topics,) or np.any(lam < 0) or abs(lam.sum() - 1) > 1e-9:
+            if (lam.shape != (self.topics,) or not np.isfinite(lam).all()
+                    or np.any(lam < 0) or abs(lam.sum() - 1) > 1e-9):
                 raise ValidationError(f"lambda_true {lam!r} is not on the simplex")
             self.lambda_true = lam
 
@@ -75,7 +79,7 @@ def _make_vocab(size: int) -> Vocabulary:
 
 
 def _shared_structures(spec: SynthSpec):
-    """Topic rows, cohort partition, and channel from the spec-level stream."""
+    """Topic rows, cohort table, and channel from the spec-level stream."""
     rng = np.random.default_rng([spec.seed, 0])
     V, T = spec.vocab_size, spec.topics
     rows = np.empty((T, V))
@@ -84,59 +88,59 @@ def _shared_structures(spec: SynthSpec):
     vocab = _make_vocab(V)
     tm = TopicModel([f"t{t}" for t in range(T)], vocab, floor_and_normalize(rows))
 
+    # consecutive runs of a permutation, each sorted; the short last one is
+    # padded with V, which sorts after every word
+    k, noise = spec.bin_width, spec.channel_noise
     perm = rng.permutation(V)
-    cohorts = [
-        sorted(int(w) for w in perm[i : i + spec.bin_width])
-        for i in range(0, V, spec.bin_width)
-    ]
-    # row w keeps 1 - noise on w and spreads noise evenly over its cohort
-    spoken, obs, probs = [], [], []
-    for cohort in cohorts:
-        c, k = np.array(cohort, dtype=np.int64), len(cohort)
-        if spec.channel_noise == 0.0 or k == 1:
-            spoken.append(c)
-            obs.append(c)
-            probs.append(np.ones(k))
-            continue
-        spoken.append(np.repeat(c, k))
-        obs.append(np.tile(c, k))
-        share = spec.channel_noise / (k - 1)
-        probs.append(np.where(np.eye(k, dtype=bool), 1.0 - spec.channel_noise, share).ravel())
-    spoken = np.concatenate(spoken)
-    order = np.argsort(spoken, kind="stable")
-    cm = ChannelModel.from_sorted(
-        spoken[order], np.concatenate(obs)[order], np.concatenate(probs)[order], V
-    )
-    cohort_of = {w: cohort for cohort in cohorts for w in cohort}
-    return tm, cm, vocab, cohort_of
+    n = -(-V // k)
+    members = np.sort(np.append(perm, np.full(n * k - V, V)).reshape(n, k), axis=1)
+    cohort, pos = np.empty(V, dtype=np.int64), np.empty(V, dtype=np.int64)
+    at = np.nonzero(members < V)
+    cohort[members[at]], pos[members[at]] = at
+    peers = members[cohort]  # word w is peers[w, pos[w]]
+    size = np.count_nonzero(peers < V, axis=1)
+    # row w keeps 1 - noise on w and spreads noise evenly over its cohort;
+    # table[w] holds it at the positions of peers[w]
+    table = np.where(peers < V, (noise / np.maximum(size - 1, 1))[:, None], 0.0)
+    table[np.arange(V), pos] = np.where(size == 1, 1.0, 1.0 - noise)
+    spoken, slot = np.nonzero(table)
+    cm = ChannelModel.from_sorted(spoken, peers[spoken, slot], table[spoken, slot], V)
+    return tm, cm, vocab, (peers, pos, size, table)
 
 
-def _assemble_bin(obs, spoken, cm, cohort):
-    """Bin around one observed word: membership is the words that can
-    produce it (its cohort); confidences blend a point mass on the observed
-    word with the spoken word's emission profile.
+def _conversation(cid, observed, spoken, cohorts) -> Conversation:
+    """Every bin at once, each around its observed word: membership is the
+    words that can produce it (its cohort); confidences blend a point mass
+    on the observed word with the spoken word's emission profile.
     """
-    if len(cohort) == 1:
-        return Bin([(obs, 1.0)])
+    peers, pos, size, table = cohorts
     a = OBSERVED_CONFIDENCE_WEIGHT
-    emitted, probs = cm.row(spoken)
-    row = dict(zip(emitted.tolist(), probs.tolist()))
-    s = np.array(
-        [(a if v == obs else 0.0) + (1.0 - a) * row.get(v, 0.0) for v in cohort]
-    )
-    s = s / s.sum()
-
+    r, oi = np.arange(observed.size), pos[observed]
+    s = (1.0 - a) * table[spoken]
+    s[r, oi] += a
+    # each row summed over its own cohort's cells: numpy adds eight or more
+    # numbers pairwise, so summing the padding too would change the last bit
+    width = size[observed]
+    total = np.empty(observed.size)
+    for k in np.unique(width).tolist():
+        total[width == k] = s[width == k, :k].sum(axis=1)
+    s /= total[:, None]
     # the observed word must be the bin's 1-best: swap posteriors if needed
-    oi = cohort.index(obs)
-    top = int(np.argmax(s))
-    if top != oi:
-        s[oi], s[top] = s[top], s[oi]
-    if np.max(np.delete(s, oi)) >= s[oi]:
-        s[oi] *= 1.0 + 1e-6
-    cells = [
-        (v, float(p)) for v, p in zip(cohort, s) if v == obs or p >= MIN_CELL_POSTERIOR
-    ]
-    return Bin(cells)
+    top = s.argmax(axis=1)
+    s[r, oi], s[r, top] = s[r, top], s[r, oi]
+    tie = np.count_nonzero(s == s[r, oi][:, None], axis=1) > 1
+    s[r[tie], oi[tie]] *= 1.0 + 1e-6
+    keep = s >= MIN_CELL_POSTERIOR
+    keep[r, oi] = True
+    # canonical order: descending posterior, cohort (word id) order on ties
+    order = np.argsort(-s, axis=1, kind="stable")
+    keep = np.take_along_axis(keep, order, 1)
+    words = np.take_along_axis(peers[observed], order, 1)[keep]
+    posts = np.take_along_axis(s, order, 1)[keep]
+    bin_ptr = np.append(0, np.cumsum(keep.sum(axis=1)))
+    utt_ptr = np.append(np.arange(0, observed.size, UTTERANCE_BINS), observed.size)
+    uids = [f"u{u + 1:04d}" for u in range(utt_ptr.size - 1)]
+    return Conversation.from_arrays(cid, uids, utt_ptr, bin_ptr, words, posts)
 
 
 def sample_conversation(spec: SynthSpec, index: int = 0):
@@ -153,7 +157,7 @@ def sample_conversations(spec: SynthSpec, count: int):
 
 
 def _sample(spec: SynthSpec, index: int, shared):
-    tm, cm, vocab, cohort_of = shared
+    tm, cm, vocab, cohorts = shared
     rng = np.random.default_rng([spec.seed ^ index, 1])
     T, V, M = spec.topics, spec.vocab_size, spec.bins
 
@@ -174,15 +178,7 @@ def _sample(spec: SynthSpec, index: int, shared):
         support, probs = cm.row(w)
         observed[idx] = rng.choice(support, size=idx.size, p=probs)
 
-    bins = [
-        _assemble_bin(int(o), int(w), cm, cohort_of[int(o)])
-        for o, w in zip(observed, spoken)
-    ]
-    networks = []
-    for k in range(0, M, UTTERANCE_BINS):
-        uid = f"u{k // UTTERANCE_BINS + 1:04d}"
-        networks.append(ConfusionNetwork(uid, tuple(bins[k : k + UTTERANCE_BINS])))
-    conv = Conversation(f"synth{index:03d}", tuple(networks))
+    conv = _conversation(f"synth{index:03d}", observed, spoken, cohorts)
     truth = SynthTruth(lam, tm, cm, vocab, tuple(int(w) for w in spoken))
     return conv, truth
 

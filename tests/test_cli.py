@@ -172,6 +172,38 @@ class TestSynthCmd:
         code, _, _ = run(["synth", str(bad), str(tmp_path / "o")], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "over, extra",
+        [
+            ({"conversations": 0}, []),
+            ({"conversations": -1}, []),
+            ({"bins": "x"}, []),
+            ({"topics": 2.7}, []),
+            ({"lambda_true": [float("nan"), 0.5, 0.5]}, []),
+            ({"topic_sharpness": float("nan")}, []),
+            ({"seed": -1}, []),
+            ({}, ["--seed", "-1"]),
+        ],
+        ids=["conversations-0", "conversations-neg", "bins-str", "topics-float",
+             "lambda-nan", "sharpness-nan", "seed-neg", "seed-override-neg"],
+    )
+    def test_bad_spec_one_line_no_output(self, tmp_path, capsys, over, extra):
+        spec = synth_spec(tmp_path / "spec.json", **{"bins": 50, **over})
+        out = tmp_path / "o"
+        code, _, err = run(["synth", str(spec), str(out)] + extra, capsys)
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["5", "null"])
+    def test_spec_not_an_object(self, tmp_path, capsys, text):
+        (tmp_path / "spec.json").write_text(text)
+        out = tmp_path / "o"
+        code, _, err = run(["synth", str(tmp_path / "spec.json"), str(out)], capsys)
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def synth_run(tmp_path_factory):
@@ -553,6 +585,61 @@ class TestAdaptInputText:
         assert err == f"error: line {line}: not valid UTF-8: invalid start byte (byte 0xff)\n"
         assert stdout == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.file"]
+
+
+class TestAdaptOptions:
+    @pytest.mark.parametrize("option", ["--map-strength", "--tol"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_exit_2_before_loading(self, small_run, tmp_path, capsys,
+                                             monkeypatch, option, value):
+        loads = count_calls(monkeypatch, topics, "load_topic_model")
+        out = tmp_path / "c.lambda"
+        code, _, err = run(
+            ["adapt", str(small_run / "synth000.cnet"), str(small_run / "topics.model"),
+             str(out), "--variant", "conf-tf", "--channel", str(small_run / "channel.model"),
+             f"{option}={value}"],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert loads == []
+        assert os.listdir(tmp_path) == []
+
+
+class TestAdaptOutputsTogether:
+    """A conversation's .lambda, .diag.json and .unigram appear together or
+    not at all."""
+
+    def argv(self, data, cnet, out, unigram):
+        return ["adapt", str(cnet), str(data / "topics.model"), str(out),
+                "--variant", "conf-tf", "--channel", str(data / "channel.model"),
+                "--out-unigram"] + ([str(unigram)] if unigram else [])
+
+    def test_file_mode_unwritable_unigram(self, small_run, tmp_path, capsys):
+        unigram = tmp_path / "nodir" / "x.unigram"
+        code, _, err = run(
+            self.argv(small_run, small_run / "synth000.cnet", tmp_path / "out.lambda", unigram),
+            capsys,
+        )
+        assert code == 2
+        assert err.count("\n") == 1 and str(unigram) in err, err
+        assert os.listdir(tmp_path) == []
+
+    def test_directory_mode_unwritable_unigram(self, small_run, tmp_path, capsys):
+        d = tmp_path / "cnets"
+        d.mkdir()
+        for name, src in (("a", "synth000"), ("b", "synth001")):
+            (d / f"{name}.cnet").write_text((small_run / f"{src}.cnet").read_text())
+        out = tmp_path / "fit"
+        (out / "b.unigram").mkdir(parents=True)
+        code, _, err = run(self.argv(small_run, d, out, None), capsys)
+        assert code == 2
+        assert "b.cnet" in err and err.count("\n") == 1, err
+        assert sorted(os.listdir(out)) == [
+            "a.lambda", "a.lambda.diag.json", "a.unigram", "b.unigram", "manifest.json"
+        ]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [e["exit_code"] for e in manifest["conversations"] if "error" in e] == [2]
 
 
 class TestPpl:

@@ -38,7 +38,9 @@ def _write_manifest(path, subcommand, info, wall_time):
         "wall_time_s": round(wall_time, 6),
         **info,
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _written_together([path]) as (tmp,), open(
+        tmp, "w", encoding="utf-8", newline="\n"
+    ) as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -119,7 +121,8 @@ def cmd_topics_train(args):
         corpus.append((label, tokens))
     vocab = Vocabulary()
     tm = topics.train_topic_model(corpus, vocab)
-    topics.save_topic_model(tm, args.out_model)
+    with _written_together([args.out_model]) as (tmp,):
+        topics.save_topic_model(tm, tmp)
     print(f"trained {tm.num_topics} topics over {len(vocab)} words -> {args.out_model}")
     return args.out_model + ".manifest.json", {
         "inputs": {"corpus_dir": root},
@@ -135,7 +138,8 @@ def cmd_channel(args):
     vocab = Vocabulary()
     convs = [load_conversation(p, vocab) for p in paths]
     cm = estimate_channel(convs, args.rel_floor, args.max_words)
-    save_channel(cm, vocab, args.out_channel)
+    with _written_together([args.out_channel]) as (tmp,):
+        save_channel(cm, vocab, tmp)
     rows = np.count_nonzero(np.diff(cm.ptr))
     print(f"estimated channel rows for {rows} words -> {args.out_channel}")
     return args.out_channel + ".manifest.json", {
@@ -173,7 +177,9 @@ def _adapt_one(tm, cm, cfg, cnet_path, out_lambda, out_unigram):
     """Fit one conversation and write its outputs; returns its manifest entry."""
     start = time.perf_counter()
     conv = load_conversation(cnet_path, tm.vocab, closed=True)
+    parsed = time.perf_counter()
     result = adapt.fit(conv, tm, cfg, cm)
+    fitted = time.perf_counter()
     widths = np.diff(conv.bin_ptr)
     diag = {
         "bins": int(widths.size),
@@ -197,12 +203,17 @@ def _adapt_one(tm, cm, cfg, cnet_path, out_lambda, out_unigram):
         if out_unigram:
             unigram = adapt.adapted_unigram(tm, result.weights)
             write_unigram_file(temps[2], tm.vocab, unigram)
+    # whole microseconds since start, so the phases add up to the total
+    marks = [round((t - start) * 1e6) for t in (parsed, fitted, time.perf_counter())]
     return {
         "cnet": cnet_path,
         "cid": conv.cid,
         "iterations": result.iterations,
         "converged": result.converged,
-        "seconds": round(time.perf_counter() - start, 6),
+        "parse_s": marks[0] / 1e6,
+        "fit_s": (marks[1] - marks[0]) / 1e6,
+        "write_s": (marks[2] - marks[1]) / 1e6,
+        "seconds": marks[2] / 1e6,
     }
 
 
@@ -447,18 +458,15 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         manifest_path, info = args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        exit_code = info.pop("exit_code", 0)
+        if manifest_path:
+            _write_manifest(manifest_path, args.subcommand, info, time.perf_counter() - start)
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ComputeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    exit_code = info.pop("exit_code", 0)
-    if manifest_path:
-        _write_manifest(manifest_path, args.subcommand, info, time.perf_counter() - start)
     return exit_code
 
 

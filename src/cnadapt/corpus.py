@@ -9,6 +9,14 @@ in canonical order (descending posterior, ascending word id on ties) so the
 A ``Conversation`` holds its cells as flat arrays in that order, and the
 parser fills them a chunk of bin lines at a time.  ``Bin`` and
 ``ConfusionNetwork`` are the object form that builders of conversations use.
+
+A chunk is read in bulk, with numpy over its UTF-8 bytes, unless it holds
+whitespace outside ASCII or a word with ':' in it, or breaks a rule of the
+format; such a chunk is read again line by line, which handles every case
+and names the first bad line.  The bulk reader reads a posterior as the
+integer n of its digits, the fraction padded with zeros to 9 digits, over
+10**9: n <= 10**9 < 2**53 and 10**9 are exact doubles, so the quotient is
+bitwise what ``float()`` returns.
 """
 
 from __future__ import annotations
@@ -30,12 +38,16 @@ UNK_WORD = "<unk>"
 CHUNK_BINS = 2048
 
 _POSTERIOR = re.compile(r"[0-9]+(?:\.([0-9]+))?")
-# a BIN line the bulk path reads: "BIN" at the start of the line, a word
-# without ':' in every cell, and every posterior within MAX_FRACTION_DIGITS.
-# Matched one line at a time: over a whole chunk the engine keeps a
-# backtracking state per line, about 11 MB for 2048 lines under CPython 3.11.
-_CELL = rf"[^\s:]+:[0-9]+(?:\.[0-9]{{1,{MAX_FRACTION_DIGITS}}})?"
-_BULK_LINE = re.compile(rf"BIN(?:[ \t]+{_CELL})+[ \t\r]*")
+# The bulk reader's tables.  A chunk with whitespace outside ASCII in it
+# goes line by line.
+_WIDE_SPACE = re.compile(r"[^\S\x00-\x7f]")
+_BIN = np.frombuffer(b"BIN", dtype=np.uint8)
+# _HIGH[s]: a little-endian uint64 with 0xFF, which no UTF-8 text holds, in
+# every byte from the s-th on
+_HIGH = np.array([(2**64 - 1) >> (8 * s) << (8 * s) for s in range(8)] + [0], dtype="<u8")
+# _FRACTION[k + 1, j]: whether digit j after a '.' is in a fraction of k
+# digits (k = -1: the posterior has no '.')
+_FRACTION = np.arange(MAX_FRACTION_DIGITS) < np.arange(-1, MAX_FRACTION_DIGITS + 1)[:, None]
 
 
 class Vocabulary:
@@ -336,30 +348,151 @@ def _bins_by_line(lines, nos, intern, unk):
     )
 
 
+def _ascii_space(buf) -> np.ndarray:
+    """Which bytes are ASCII whitespace as str.split() sees it: 9-13, 28-31, 32."""
+    return (buf == 32) | (buf - 9 <= 13 - 9) | (buf - 28 <= 31 - 28)
+
+
+def _ragged(lo, hi) -> np.ndarray:
+    """The positions of every span [lo[i], hi[i]), one after another."""
+    size = hi - lo
+    return np.arange(size.sum()) + np.repeat(lo - np.cumsum(size) + size, size)
+
+
+def _distinct_words(padded, start, size):
+    """Number the distinct words of a chunk: (word, first), where cell i
+    holds word ``word[i]`` and word d first occurs in cell ``first[d]``.
+
+    A word is compared as its bytes padded with 0xFF to a multiple of 8
+    bytes, viewed as uint64 blocks.  Words of one padded width are sorted
+    together, since words of different widths differ, so a long word widens
+    no other.
+    """
+    blocks = (size + 7) // 8
+    word = np.empty(size.size, dtype=np.int64)
+    firsts = []
+    for b in np.flatnonzero(np.bincount(blocks)).tolist():
+        cells = np.flatnonzero(blocks == b)
+        rows = np.lib.stride_tricks.sliding_window_view(padded, 8 * b)[start[cells]]
+        keys = rows.view("<u8") | _HIGH[np.clip(size[cells, None] - 8 * np.arange(b), 0, 8)]
+        keys = keys.ravel() if b == 1 else keys.view(f"S{8 * b}").ravel()
+        order = keys.argsort()
+        keys = keys[order]
+        new = np.empty(keys.size, dtype=bool)
+        new[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=new[1:])
+        word[cells[order]] = np.cumsum(new) - 1 + sum(map(len, firsts))
+        firsts.append(cells[np.minimum.reduceat(order, np.flatnonzero(new))])
+    return word, np.concatenate(firsts)
+
+
+def _posteriors(buf, padded, colon, end):
+    """The values of the posteriors [colon + 1, end) of a chunk's cells, or
+    None when one is not digits, then optionally '.' and 1 to
+    MAX_FRACTION_DIGITS digits, or is above 1.
+
+    With its fraction padded with zeros to MAX_FRACTION_DIGITS digits, a
+    posterior is n / 10**MAX_FRACTION_DIGITS for an integer n <= 10**9 <
+    2**53.  Both are exact doubles, so their IEEE quotient is the double
+    nearest the decimal: bitwise what float() returns.
+    """
+    # the '.', at end when there is none, is nearly always right after one
+    # digit; when a posterior of two bytes or more has none there, look for it
+    dot = np.where(padded[colon + 2] == ord("."), colon + 2, end)
+    if ((dot == end) & (end - colon > 2)).any():
+        dots = np.flatnonzero(buf == ord("."))
+        owner = np.searchsorted(colon, dots) - 1
+        inside = (owner >= 0) & (dots < end[owner])
+        dots, owner = dots[inside], owner[inside]
+        if (np.diff(owner) == 0).any():
+            return None
+        dot = end.copy()
+        dot[owner] = dots
+    frac = end - dot - 1  # -1 without a '.'
+    if (frac == 0).any() or (frac > MAX_FRACTION_DIGITS).any():
+        return None
+    # a whole part of several digits is zeros and then its last digit, or above 1
+    long = np.flatnonzero(dot - colon > 2)
+    if long.size and (buf[_ragged(colon[long] + 1, dot[long] - 1)] != ord("0")).any():
+        return None
+    digits = np.lib.stride_tricks.sliding_window_view(padded, MAX_FRACTION_DIGITS)[dot + 1]
+    digits -= ord("0")
+    digits *= _FRACTION[frac + 1]
+    if (digits > 9).any():
+        return None
+    # a last whole digit that is no digit (the ':' when there is none) reads
+    # as 10 or more, so the posterior reads as above 1
+    num = (buf[dot - 1] - ord("0")).astype(np.int64)
+    for column in digits.T:
+        num *= 10
+        num += column
+    if (num > 10**MAX_FRACTION_DIGITS).any():
+        return None
+    return num / float(10**MAX_FRACTION_DIGITS)
+
+
 def _bins_in_bulk(lines, vocab: Vocabulary, closed: bool, unk):
     """What ``_bins_by_line`` returns for BIN lines, parsed together, or
-    None when some line breaks a rule or does not fit ``_BULK_LINE``.
+    None when some line breaks a rule or the chunk is one this reader leaves
+    to ``_bins_by_line``: one with whitespace outside ASCII in it, or with a
+    ':' in a word.
 
-    Every cell holds exactly one ':' (the pattern proves it), so splitting
-    the text at ':' and whitespace alternates words and posteriors.
+    It reads the chunk's UTF-8 bytes with numpy.  Tokens are the runs
+    between ASCII whitespace bytes, as str.split() cuts them when there is
+    no other whitespace.  The first token of a line must be "BIN", and every
+    other one must hold exactly one ':', with a word before it and a
+    posterior after (see ``_posteriors``).  No byte of a multi-byte UTF-8
+    character is ASCII, so words outside ASCII need no special case.
+
+    Each distinct word is looked up in ``vocab`` once; in open mode the
+    words it lacks are interned in the order they first occur.  The cells
+    are sorted only when some bin is not in canonical order.
     """
-    if not all(map(_BULK_LINE.fullmatch, lines)):
-        return None
     text = "\n".join(lines)
-    # "\nBIN" starts every line but the first and occurs nowhere else
-    fields = text[3:].replace("\nBIN", "\n").replace(":", " ").split()
-    words = fields[0::2]
-    posts = np.array(fields[1::2], dtype=np.float64)
-    if (posts > 1.0).any():
+    if not text.isascii() and _WIDE_SPACE.search(text):
         return None
-    ids = np.fromiter(map(vocab.get, words, repeat(-1)), np.int64, len(words))
-    width = np.fromiter(map(str.count, lines, repeat(":")), np.int64, len(lines))
+    raw = text.encode("utf-8", "surrogatepass")
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    solid = np.zeros(buf.size + 2, dtype=bool)
+    np.logical_not(_ascii_space(buf), out=solid[1:-1])
+    edges = np.flatnonzero(solid[1:] != solid[:-1])
+    starts, ends = edges[0::2], edges[1::2]
+    # no line is blank, so the first token of each starts at or after its start
+    heads = np.searchsorted(starts, np.flatnonzero(buf == ord("\n")) + 1)
+    heads = np.concatenate(([0], heads))
+    width = np.diff(heads, append=starts.size) - 1
+    tag = starts[heads]
+    if not ((width > 0).all() and (ends[heads] - tag == 3).all()):
+        return None
+    if (np.lib.stride_tricks.sliding_window_view(buf, 3)[tag] != _BIN).any():
+        return None
+    cell = np.ones(starts.size, dtype=bool)
+    cell[heads] = False
+    cs, ce = starts[cell], ends[cell]
+    colon = np.flatnonzero(buf == ord(":"))
+    # as many ':' as cells, the i-th inside cell i with bytes on either side
+    if colon.size != cs.size or not ((cs < colon) & (colon + 1 < ce)).all():
+        return None
+    # every row read past the chunk's end ends within 10 bytes of it
+    padded = np.concatenate((buf, np.zeros(10, dtype=np.uint8)))
+    posts = _posteriors(buf, padded, colon, ce)
+    if posts is None:
+        return None
+
+    word, first = _distinct_words(padded, cs, colon - cs)
+    names = [
+        raw[a:b].decode("utf-8", "surrogatepass")
+        for a, b in zip(cs[first].tolist(), colon[first].tolist())
+    ]
+    known = np.fromiter(map(vocab.get, names, repeat(-1)), np.int64, len(names))
+    if not closed:
+        new = np.flatnonzero(known < 0)
+        for d in new[np.argsort(first[new])].tolist():
+            known[d] = vocab.add(names[d])
+    ids = known[word]
     bin_of = np.repeat(np.arange(len(lines)), width)
     outside = np.flatnonzero(ids < 0)
-    if not closed:
-        for i in outside.tolist():
-            ids[i] = vocab.add(words[i])
-    elif outside.size:
+    if outside.size:
         keep = np.ones(ids.size, dtype=bool)
         if unk is None:
             keep[outside] = False
@@ -371,16 +504,21 @@ def _bins_in_bulk(lines, vocab: Vocabulary, closed: bool, unk):
             hit[bin_of[outside]] = True
             at = np.flatnonzero((ids == unk) & hit[bin_of])
             b = bin_of[at]
-            first = np.concatenate([[True], b[1:] != b[:-1]])
+            head = np.concatenate([[True], b[1:] != b[:-1]])
             total = np.bincount(b, weights=posts[at])
-            posts[at[first]] = np.minimum(total[b[first]], 1.0)
-            keep[at[~first]] = False
+            posts[at[head]] = np.minimum(total[b[head]], 1.0)
+            keep[at[~head]] = False
         ids, posts, bin_of = ids[keep], posts[keep], bin_of[keep]
         width = np.bincount(bin_of, minlength=len(lines))
     if not (posts > 0.0).all():
         return None
-    order = np.lexsort((ids, -posts, bin_of))
-    ids, posts = ids[order], posts[order]
+    later = posts[1:]
+    unsorted = (bin_of[1:] == bin_of[:-1]) & (
+        (posts[:-1] < later) | ((posts[:-1] == later) & (ids[:-1] > ids[1:]))
+    )
+    if unsorted.any():
+        order = np.lexsort((ids, -posts, bin_of))
+        ids, posts = ids[order], posts[order]
     key = np.sort(bin_of * len(vocab) + ids)
     if (key[1:] == key[:-1]).any():
         return None  # a word twice in a bin
@@ -388,7 +526,7 @@ def _bins_in_bulk(lines, vocab: Vocabulary, closed: bool, unk):
     total = np.bincount(bin_of, weights=posts, minlength=len(lines))
     if (total > 1.0 + POSTERIOR_SUM_SLACK).any():
         return None
-    return width, ids, posts, outside.size if closed else 0
+    return width, ids, posts, outside.size
 
 
 def parse_conversation(source, vocab: Vocabulary, closed: bool = False) -> Conversation:

@@ -465,7 +465,8 @@ class TestAdaptDirectory:
         assert [e["cnet"] for e in entries] == [str(d / f"{n}.cnet") for n in "abc"]
         assert [e["cid"] for e in entries] == ["synth000", "synth001", "synth000"]
         for name, e in zip("abc", entries):
-            assert set(e) == {"cnet", "cid", "iterations", "converged", "seconds"}
+            assert set(e) == {"cnet", "cid", "iterations", "converged", "parse_s", "fit_s",
+                              "write_s", "seconds"}
             assert e["seconds"] >= 0
             diag = json.loads((out / f"{name}.lambda.diag.json").read_text())
             assert (e["iterations"], e["converged"]) == (diag["iterations"], diag["converged"])
@@ -640,6 +641,80 @@ class TestAdaptOutputsTogether:
         ]
         manifest = json.loads((out / "manifest.json").read_text())
         assert [e["exit_code"] for e in manifest["conversations"] if "error" in e] == [2]
+
+
+class TestSingleOutputsWhole:
+    """A manifest, a topic model or a channel that cannot be written ends
+    in exit 2 and one ``error:`` line, and leaves no partial file."""
+
+    def argv(self, kind, data, tmp_path):
+        if kind == "adapt":
+            return ["adapt", str(data / "synth000.cnet"), str(data / "topics.model"),
+                    str(tmp_path / "out.lambda")], tmp_path / "out.lambda"
+        if kind == "topics-train":
+            corpus = write_corpus(tmp_path / "corpus")
+            return ["topics-train", str(corpus), str(tmp_path / "t.model")], tmp_path / "t.model"
+        cnets = write_cnets(tmp_path / "cnets")
+        return ["channel", str(cnets / "*.cnet"), str(tmp_path / "c.model")], tmp_path / "c.model"
+
+    @pytest.mark.parametrize("kind", ["adapt", "topics-train", "channel"])
+    def test_manifest_is_a_directory(self, small_run, tmp_path, capsys, kind):
+        argv, out = self.argv(kind, small_run, tmp_path)
+        manifest = tmp_path / (out.name + ".manifest.json")
+        manifest.mkdir()
+        code, _, err = run(argv, capsys)
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert str(manifest) in err
+        assert not [p for p in os.listdir(tmp_path) if ".tmp" in p]
+
+    @pytest.mark.parametrize("kind,owner,name", [
+        ("topics-train", topics, "save_topic_model"), ("channel", cli, "save_channel"),
+    ], ids=["topics-train", "channel"])
+    def test_failed_write_leaves_nothing(self, tmp_path, capsys, monkeypatch, kind, owner, name):
+        def write_part(*args):  # part of the file, then a full disk
+            path = args[-1]
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("TOPICS 2")
+            raise OSError(28, "No space left on device", path)
+
+        monkeypatch.setattr(owner, name, write_part)
+        argv, out = self.argv(kind, None, tmp_path)
+        code, _, err = run(argv, capsys)
+        assert code == 2
+        assert err == f"error: [Errno 28] No space left on device: {str(out)!r}\n"
+        assert sorted(os.listdir(tmp_path)) == ["cnets" if kind == "channel" else "corpus"]
+
+
+class TestAdaptPhaseSeconds:
+    """Each manifest entry splits its seconds into parse, fit and writes;
+    the diag never holds a timing."""
+
+    @pytest.mark.parametrize("directory", [False, True], ids=["file", "directory"])
+    def test_phases(self, small_run, tmp_path, capsys, directory):
+        if directory:
+            d = tmp_path / "cnets"
+            d.mkdir()
+            for name in ("synth000", "synth001"):
+                (d / f"{name}.cnet").write_text((small_run / f"{name}.cnet").read_text())
+            cnet, out, manifest = d, tmp_path / "fits", tmp_path / "fits" / "manifest.json"
+        else:
+            cnet, out = small_run / "synth000.cnet", tmp_path / "x.lambda"
+            manifest = tmp_path / "x.lambda.manifest.json"
+        code, _, _ = run(["adapt", str(cnet), str(small_run / "topics.model"), str(out),
+                          "--variant", "conf-tf", "--channel", str(small_run / "channel.model"),
+                          "--out-unigram"] + ([] if directory else [str(tmp_path / "x.unigram")]),
+                         capsys)
+        assert code == 0
+        entries = json.loads(manifest.read_text())["conversations"]
+        assert len(entries) == (2 if directory else 1)
+        for entry in entries:
+            phases = [entry[k] for k in ("parse_s", "fit_s", "write_s")]
+            assert all(p >= 0 for p in phases)
+            # each is whole microseconds; 1e-9 allows for float addition
+            assert sum(phases) <= entry["seconds"] + 1e-9
+        for diag in (out.parent if not directory else out).glob("*.diag.json"):
+            assert not any(k.endswith("_s") for k in json.loads(diag.read_text()))
 
 
 class TestPpl:

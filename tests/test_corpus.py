@@ -1,3 +1,5 @@
+import hashlib
+import re
 from unittest import mock
 
 import numpy as np
@@ -20,6 +22,7 @@ from cnadapt.corpus import (
     serialize_conversation,
 )
 from cnadapt.errors import ParseError, ValidationError
+from cnadapt.synth import SynthSpec, sample_conversation
 
 
 def make_bin(vocab, cells):
@@ -513,17 +516,28 @@ def outcome(parse, *args):
 
 # "a:b", "x:" and "q:q:1" hold ':' and are read by the last one; "zz" and
 # the ones after it are outside the closed vocabulary.  Words without ':'
-# come twice, so that more lines fit the bulk path.
-CNET_WORDS = ["a", "b", "c", "<unk>", "zz", "BIN", "NET"] * 2 + ["a:b", "x:", "q:q:1"]
-CLOSED_WORDS = ["a", "b", "c", "a:b"]
-# ties, leading and trailing zeros, nine fraction digits; "0.7" with
-# "0.3001" sums just past the slack
+# come twice, so that more lines fit the bulk path.  "a.b", "1.5" and "w12"
+# hold what posteriors hold; "café" and "日本" are not ASCII; the words
+# longer than 8 bytes share their first 8.
+CNET_WORDS = [
+    "a", "b", "c", "<unk>", "café", "understand", "zz", "BIN", "NET", "a.b", "1.5", "w12",
+    "日本", "understan", "understanding", "understandingly", "understandingness",
+] * 2 + ["a:b", "x:", "q:q:1"]
+CLOSED_WORDS = ["a", "b", "c", "café", "understand", "a:b"]
+# ties, leading and trailing zeros, whole parts of many digits, nine
+# fraction digits; "0.7" with "0.3001" sums just past the slack
 CNET_POSTERIORS = [
     "0.25", "0.250", "00.1", "0.1", "0.05", "0.123456789", "0.3", "0.3000001", "0.3001",
-    "0.7",
+    "0.7", "0000000000000.5", "00000000000000.05",
 ]
-# each makes most bins it lands in bad, so about one cell in fourteen draws one
-RARE_POSTERIORS = ["0", "1", "1.5"]
+# each makes most bins it lands in bad, so about one cell in sixteen draws one
+RARE_POSTERIORS = [
+    "0", "1", "1.5", "1.", ".5", "0.1234567890", "1e-3", "+0.5", "0_5", "000000000001",
+    "000000000002.5",
+]
+# whitespace str.split() cuts at besides ' ' and '\t': ASCII (read in bulk)
+# and not (a chunk holding it goes line by line)
+ODD_SPACES = ["\x0b", "\x0c", "\x1c", "\r", "\xa0", "\u3000"]
 
 
 @st.composite
@@ -531,7 +545,9 @@ def cnet_texts(draw):
     def blanks():
         return draw(st.lists(st.sampled_from(["", " ", "\t "]), max_size=2))
 
-    sep = st.sampled_from([" ", " ", " ", "\t", "  "])
+    # one or two blanks, so that odd whitespace also sits beside a word
+    sep = st.lists(st.sampled_from([" "] * 60 + ["\t"] * 20 + ODD_SPACES),
+                   min_size=1, max_size=2).map("".join)
     out = blanks() + ["CONV c"]
     for n in range(draw(st.integers(1, 3))):
         nbins = draw(st.integers(1, 5))
@@ -542,13 +558,40 @@ def cnet_texts(draw):
             words = draw(st.lists(
                 st.sampled_from(CNET_WORDS), min_size=k, max_size=k, unique=not repeats
             ))
-            posts = draw(st.lists(st.sampled_from(CNET_POSTERIORS * 4 + RARE_POSTERIORS),
+            posts = draw(st.lists(st.sampled_from(CNET_POSTERIORS * 14 + RARE_POSTERIORS),
                                   min_size=k, max_size=k))
-            line = "BIN" + "".join(draw(sep) + f"{w}:{p}" for w, p in zip(words, posts))
-            lead = draw(st.sampled_from(["", "", "", "", "", " "]))
-            trail = draw(st.sampled_from(["", "", "", " ", "\r"]))
+            head = draw(st.sampled_from(["BIN"] * 30 + ["BINX"]))
+            line = head + "".join(draw(sep) + f"{w}:{p}" for w, p in zip(words, posts))
+            lead = draw(st.sampled_from(["", "", "", "", "", " ", "\x0b"]))
+            trail = draw(st.sampled_from(["", "", "", " ", "\r", "\x1c", " \xa0"]))
             out += blanks() + [lead + line + trail]
     return "\n".join(out + blanks()) + "\n"
+
+
+# Every chunk whose lines all fit this is read in bulk, with no line-by-line
+# pass: "BIN" at the start of the line, a word without ':' in every cell, and
+# every posterior within 9 fraction digits.
+BULK_LINE = re.compile(r"BIN(?:[ \t]+[^\s:]+:[0-9]+(?:\.[0-9]{1,9})?)+[ \t\r]*")
+
+
+def assert_matches_reference(conv, vocab, want, ref_vocab):
+    """``conv`` and ``vocab`` after a parse are what ``reference_parse`` gave."""
+    cid, networks, oov_cells = want
+    bins = [cells for _, net in networks for cells in net]
+    assert (conv.cid, conv.uids, conv.oov_cells) == (
+        cid, tuple(uid for uid, _ in networks), oov_cells
+    )
+    assert vocab.words == ref_vocab.words
+    assert np.array_equal(np.diff(conv.utt_ptr), [len(net) for _, net in networks])
+    assert np.array_equal(np.diff(conv.bin_ptr), [len(cells) for cells in bins])
+    assert conv.words.dtype == np.int64 and conv.posts.dtype == np.float64
+    assert np.array_equal(conv.words, [w for cells in bins for w, _ in cells])
+    assert np.array_equal(conv.posts, [p for cells in bins for _, p in cells])
+    tf = {}
+    for cells in bins:
+        for wid, post in cells:
+            tf[wid] = tf.get(wid, 0.0) + post
+    assert expected_counts(conv) == tf
 
 
 class TestParseMatchesReference:
@@ -561,6 +604,20 @@ class TestParseMatchesReference:
     )
     # cells meeting at <unk> merge, and their sum is capped at 1
     @example("CONV c\nNET u 2\nBIN a:0.5 zz:0.1 NET:0.2\nBIN zz:0.7 <unk>:0.7\n", "closed-unk", 1)
+    # posteriors with no '.' and with long whole parts, and words outside
+    # ASCII, all in bulk
+    @example("CONV c\nNET u 3\nBIN a:1\nBIN b:000000000001\n"
+             "BIN café:0.5 日本:0.25 a.b:00000000000.125\n", "open", corpus.CHUNK_BINS)
+    # whitespace beside a word: outside ASCII (the first bin goes line by
+    # line) and ASCII (the second goes in bulk)
+    @example("CONV c\nNET u 2\nBIN \xa0a:0.5 \u3000b:0.25\nBIN \x1ca:0.5\x0bb:0.25\x0c\n", "open", 1)
+    # words of 9 bytes and more that share their first 8
+    @example("CONV c\nNET u 2\nBIN understand:0.5\n"
+             "BIN understanding:0.5 understan:0.25 understandingness:0.125\n", "open", 1)
+    # a word ending in a NUL byte is another word
+    @example("CONV c\nNET u 2\nBIN a:0.5\nBIN a\x00:0.25\n", "open", corpus.CHUNK_BINS)
+    # a byte that is no digit in the last fraction place
+    @example("CONV c\nNET u 1\nBIN a:0.00000001e\n", "open", 1)
     @settings(max_examples=300, deadline=None)
     def test_arrays_and_errors(self, text, mode, chunk):
         closed = mode != "open"
@@ -582,23 +639,29 @@ class TestParseMatchesReference:
         if error:
             return
         # with no error in the file, only chunks the bulk pattern rejects go line by line
-        assert not any(all(map(corpus._BULK_LINE.fullmatch, lines)) for lines in by_line)
-        cid, networks, oov_cells = want
-        bins = [cells for _, net in networks for cells in net]
-        assert (conv.cid, conv.uids, conv.oov_cells) == (
-            cid, tuple(uid for uid, _ in networks), oov_cells
-        )
-        assert vocab.words == ref_vocab.words
-        assert np.array_equal(np.diff(conv.utt_ptr), [len(net) for _, net in networks])
-        assert np.array_equal(np.diff(conv.bin_ptr), [len(cells) for cells in bins])
-        assert conv.words.dtype == np.int64 and conv.posts.dtype == np.float64
-        assert np.array_equal(conv.words, [w for cells in bins for w, _ in cells])
-        assert np.array_equal(conv.posts, [p for cells in bins for _, p in cells])
-        tf = {}
-        for cells in bins:
-            for wid, post in cells:
-                tf[wid] = tf.get(wid, 0.0) + post
-        assert expected_counts(conv) == tf
+        assert not any(all(map(BULK_LINE.fullmatch, lines)) for lines in by_line)
+        assert_matches_reference(conv, vocab, want, ref_vocab)
+
+    def test_long_closed_file_in_bulk(self):
+        """A closed-vocabulary file of more than two chunks, with words outside
+        ASCII and outside words merging at <unk>, needs no line-by-line pass."""
+        rng = np.random.default_rng(12)
+        words = ["a", "b", "café", "<unk>", "日本", "zz", "w.1"]
+        posteriors = ["0.25", "0.1", "0.05", "0.123456789", "0000000000.2", "0.2"]
+        nbins = 2 * corpus.CHUNK_BINS + 100
+        lines = ["CONV c", f"NET u {nbins}"]
+        for _ in range(nbins):
+            k = int(rng.integers(1, 5))
+            cells = zip(rng.choice(words, size=k, replace=False), rng.choice(posteriors, size=k))
+            lines.append("BIN " + " ".join(f"{w}:{p}" for w, p in cells))
+        text = "\n".join(lines) + "\n"
+        base = ["a", "b", "café", "<unk>"]
+        ref_vocab, vocab = Vocabulary(base), Vocabulary(base)
+        want = reference_parse(text, ref_vocab, True)
+        with mock.patch.object(corpus, "_bins_by_line", side_effect=AssertionError):
+            conv = parse_conversation(text, vocab, closed=True)
+        assert conv.oov_cells > 1000
+        assert_matches_reference(conv, vocab, want, ref_vocab)
 
     def test_bulk_path_reads_canonical_files(self):
         """A file as save_conversation writes it never needs the line-by-line
@@ -618,3 +681,39 @@ class TestParseMatchesReference:
         with mock.patch.object(corpus, "_bins_by_line", side_effect=AssertionError):
             conv = parse_conversation(text, vocab, closed=True)
         assert serialize_conversation(conv, vocab) == text
+
+
+class TestPinnedParse:
+    """sha256 of the arrays parsed from one 5000-bin conversation of the A3
+    spec, recorded under numpy 2.4.6 with the earlier, regex-based chunk
+    reader.
+    Open mode interns the words in the order they first occur, so its ids
+    are not the order the cells were written in; the closed vocabulary
+    lacks ten words, whose cells merge at <unk>."""
+
+    DIGESTS = {
+        "closed-unk": "3ffd134379a9bc2c9f7a01bbf6cb1957eab1c0f36fed6d36406dbcb1287a1174",
+        "open": "73a30f8cf8ff40e034e5ed277357f2eb09c99c4254ab2564656db6c5964d933c",
+    }
+
+    @staticmethod
+    def digest(conv, vocab):
+        h = hashlib.sha256()
+        for a in (conv.words, conv.posts, conv.bin_ptr, conv.utt_ptr):
+            h.update(a.astype(a.dtype.newbyteorder("<")).tobytes())
+        h.update(f"{conv.oov_cells}\n".encode())
+        h.update("\n".join(vocab.words).encode())
+        return h.hexdigest()
+
+    @pytest.mark.parametrize("mode", sorted(DIGESTS))
+    def test_digests(self, mode):
+        spec = SynthSpec(topics=3, vocab_size=50, lambda_true=None, topic_sharpness=0.1,
+                         channel_noise=0.4, bins=5000, bin_width=10, seed=11)
+        conv, truth = sample_conversation(spec, 0)
+        text = serialize_conversation(conv, truth.vocab)
+        if mode == "open":
+            vocab = Vocabulary()
+        else:
+            vocab = Vocabulary(truth.vocab.words[:40] + ("<unk>",))
+        parsed = parse_conversation(text, vocab, closed=mode != "open")
+        assert self.digest(parsed, vocab) == self.DIGESTS[mode]

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelModel
-from .corpus import Conversation
+from .corpus import Conversation, _ragged
 from .errors import EstimationError, ValidationError
 from .topics import MixtureWeights, TopicModel, mu_to_lambda
 
@@ -109,7 +109,7 @@ def _channel_lookup(cm: ChannelModel, words: np.ndarray):
     rowless = size == 0
     size[rowless] = 1
     spoken = np.repeat(ws, size)
-    at = np.arange(spoken.size) + np.repeat(start - np.cumsum(size) + size, size)
+    at = _ragged(start, start + size)
     stored = ~np.repeat(rowless, size)
     vs = spoken.copy()
     vs[stored] = cm.obs[at[stored]]
@@ -466,10 +466,6 @@ def fit(
     return _run_em(np.full(T, 1.0 / T), stats, update, m, cfg.max_iters, cfg.rel_tol)
 
 
-def adapted_unigram(tm: TopicModel, weights) -> np.ndarray:
+def adapted_unigram(tm: TopicModel, weights: MixtureWeights) -> np.ndarray:
     """Dense adapted unigram distribution over the vocabulary."""
-    if isinstance(weights, MixtureWeights):
-        lam = weights.lam
-    else:
-        lam = np.asarray(weights, dtype=np.float64)
-    return lam @ tm.probs
+    return weights.lam @ tm.probs

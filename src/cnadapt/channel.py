@@ -16,11 +16,9 @@ from itertools import repeat
 
 import numpy as np
 
-from .corpus import Conversation, Vocabulary, pruned_widths
+from .corpus import Conversation, Vocabulary, _offsets, pruned_widths
 from .errors import ParseError, ValidationError
 from .modelfile import read_lines, split_fields
-
-ROW_SUM_TOL = 1e-9
 
 
 class ChannelModel:
@@ -31,29 +29,11 @@ class ChannelModel:
     entries, or past the end of ``ptr``, has no row and emits itself.
     """
 
-    def __init__(self, rows):
-        """Build from nested dicts, ``rows[w][v] = p``, checking each row."""
-        for w, row in rows.items():
-            if not row:
-                raise ValidationError(f"empty channel row for word id {w}")
-            total = sum(row.values())
-            if abs(total - 1.0) > ROW_SUM_TOL:
-                raise ValidationError(f"channel row {w} sums to {total!r}")
-            if any(p <= 0.0 for p in row.values()):
-                raise ValidationError(f"non-positive probability in channel row {w}")
-        entries = [(w, v, p) for w in sorted(rows) for v, p in sorted(rows[w].items())]
-        spoken = np.array([w for w, _, _ in entries], dtype=np.int64)
-        self.ptr = _row_starts(spoken, spoken[-1] + 1 if entries else 0)
-        self.obs = np.array([v for _, v, _ in entries], dtype=np.int64)
-        self.probs = np.array([p for _, _, p in entries], dtype=np.float64)
-
-    @classmethod
-    def from_sorted(cls, spoken, obs, probs, n: int) -> ChannelModel:
+    def __init__(self, spoken, obs, probs, n: int):
         """Wrap entries sorted by (spoken, observed) word id, every spoken
         id below ``n``; nothing is checked."""
-        cm = cls.__new__(cls)
-        cm.ptr, cm.obs, cm.probs = _row_starts(spoken, n), obs, probs
-        return cm
+        self.ptr = _offsets(np.bincount(spoken, minlength=n))
+        self.obs, self.probs = obs, probs
 
     @cached_property
     def _lists(self):
@@ -116,7 +96,7 @@ def estimate_channel(
     )
     spoken, obs = np.divmod(keys, base)
     totals = np.bincount(spoken, weights=counts, minlength=base)
-    return ChannelModel.from_sorted(spoken, obs, counts / totals[spoken], base)
+    return ChannelModel(spoken, obs, counts / totals[spoken], base)
 
 
 def save_channel(cm: ChannelModel, vocab: Vocabulary, path) -> None:
@@ -204,12 +184,7 @@ def load_channel(path, vocab: Vocabulary) -> ChannelModel:
         take = np.flatnonzero(keep) if order is None else order[keep[order]]
     if take is not None:
         ws, vs, ps = ws[take], vs[take], ps[take]
-    return ChannelModel.from_sorted(ws, vs, ps / totals[ws], known)
-
-
-def _row_starts(spoken: np.ndarray, n: int) -> np.ndarray:
-    """``ptr`` over word ids below ``n`` of entries sorted by spoken word."""
-    return np.concatenate([[0], np.cumsum(np.bincount(spoken, minlength=n))])
+    return ChannelModel(ws, vs, ps / totals[ws], known)
 
 
 def _read_channel_lines(chunk):

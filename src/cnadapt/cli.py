@@ -23,8 +23,8 @@ import numpy as np
 from . import __version__, adapt, metrics, synth, topics
 from .channel import estimate_channel, load_channel, save_channel
 from .corpus import Vocabulary, load_conversation, save_conversation
-from .errors import ComputeError, InputError
-from .modelfile import COUNT, utf8_error
+from .errors import ComputeError, InputError, ParseError
+from .modelfile import COUNT, read_text
 
 DEFAULT_REL_FLOOR = 0.05
 DEFAULT_MAX_WORDS = 10
@@ -64,36 +64,43 @@ def write_unigram_file(path, vocab, probs) -> None:
 
 
 def load_unigram_file(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            lines = fh.read().splitlines()
-        except UnicodeDecodeError:
-            raise InputError(f"{path}: {utf8_error(path)}") from None
+    lines = read_text(path, universal=False).splitlines()
     if not lines or not lines[0].startswith("UNIGRAM "):
-        raise InputError(f"{path}: expected 'UNIGRAM <V>' header")
+        raise InputError("expected 'UNIGRAM <V>' header")
     fields = lines[0].split()
-    if len(fields) < 2 or not COUNT.fullmatch(fields[1]):
-        raise InputError(f"{path}: bad header {lines[0]!r}")
+    if len(fields) != 2 or not COUNT.fullmatch(fields[1]):
+        raise InputError(f"bad header {lines[0]!r}")
     count = int(fields[1])
     if len(lines) - 1 != count:
-        raise InputError(f"{path}: header declares {count} words, found {len(lines) - 1}")
+        raise InputError(f"header declares {count} words, found {len(lines) - 1}")
     vocab = Vocabulary()
     probs = np.empty(count)
     for i, line in enumerate(lines[1:]):
         parts = line.split()
         if len(parts) != 2:
-            raise InputError(f"{path}: bad line {line!r}")
+            raise InputError(f"bad line {line!r}")
         if vocab.add(parts[0]) != i:
-            raise InputError(f"{path}: duplicate word {parts[0]!r}")
+            raise InputError(f"duplicate word {parts[0]!r}")
         try:
             probs[i] = float(parts[1])
         except ValueError:
-            raise InputError(f"{path}: bad probability {parts[1]!r}") from None
+            raise InputError(f"bad probability {parts[1]!r}") from None
         if probs[i] != probs[i]:
-            raise InputError(f"{path}: probability {parts[1]} is not a number")
-    if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-6:
-        raise InputError(f"{path}: probabilities do not sum to 1")
+            raise InputError(f"probability {parts[1]} is not a number")
+        if probs[i] < 0:
+            raise ParseError(f"negative probability {parts[1]}", i + 2)
+    if abs(probs.sum() - 1.0) > 1e-6:
+        raise InputError("probabilities do not sum to 1")
     return vocab, probs
+
+
+def _named(path, fn, *args):
+    """Return ``fn(*args)``; an input error it raises gets ``path`` put
+    before its message, so the message says which file it is about."""
+    try:
+        return fn(*args)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 def cmd_topics_train(args):
@@ -110,12 +117,7 @@ def cmd_topics_train(args):
         for name in sorted(os.listdir(folder)):
             fpath = os.path.join(folder, name)
             if os.path.isfile(fpath):
-                with open(fpath, "r", encoding="utf-8") as fh:
-                    try:
-                        tokens.extend(fh.read().split())
-                    except UnicodeDecodeError:
-                        error = utf8_error(fpath, universal=True)
-                        raise InputError(f"{fpath}: {error}") from None
+                tokens += _named(fpath, read_text, fpath).split()
         if not tokens:
             raise InputError(f"topic folder {folder!r} has no tokens")
         corpus.append((label, tokens))
@@ -136,7 +138,7 @@ def cmd_channel(args):
     if not paths:
         raise InputError(f"no files match {args.cnet_glob!r}")
     vocab = Vocabulary()
-    convs = [load_conversation(p, vocab) for p in paths]
+    convs = [_named(p, load_conversation, p, vocab) for p in paths]
     cm = estimate_channel(convs, args.rel_floor, args.max_words)
     with _written_together([args.out_channel]) as (tmp,):
         save_channel(cm, vocab, tmp)
@@ -266,10 +268,10 @@ def cmd_adapt(args):
 
     # one load per run, before any output exists, so a bad model writes nothing
     load_start = time.perf_counter()
-    tm = topics.load_topic_model(args.topic_model)
+    tm = _named(args.topic_model, topics.load_topic_model, args.topic_model)
     topics_end = time.perf_counter()
     # the model vocabulary stays closed, so every output covers exactly its words
-    cm = load_channel(args.channel, tm.vocab) if args.channel else None
+    cm = _named(args.channel, load_channel, args.channel, tm.vocab) if args.channel else None
     load_end = time.perf_counter()
 
     if directory:
@@ -286,7 +288,9 @@ def cmd_adapt(args):
         else:
             entries = [_adapt_guarded(tm, cm, cfg, job) for job in jobs]
     else:
-        entries = [_adapt_one(tm, cm, cfg, args.cnet, args.out_lambda, args.out_unigram)]
+        # directory mode names each conversation's file in its entry instead
+        entries = [_named(args.cnet, _adapt_one, tm, cm, cfg, args.cnet, args.out_lambda,
+                          args.out_unigram)]
         manifest = args.out_lambda + ".manifest.json"
     for entry in entries:
         if "error" in entry:
@@ -311,8 +315,8 @@ def cmd_adapt(args):
 
 
 def cmd_ppl(args):
-    vocab, probs = load_unigram_file(args.unigram)
-    corpus = metrics.load_reference(args.ref, vocab)
+    vocab, probs = _named(args.unigram, load_unigram_file, args.unigram)
+    corpus = _named(args.ref, metrics.load_reference, args.ref, vocab)
     thresholds = args.thr if args.thr else list(DEFAULT_THRESHOLDS)
     rows = []
     for thr in sorted(set(thresholds)):
@@ -334,11 +338,10 @@ def cmd_ppl(args):
 
 
 def _load_synth_spec(path, seed_override):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"synth spec {path}: {exc}") from None
+    try:
+        doc = json.loads(read_text(path))
+    except (InputError, json.JSONDecodeError) as exc:
+        raise InputError(f"synth spec {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise InputError(f"synth spec {path}: expected a JSON object")
     required = ("topics", "vocab_size", "topic_sharpness", "channel_noise",

@@ -29,7 +29,7 @@ from itertools import repeat
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .modelfile import COUNT, utf8_error
+from .modelfile import COUNT, read_text
 
 POSTERIOR_SUM_SLACK = 1e-6
 MAX_FRACTION_DIGITS = 9
@@ -176,7 +176,7 @@ class Conversation:
     on first use; the package itself reads only the arrays.
     """
 
-    def __init__(self, cid: str, networks, oov_cells: int = 0):
+    def __init__(self, cid: str, networks):
         networks = tuple(networks)
         bins = [b for net in networks for b in net.bins]
         self._fill(
@@ -186,7 +186,7 @@ class Conversation:
             _offsets([len(b) for b in bins]),
             np.array([w for b in bins for w, _ in b.cells], dtype=np.int64),
             np.array([p for b in bins for _, p in b.cells], dtype=np.float64),
-            oov_cells,
+            0,
         )
         self.__dict__["networks"] = networks
 
@@ -529,22 +529,21 @@ def _bins_in_bulk(lines, vocab: Vocabulary, closed: bool, unk):
     return width, ids, posts, outside.size
 
 
-def parse_conversation(source, vocab: Vocabulary, closed: bool = False) -> Conversation:
-    """Parse one conversation in CNET text format.
+def parse_conversation(text: str, vocab: Vocabulary, closed: bool = False) -> Conversation:
+    """Parse one conversation from its CNET text.
 
-    ``source`` is a text stream or a string.  Unknown words are interned
-    into ``vocab``, unless ``closed``: then ``vocab`` is left as it is, a
-    cell whose word it lacks maps to UNK_WORD when it has that (posteriors
-    of cells meeting there are summed) and is dropped otherwise, and a bin
-    or utterance left empty is dropped too.  Raises ParseError/
-    ValidationError with line numbers.
+    Unknown words are interned into ``vocab``, unless ``closed``: then
+    ``vocab`` is left as it is, a cell whose word it lacks maps to UNK_WORD
+    when it has that (posteriors of cells meeting there are summed) and is
+    dropped otherwise, and a bin or utterance left empty is dropped too.
+    Raises ParseError/ValidationError with line numbers.
 
     The NET lines are read first; then the BIN lines, CHUNK_BINS at a time,
     in bulk when a chunk passes every check and line by line otherwise.  An
     error outside BIN lines is raised once the BIN lines before it are read,
     so the first error in the file is the one reported.
     """
-    lines = (source if isinstance(source, str) else source.read()).split("\n")
+    lines = text.split("\n")
     nonblank = np.flatnonzero(list(map(len, map(str.strip, lines)))).tolist()
     if not nonblank:
         raise ParseError("empty input", 1)
@@ -636,12 +635,7 @@ def serialize_conversation(conv: Conversation, vocab: Vocabulary) -> str:
 
 
 def load_conversation(path, vocab: Vocabulary, closed: bool = False) -> Conversation:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError:
-            raise utf8_error(path, universal=True) from None
-    return parse_conversation(text, vocab, closed)
+    return parse_conversation(read_text(path), vocab, closed)
 
 
 def save_conversation(conv: Conversation, vocab: Vocabulary, path) -> None:

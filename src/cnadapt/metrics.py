@@ -8,35 +8,28 @@ isolates how well the model covers low-frequency (content) words.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .corpus import Vocabulary
-from .errors import EvaluationError, InputError, ValidationError
-from .modelfile import utf8_error
+from .errors import EvaluationError, ValidationError
+from .modelfile import read_text
 from .topics import UNK_WORD
 
 
 @dataclass(frozen=True)
 class ReferenceCorpus:
     tokens: tuple
-    counts: dict
+    counts: dict = field(init=False)
 
     def __post_init__(self):
-        recount = {}
-        for w in self.tokens:
-            recount[w] = recount.get(w, 0) + 1
-        if recount != self.counts:
-            raise ValidationError("stored counts disagree with tokens")
+        object.__setattr__(self, "counts", Counter(self.tokens))
 
     @classmethod
     def from_tokens(cls, tokens) -> "ReferenceCorpus":
-        tokens = tuple(tokens)
-        counts = {}
-        for w in tokens:
-            counts[w] = counts.get(w, 0) + 1
-        return cls(tokens, counts)
+        return cls(tuple(tokens))
 
 
 def load_reference(path, vocab: Vocabulary) -> ReferenceCorpus:
@@ -45,13 +38,8 @@ def load_reference(path, vocab: Vocabulary) -> ReferenceCorpus:
     Out-of-vocabulary tokens map to the unknown-word entry; if the model
     vocabulary has none, evaluation cannot proceed.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            tokens = fh.read().split()
-        except UnicodeDecodeError:
-            raise InputError(f"{path}: {utf8_error(path, universal=True)}") from None
     ids = []
-    for tok in tokens:
+    for tok in read_text(path).split():
         if tok in vocab:
             ids.append(vocab.id(tok))
         elif UNK_WORD in vocab:

@@ -5,8 +5,9 @@ of a fixed number of whitespace-separated fields per line.  ``read_lines``
 yields the record lines a chunk at a time, and ``split_fields`` splits a
 whole chunk with one ``str.split``, so the loaders parse in bulk without
 holding every line of a large file at once.  Lines are counted and
-numbered as ``str.splitlines`` counts them.  ``utf8_error`` reports a text
-file of any kind that does not decode as UTF-8.
+numbered as ``str.splitlines`` counts them.  ``read_text`` reads a whole
+text file of any kind, and ``utf8_error`` reports one that does not decode
+as UTF-8.
 """
 
 from __future__ import annotations
@@ -79,6 +80,16 @@ def split_fields(chunk, k: int):
             return None
         fields += parts
     return fields
+
+
+def read_text(path, universal: bool = True) -> str:
+    """The whole text of the UTF-8 file ``path``, read with universal
+    newlines; raises ``utf8_error(path, universal)`` when it does not decode."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError:
+            raise utf8_error(path, universal) from None
 
 
 def utf8_error(path, universal: bool = False) -> ParseError:

@@ -25,8 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelModel
-from .corpus import Conversation, Vocabulary
+from .corpus import Conversation, Vocabulary, _offsets
 from .errors import ValidationError
+from .modelfile import read_text
 from .topics import TopicModel, floor_and_normalize
 
 UTTERANCE_BINS = 50
@@ -104,7 +105,7 @@ def _shared_structures(spec: SynthSpec):
     table = np.where(peers < V, (noise / np.maximum(size - 1, 1))[:, None], 0.0)
     table[np.arange(V), pos] = np.where(size == 1, 1.0, 1.0 - noise)
     spoken, slot = np.nonzero(table)
-    cm = ChannelModel.from_sorted(spoken, peers[spoken, slot], table[spoken, slot], V)
+    cm = ChannelModel(spoken, peers[spoken, slot], table[spoken, slot], V)
     return tm, cm, vocab, (peers, pos, size, table)
 
 
@@ -137,7 +138,7 @@ def _conversation(cid, observed, spoken, cohorts) -> Conversation:
     keep = np.take_along_axis(keep, order, 1)
     words = np.take_along_axis(peers[observed], order, 1)[keep]
     posts = np.take_along_axis(s, order, 1)[keep]
-    bin_ptr = np.append(0, np.cumsum(keep.sum(axis=1)))
+    bin_ptr = _offsets(keep.sum(axis=1))
     utt_ptr = np.append(np.arange(0, observed.size, UTTERANCE_BINS), observed.size)
     uids = [f"u{u + 1:04d}" for u in range(utt_ptr.size - 1)]
     return Conversation.from_arrays(cid, uids, utt_ptr, bin_ptr, words, posts)
@@ -209,8 +210,7 @@ def save_truth(truth: SynthTruth, conv: Conversation, path) -> None:
 
 def load_truth_lambda(path) -> np.ndarray:
     """Read just the true weight vector back from a sidecar file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path, universal=False).splitlines()
     if len(lines) < 2 or not lines[1].startswith("LAMBDA "):
         raise ValidationError(f"{path} is not a truth sidecar")
     count = int(lines[1].split()[1])

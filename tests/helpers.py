@@ -13,6 +13,14 @@ def make_topic_model(rng, T, V, sharpness=0.5):
     return TopicModel([f"t{t}" for t in range(T)], vocab, floor_and_normalize(rows))
 
 
+def channel_from_rows(rows):
+    """A ChannelModel from nested dicts, ``rows[w][v] = p``."""
+    entries = sorted((w, v, p) for w, row in rows.items() for v, p in row.items())
+    spoken, obs, probs = zip(*entries)
+    return ChannelModel(np.array(spoken), np.array(obs), np.array(probs, dtype=np.float64),
+                        spoken[-1] + 1)
+
+
 def make_channel(rng, V, n_confusions=3, self_mass=0.5):
     """Every word keeps at least ``self_mass`` on itself plus a few confusions."""
     rows = {}
@@ -25,7 +33,7 @@ def make_channel(rng, V, n_confusions=3, self_mass=0.5):
             row[int(o)] = float(p)
         total = sum(row.values())
         rows[w] = {v: p / total for v, p in row.items()}
-    return ChannelModel(rows)
+    return channel_from_rows(rows)
 
 
 def make_conversation(rng, V, M, max_width=5, normalized_bins=False, cid="c"):

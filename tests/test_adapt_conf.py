@@ -15,13 +15,14 @@ from cnadapt.adapt import (
     fit,
     loglik_conf,
 )
-from cnadapt.channel import ChannelModel, save_channel
+from cnadapt.channel import save_channel
 from cnadapt.cli import main
 from cnadapt.corpus import Bin, ConfusionNetwork, Conversation, Vocabulary, save_conversation
 from cnadapt.errors import EstimationError
 from cnadapt.topics import TopicModel, save_topic_model
 from helpers import (
     bins_as_lists,
+    channel_from_rows,
     make_channel,
     make_instance,
     make_topic_model,
@@ -33,7 +34,7 @@ from helpers import (
 def hand_case():
     vocab = Vocabulary(["a", "b"])
     tm = TopicModel(["t"], vocab, np.array([[0.55, 0.45]]))
-    cm = ChannelModel({0: {0: 0.8, 1: 0.2}, 1: {0: 0.3, 1: 0.7}})
+    cm = channel_from_rows({0: {0: 0.8, 1: 0.2}, 1: {0: 0.3, 1: 0.7}})
     conv = Conversation(
         "c", (ConfusionNetwork("u", (Bin([(0, 0.6), (1, 0.4)]),)),)
     )
@@ -41,7 +42,7 @@ def hand_case():
 
 
 def identity_channel(V):
-    return ChannelModel({w: {w: 1.0} for w in range(V)})
+    return channel_from_rows({w: {w: 1.0} for w in range(V)})
 
 
 def reference_posteriors(conv, tm, lam, cm):
@@ -81,7 +82,7 @@ class TestReferencePosterior:
     def test_uniform_channel_proportional_to_mixture(self):
         vocab = Vocabulary(["a", "b", "c"])
         tm = TopicModel(["t"], vocab, np.array([[0.5, 0.3, 0.2]]))
-        cm = ChannelModel(
+        cm = channel_from_rows(
             {w: {v: 1 / 3 for v in range(3)} for w in range(3)}
         )
         b = Bin([(0, 0.5), (1, 0.3), (2, 0.2)])
@@ -93,7 +94,7 @@ class TestReferencePosterior:
         vocab = Vocabulary(["a", "b"])
         tm = TopicModel(["t"], vocab, np.array([[0.5, 0.5]]))
         # channel never emits "a" from any bin word
-        cm = ChannelModel({0: {1: 1.0}, 1: {1: 1.0}})
+        cm = channel_from_rows({0: {1: 1.0}, 1: {1: 1.0}})
         b = Bin([(0, 0.6), (1, 0.4)])
         (r,) = reference_posteriors(single_bin(b), tm, [1.0], cm)
         assert r == {0: 1.0, 1: 0.0}
@@ -230,7 +231,7 @@ class TestFitConf:
     def test_zero_channel_mass_fallback_runs(self):
         vocab = Vocabulary(["a", "b"])
         tm = TopicModel(["t1", "t2"], vocab, np.array([[0.9, 0.1], [0.2, 0.8]]))
-        cm = ChannelModel({0: {1: 1.0}, 1: {1: 1.0}})
+        cm = channel_from_rows({0: {1: 1.0}, 1: {1: 1.0}})
         conv = Conversation(
             "c", (ConfusionNetwork("u", (Bin([(0, 0.7), (1, 0.3)]),)),)
         )
@@ -257,7 +258,7 @@ def ragged_instance(seed, dead_bin, T=3, V=60, rowless=15):
         post = rng.dirichlet(np.ones(k)) * rng.uniform(0.5, 1.0)
         bins.append(Bin([(int(w), float(p)) for w, p in zip(wids, post)]))
     conv = Conversation("c", (ConfusionNetwork("u", tuple(bins)),))
-    return conv, tm, ChannelModel(rows)
+    return conv, tm, channel_from_rows(rows)
 
 
 class TestRaggedKernel:

@@ -6,16 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cnadapt import modelfile
-from cnadapt.channel import (
-    ChannelModel,
-    estimate_channel,
-    load_channel,
-    save_channel,
-)
+from cnadapt.channel import estimate_channel, load_channel, save_channel
 from cnadapt.corpus import Bin, ConfusionNetwork, Conversation, Vocabulary
 from cnadapt.errors import ParseError, ValidationError
 from cnadapt.modelfile import CHUNK_LINES
-from helpers import make_conversation
+from helpers import channel_from_rows, make_conversation
 
 
 def conv_of_bins(cells_per_bin, cid="c"):
@@ -99,12 +94,12 @@ class TestLookup:
         assert cm.prob(1, 0) == pytest.approx(0.25)
 
     def test_identity_backoff(self):
-        cm = ChannelModel({0: {0: 1.0}})
+        cm = channel_from_rows({0: {0: 1.0}})
         assert cm.prob(99, 99) == 1.0
         assert cm.prob(0, 99) == 0.0
 
     def test_missing_v_in_present_row(self):
-        cm = ChannelModel({0: {0: 0.5, 1: 0.5}})
+        cm = channel_from_rows({0: {0: 0.5, 1: 0.5}})
         assert cm.prob(2, 0) == 0.0
 
 

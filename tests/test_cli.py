@@ -123,6 +123,17 @@ class TestChannel:
         )
         assert code == 2
 
+    def test_bad_cnet_in_glob_named(self, tmp_path, capsys):
+        d = write_cnets(tmp_path / "cnets")
+        bad = d / "c2.cnet"
+        bad.write_text("CONV c2\nNET u1 1\nBIN x:zz\n")
+        out = tmp_path / "ch.model"
+        code, stdout, err = run(["channel", str(d / "*.cnet"), str(out)], capsys)
+        assert code == 2
+        assert err == f"error: {bad}: line 3: bad posterior 'zz'\n"
+        assert stdout == ""
+        assert not out.exists()
+
     def test_rerun_determinism(self, tmp_path, capsys):
         d = write_cnets(tmp_path / "cnets")
         o1, o2 = tmp_path / "ch1", tmp_path / "ch2"
@@ -183,16 +194,24 @@ class TestSynthCmd:
             ({"topic_sharpness": float("nan")}, []),
             ({"seed": -1}, []),
             ({}, ["--seed", "-1"]),
+            (b'{"topics": 3, "x": "\xff"}', []),
         ],
         ids=["conversations-0", "conversations-neg", "bins-str", "topics-float",
-             "lambda-nan", "sharpness-nan", "seed-neg", "seed-override-neg"],
+             "lambda-nan", "sharpness-nan", "seed-neg", "seed-override-neg", "not-utf8"],
     )
     def test_bad_spec_one_line_no_output(self, tmp_path, capsys, over, extra):
-        spec = synth_spec(tmp_path / "spec.json", **{"bins": 50, **over})
+        spec = tmp_path / "spec.json"
+        if isinstance(over, bytes):
+            spec.write_bytes(over)
+        else:
+            synth_spec(spec, **{"bins": 50, **over})
         out = tmp_path / "o"
         code, _, err = run(["synth", str(spec), str(out)] + extra, capsys)
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1, err
+        if isinstance(over, bytes):
+            assert err == (f"error: synth spec {spec}: line 1: "
+                           "not valid UTF-8: invalid start byte (byte 0xff)\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("text", ["5", "null"])
@@ -272,7 +291,7 @@ class TestAdapt:
             capsys,
         )
         assert code == 2
-        assert err == "error: line 3: probability nan is not a number\n"
+        assert err == f"error: {models[corrupt]}: line 3: probability nan is not a number\n"
         assert stdout == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.model"]
 
@@ -567,7 +586,7 @@ class TestAdaptInputText:
         cnet.write_text(f"CONV c\nNET u 1\nBIN w01:{posterior}\n", encoding="utf-8")
         code, stdout, err = self.adapt(capsys, small_run, tmp_path / "c.lambda", cnet=cnet)
         assert code == 2
-        assert err == f"error: line 3: bad posterior '{posterior}'\n"
+        assert err == f"error: {cnet}: line 3: bad posterior '{posterior}'\n"
         assert stdout == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cnet"]
 
@@ -583,7 +602,9 @@ class TestAdaptInputText:
         # but not a line of a CNET, which only universal newlines end
         line = 1 if kind == "cnet" and newline == "\u2028" else 3
         assert code == 2
-        assert err == f"error: line {line}: not valid UTF-8: invalid start byte (byte 0xff)\n"
+        assert err == (
+            f"error: {bad}: line {line}: not valid UTF-8: invalid start byte (byte 0xff)\n"
+        )
         assert stdout == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.file"]
 
@@ -797,6 +818,27 @@ class TestPpl:
         code, out, err = run(["ppl", str(uni), str(ref)], capsys)
         assert code == 2
         assert err == f"error: {uni}: bad header {header!r}\n"
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("UNIGRAM 2\na 0.5 x\nb 0.5\n", "bad line 'a 0.5 x'"),
+            ("UNIGRAM 2\na 0.5\na 0.5\n", "duplicate word 'a'"),
+            ("UNIGRAM 2\na zz\nb 0.5\n", "bad probability 'zz'"),
+            ("UNIGRAM 2\na 1.5\nb -0.5\n", "line 3: negative probability -0.5"),
+            ("UNIGRAM 2 junk\na 0.5\nb 0.5\n", "bad header 'UNIGRAM 2 junk'"),
+        ],
+        ids=["bad-line", "duplicate", "bad-probability", "negative", "header-extra"],
+    )
+    def test_bad_unigram_exit_2(self, tmp_path, capsys, body, message):
+        uni = tmp_path / "u.unigram"
+        uni.write_text(body)
+        ref = tmp_path / "ref.txt"
+        ref.write_text("a b\n")
+        code, out, err = run(["ppl", str(uni), str(ref)], capsys)
+        assert code == 2
+        assert err == f"error: {uni}: {message}\n"
         assert out == ""
 
     @pytest.mark.parametrize("kind", ["unigram", "ref"])

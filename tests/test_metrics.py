@@ -94,9 +94,8 @@ class TestConstrained:
 
 
 class TestCorpusType:
-    def test_counts_validated(self):
-        with pytest.raises(ValidationError):
-            ReferenceCorpus((0, 1), {0: 2})
+    def test_counts_come_from_tokens(self):
+        assert ReferenceCorpus((0, 1, 0)).counts == {0: 2, 1: 1}
 
     def test_load_reference_maps_oov(self, tmp_path):
         vocab = Vocabulary(["a", "b", "<unk>"])

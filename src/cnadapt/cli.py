@@ -64,8 +64,8 @@ def write_unigram_file(path, vocab, probs) -> None:
 
 
 def load_unigram_file(path):
-    lines = read_text(path, universal=False).splitlines()
-    if not lines or not lines[0].startswith("UNIGRAM "):
+    lines = read_text(path).removesuffix("\n").split("\n")
+    if not lines[0].startswith("UNIGRAM "):
         raise InputError("expected 'UNIGRAM <V>' header")
     fields = lines[0].split()
     if len(fields) != 2 or not COUNT.fullmatch(fields[1]):
@@ -324,12 +324,14 @@ def cmd_ppl(args):
         rows.append(f"ppl\t{thr}\t{value:.12g}")
     rows.append(f"ppl\tinf\t{metrics.perplexity(probs, corpus, vocab):.12g}")
     report = "\n".join(rows) + "\n"
-    sys.stdout.write(report)
     manifest = None
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+        with _written_together([args.out]) as (tmp,), open(
+            tmp, "w", encoding="utf-8", newline="\n"
+        ) as fh:
             fh.write(report)
         manifest = args.out + ".manifest.json"
+    sys.stdout.write(report)
     return manifest, {
         "inputs": {"unigram": args.unigram, "ref": args.ref},
         "params": {"thr": sorted(set(thresholds))},
@@ -378,14 +380,18 @@ def _load_synth_spec(path, seed_override):
 
 def cmd_synth(args):
     spec, n_conversations = _load_synth_spec(args.spec, args.seed)
+    runs = list(synth.sample_conversations(spec, n_conversations))
+    names = [conv.cid + ext for conv, _ in runs for ext in (".cnet", ".truth")]
+    names += ["topics.model", "channel.model"]
     os.makedirs(args.out_dir, exist_ok=True)
-    truth = None
-    for conv, truth in synth.sample_conversations(spec, n_conversations):
-        save_conversation(conv, truth.vocab, os.path.join(args.out_dir, conv.cid + ".cnet"))
-        synth.save_truth(truth, conv, os.path.join(args.out_dir, conv.cid + ".truth"))
+    with _written_together([os.path.join(args.out_dir, n) for n in names]) as temps:
+        for k, (conv, truth) in enumerate(runs):
+            save_conversation(conv, truth.vocab, temps[2 * k])
+            synth.save_truth(truth, conv, temps[2 * k + 1])
+        topics.save_topic_model(truth.topics, temps[-2])
+        save_channel(truth.channel, truth.vocab, temps[-1])
+    for conv, _ in runs:
         print(f"{conv.cid}: {conv.total_bins} bins")
-    topics.save_topic_model(truth.topics, os.path.join(args.out_dir, "topics.model"))
-    save_channel(truth.channel, truth.vocab, os.path.join(args.out_dir, "channel.model"))
     return os.path.join(args.out_dir, "manifest.json"), {
         "inputs": {"spec": args.spec},
         "params": {

@@ -10,10 +10,9 @@ A ``Conversation`` holds its cells as flat arrays in that order, and the
 parser fills them a chunk of bin lines at a time.  ``Bin`` and
 ``ConfusionNetwork`` are the object form that builders of conversations use.
 
-A chunk is read in bulk, with numpy over its UTF-8 bytes, unless it holds
-whitespace outside ASCII or a word with ':' in it, or breaks a rule of the
-format; such a chunk is read again line by line, which handles every case
-and names the first bad line.  The bulk reader reads a posterior as the
+Every chunk is read in bulk, with numpy over its UTF-8 bytes; a chunk
+that breaks a rule of the format is read again line by line, only to name
+its first bad line.  The bulk reader reads a posterior as the
 integer n of its digits, the fraction padded with zeros to 9 digits, over
 10**9: n <= 10**9 < 2**53 and 10**9 are exact doubles, so the quotient is
 bitwise what ``float()`` returns.
@@ -38,8 +37,7 @@ UNK_WORD = "<unk>"
 CHUNK_BINS = 2048
 
 _POSTERIOR = re.compile(r"[0-9]+(?:\.([0-9]+))?")
-# The bulk reader's tables.  A chunk with whitespace outside ASCII in it
-# goes line by line.
+# The bulk reader's tables.  Whitespace outside ASCII is folded to ' '.
 _WIDE_SPACE = re.compile(r"[^\S\x00-\x7f]")
 _BIN = np.frombuffer(b"BIN", dtype=np.uint8)
 # _HIGH[s]: a little-endian uint64 with 0xFF, which no UTF-8 text holds, in
@@ -292,60 +290,40 @@ def _parse_posterior(token: str, lineno: int) -> float:
     return value
 
 
-def _bin_cells(line: str, no: int, intern, unk):
-    """The cells of one BIN line in canonical order and how many of its
-    words ``intern`` did not know, checking every rule of the format.
+def _bins_by_line(lines, nos, intern, unk):
+    """Raise the error of the first bad line among BIN lines ``lines``,
+    numbered ``nos``, checking every rule of the format one line at a time.
 
     A word ``intern`` maps to None becomes ``unk``; when that is None too
     the cell is dropped.  Cells meeting at ``unk`` in a bin with such a word
     merge, their posteriors summed in file order and capped at 1.
     """
-    parts = line.split()
-    if parts[0] != "BIN" or len(parts) < 2:
-        raise ParseError(f"expected 'BIN <word>:<posterior> ...', got {line!r}", no)
-    cells = []
-    oov = 0
-    for cell in parts[1:]:
-        word, sep, ptok = cell.rpartition(":")
-        if not sep or not word:
-            raise ParseError(f"bad cell {cell!r}", no)
-        post = _parse_posterior(ptok, no)
-        wid = intern(word)
-        if wid is None:
-            oov += 1
-            wid = unk
-        if wid is not None:
-            cells.append((wid, post))
-    if oov and unk is not None:
-        merged = 0.0
-        for wid, post in cells:
-            if wid == unk:
-                merged += post
-        cells = [c for c in cells if c[0] != unk] + [(unk, min(merged, 1.0))]
-    if not cells:
-        return (), oov
-    try:
-        return Bin(cells).cells, oov
-    except ValidationError as exc:
-        raise ValidationError(f"line {no}: {exc}") from None
-
-
-def _bins_by_line(lines, nos, intern, unk):
-    """(widths, words, posts, outside words) of BIN lines read one by one;
-    raises the error of the first bad line."""
-    widths, words, posts, oov = [], [], [], 0
     for line, no in zip(lines, nos):
-        cells, k = _bin_cells(line, no, intern, unk)
-        oov += k
-        widths.append(len(cells))
-        words += [w for w, _ in cells]
-        posts += [p for _, p in cells]
-    return (
-        np.array(widths, dtype=np.int64),
-        np.array(words, dtype=np.int64),
-        np.array(posts, dtype=np.float64),
-        oov,
-    )
+        parts = line.split()
+        if parts[0] != "BIN" or len(parts) < 2:
+            raise ParseError(f"expected 'BIN <word>:<posterior> ...', got {line!r}", no)
+        cells = []
+        oov = False
+        for cell in parts[1:]:
+            word, sep, ptok = cell.rpartition(":")
+            if not sep or not word:
+                raise ParseError(f"bad cell {cell!r}", no)
+            post = _parse_posterior(ptok, no)
+            wid = intern(word)
+            if wid is None:
+                oov = True
+                wid = unk
+            if wid is not None:
+                cells.append((wid, post))
+        if oov and unk is not None:
+            merged = sum(post for wid, post in cells if wid == unk)
+            cells = [c for c in cells if c[0] != unk] + [(unk, min(merged, 1.0))]
+        if cells:
+            try:
+                Bin(cells)
+            except ValidationError as exc:
+                raise ValidationError(f"line {no}: {exc}") from None
+    raise AssertionError(f"no bad line among lines {nos[0]}-{nos[-1]}")
 
 
 def _ascii_space(buf) -> np.ndarray:
@@ -432,25 +410,24 @@ def _posteriors(buf, padded, colon, end):
 
 
 def _bins_in_bulk(lines, vocab: Vocabulary, closed: bool, unk):
-    """What ``_bins_by_line`` returns for BIN lines, parsed together, or
-    None when some line breaks a rule or the chunk is one this reader leaves
-    to ``_bins_by_line``: one with whitespace outside ASCII in it, or with a
-    ':' in a word.
+    """(widths, words, posts, outside words) of BIN lines, parsed together,
+    or None when some line breaks a rule of the format.
 
-    It reads the chunk's UTF-8 bytes with numpy.  Tokens are the runs
-    between ASCII whitespace bytes, as str.split() cuts them when there is
-    no other whitespace.  The first token of a line must be "BIN", and every
-    other one must hold exactly one ':', with a word before it and a
-    posterior after (see ``_posteriors``).  No byte of a multi-byte UTF-8
-    character is ASCII, so words outside ASCII need no special case.
+    It reads the chunk's UTF-8 bytes with numpy, with whitespace outside
+    ASCII folded to ' ' first.  Tokens are the runs between ASCII
+    whitespace bytes, as str.split() cuts them.  The first token of a line
+    must be "BIN", and every other one must hold a ':', with a word before
+    the last one and a posterior after it (see ``_posteriors``).  No byte
+    of a multi-byte UTF-8 character is ASCII, so words outside ASCII need
+    no special case.
 
     Each distinct word is looked up in ``vocab`` once; in open mode the
     words it lacks are interned in the order they first occur.  The cells
     are sorted only when some bin is not in canonical order.
     """
     text = "\n".join(lines)
-    if not text.isascii() and _WIDE_SPACE.search(text):
-        return None
+    if not text.isascii():
+        text = _WIDE_SPACE.sub(" ", text)
     raw = text.encode("utf-8", "surrogatepass")
     buf = np.frombuffer(raw, dtype=np.uint8)
     solid = np.zeros(buf.size + 2, dtype=bool)
@@ -470,8 +447,13 @@ def _bins_in_bulk(lines, vocab: Vocabulary, closed: bool, unk):
     cell[heads] = False
     cs, ce = starts[cell], ends[cell]
     colon = np.flatnonzero(buf == ord(":"))
-    # as many ':' as cells, the i-th inside cell i with bytes on either side
-    if colon.size != cs.size or not ((cs < colon) & (colon + 1 < ce)).all():
+    if colon.size != cs.size:
+        # some word holds ':' or some cell none: take each cell's last ':'
+        if not colon.size:
+            return None
+        colon = colon[np.searchsorted(colon, ce) - 1]
+    # the i-th ':' inside cell i, with bytes on either side
+    if not ((cs < colon) & (colon + 1 < ce)).all():
         return None
     # every row read past the chunk's end ends within 10 bytes of it
     padded = np.concatenate((buf, np.zeros(10, dtype=np.uint8)))
@@ -539,7 +521,7 @@ def parse_conversation(text: str, vocab: Vocabulary, closed: bool = False) -> Co
     Raises ParseError/ValidationError with line numbers.
 
     The NET lines are read first; then the BIN lines, CHUNK_BINS at a time,
-    in bulk when a chunk passes every check and line by line otherwise.  An
+    in bulk, and a chunk that fails a check line by line for its error.  An
     error outside BIN lines is raised once the BIN lines before it are read,
     so the first error in the file is the one reported.
     """
@@ -587,8 +569,8 @@ def parse_conversation(text: str, vocab: Vocabulary, closed: bool = False) -> Co
         rows = bin_rows[lo : lo + CHUNK_BINS]
         chunk = [lines[i] for i in rows]
         got = _bins_in_bulk(chunk, vocab, closed, unk)
-        if got is None:
-            got = _bins_by_line(chunk, [i + 1 for i in rows], intern, unk)
+        if got is None:  # a line breaks a rule: find it
+            _bins_by_line(chunk, [i + 1 for i in rows], intern, unk)
         chunks.append(got)
     if failure is not None:
         raise failure

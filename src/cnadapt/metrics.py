@@ -8,7 +8,6 @@ isolates how well the model covers low-frequency (content) words.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,13 +18,18 @@ from .modelfile import read_text
 from .topics import UNK_WORD
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReferenceCorpus:
-    tokens: tuple
+    tokens: np.ndarray  # int64 word ids in reference order
     counts: dict = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "counts", Counter(self.tokens))
+        tokens = np.array(self.tokens, dtype=np.int64)
+        tokens.flags.writeable = False
+        n = np.bincount(tokens)
+        ids = np.flatnonzero(n)
+        object.__setattr__(self, "tokens", tokens)
+        object.__setattr__(self, "counts", dict(zip(ids.tolist(), n[ids].tolist())))
 
     @classmethod
     def from_tokens(cls, tokens) -> "ReferenceCorpus":
@@ -53,20 +57,21 @@ def load_reference(path, vocab: Vocabulary) -> ReferenceCorpus:
     return ReferenceCorpus.from_tokens(ids)
 
 
-def _score(probs: np.ndarray, tokens, vocab: Vocabulary | None) -> float:
-    total = 0.0
-    for w in tokens:
-        p = probs[w]
-        if p <= 0.0:
-            name = vocab.word(w) if vocab is not None else f"id {w}"
-            raise EvaluationError(f"model assigns zero probability to token {name}")
-        total += np.log10(p)
-    return 10.0 ** (-total / len(tokens))
+def _score(probs: np.ndarray, tokens: np.ndarray, vocab: Vocabulary | None) -> float:
+    p = probs[tokens]
+    zero = p <= 0.0
+    if zero.any():
+        w = int(tokens[zero.argmax()])
+        name = vocab.word(w) if vocab is not None else f"id {w}"
+        raise EvaluationError(f"model assigns zero probability to token {name}")
+    # cumsum adds one token after another, as a loop would
+    total = np.cumsum(np.log10(p))[-1]
+    return 10.0 ** (-total / tokens.size)
 
 
 def perplexity(probs, corpus: ReferenceCorpus, vocab: Vocabulary | None = None) -> float:
     probs = np.asarray(probs, dtype=np.float64)
-    if not corpus.tokens:
+    if not corpus.tokens.size:
         raise EvaluationError("empty reference corpus")
     return _score(probs, corpus.tokens, vocab)
 
@@ -80,7 +85,8 @@ def constrained_perplexity(
     if thr < 1:
         raise ValidationError(f"thr {thr!r} < 1")
     probs = np.asarray(probs, dtype=np.float64)
-    kept = [w for w in corpus.tokens if corpus.counts[w] <= thr]
-    if not kept:
+    tokens = corpus.tokens
+    kept = tokens[np.bincount(tokens)[tokens] <= thr]
+    if not kept.size:
         raise EvaluationError(f"no reference tokens with count <= {thr}")
     return _score(probs, kept, vocab)

@@ -4,10 +4,10 @@ The topic model and the channel files hold a header line, then one record
 of a fixed number of whitespace-separated fields per line.  ``read_lines``
 yields the record lines a chunk at a time, and ``split_fields`` splits a
 whole chunk with one ``str.split``, so the loaders parse in bulk without
-holding every line of a large file at once.  Lines are counted and
-numbered as ``str.splitlines`` counts them.  ``read_text`` reads a whole
-text file of any kind, and ``utf8_error`` reports one that does not decode
-as UTF-8.
+holding every line of a large file at once.  In every file cnadapt reads,
+a line ends at "\n", "\r\n" or "\r", the breaks text mode turns into
+"\n".  ``read_text`` reads a whole text file of any kind, and
+``utf8_error`` reports one that does not decode as UTF-8.
 """
 
 from __future__ import annotations
@@ -21,9 +21,6 @@ CHUNK_LINES = 8192
 # blocks of the line count; under glibc's mmap threshold, so the heap reuses
 # them instead of keeping a larger block resident after the load
 _BLOCK_CHARS = 1 << 16
-# line breaks of str.splitlines other than "\n"; text mode already turns
-# "\r" and "\r\n" into "\n"
-_OTHER_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 # between the lines of a chunk, so the split shows where each line ended
 _SEP = "\x00"
 _UNIVERSAL_BREAK = re.compile(r"\r\n?|\n")
@@ -39,22 +36,16 @@ def read_lines(fh):
     most CHUNK_LINES lines, each possibly ending in "\\n"; the chunks must
     be consumed while ``fh`` is open.
     """
-    count, last, plain = 0, "\n", True
+    count, last = 0, "\n"
     try:
         for block in iter(lambda: fh.read(_BLOCK_CHARS), ""):
             count += block.count("\n")
-            plain = plain and not any(c in block for c in _OTHER_BREAKS)
             last = block[-1]
     except UnicodeDecodeError:
         raise utf8_error(fh.name) from None
     count += last != "\n"
     fh.seek(0)
-    if plain:
-        lines = iter(fh)
-    else:
-        # rare enough to afford holding every line
-        everything = fh.read().splitlines()
-        count, lines = len(everything), iter(everything)
+    lines = iter(fh)
     first = next(lines, "").rstrip("\n")
     return count, first, iter(lambda: list(islice(lines, CHUNK_LINES)), [])
 
@@ -82,32 +73,25 @@ def split_fields(chunk, k: int):
     return fields
 
 
-def read_text(path, universal: bool = True) -> str:
+def read_text(path) -> str:
     """The whole text of the UTF-8 file ``path``, read with universal
-    newlines; raises ``utf8_error(path, universal)`` when it does not decode."""
+    newlines; raises ``utf8_error(path)`` when it does not decode."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return fh.read()
         except UnicodeDecodeError:
-            raise utf8_error(path, universal) from None
+            raise utf8_error(path) from None
 
 
-def utf8_error(path, universal: bool = False) -> ParseError:
+def utf8_error(path) -> ParseError:
     """The error for a text file that is not valid UTF-8: the line and the
-    value of its first bad byte.  Lines are numbered as ``str.splitlines``
-    numbers them, or, when ``universal``, at the breaks of universal
-    newlines ("\\n", "\\r\\n" and "\\r") only."""
+    value of its first bad byte."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
         raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        head = raw[: exc.start].decode("utf-8")
-        if universal:
-            lineno = len(_UNIVERSAL_BREAK.split(head))
-        else:
-            # "x" stands for the bad byte: a break just before it still counts
-            lineno = len((head + "x").splitlines())
+        lineno = len(_UNIVERSAL_BREAK.split(raw[: exc.start].decode("utf-8")))
         return ParseError(
             f"not valid UTF-8: {exc.reason} (byte 0x{raw[exc.start]:02x})", lineno
         )

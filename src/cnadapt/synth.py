@@ -210,7 +210,7 @@ def save_truth(truth: SynthTruth, conv: Conversation, path) -> None:
 
 def load_truth_lambda(path) -> np.ndarray:
     """Read just the true weight vector back from a sidecar file."""
-    lines = read_text(path, universal=False).splitlines()
+    lines = read_text(path).removesuffix("\n").split("\n")
     if len(lines) < 2 or not lines[1].startswith("LAMBDA "):
         raise ValidationError(f"{path} is not a truth sidecar")
     count = int(lines[1].split()[1])

@@ -207,10 +207,16 @@ class TestLoaderErrors:
             load_channel(path, vocab)
         assert str(info.value) == message
 
-    def test_other_line_breaks_count_as_lines(self, tmp_path):
-        # lines break where str.splitlines breaks them: \v, \f, \x1c-\x1e, \x85, ...
+    def test_other_breaks_are_whitespace(self, tmp_path):
+        # only "\n", "\r\n" and "\r" end a line; \v, \f, \x1c-\x1e, \x85,
+        # U+2028 and U+2029 are whitespace inside one
         path = tmp_path / "ch.model"
         path.write_text("CHANNEL 3\r\na a 0.5\x0ca b 0.5\x85b b 1", encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            load_channel(path, Vocabulary(["a", "b"]))
+        assert str(info.value) == "line 1: header declares 3 rows, found 1"
+        path.write_text("CHANNEL 3\ra\x0ca\x850.5\r\na\u2028b 0.5\nb\x1cb 1\u2029",
+                        encoding="utf-8")
         cm = load_channel(path, Vocabulary(["a", "b"]))
         assert cm.rows == {0: {0: 0.5, 1: 0.5}, 1: {1: 1.0}}
 

@@ -214,6 +214,18 @@ class TestSynthCmd:
                            "not valid UTF-8: invalid start byte (byte 0xff)\n")
         assert not out.exists()
 
+    def test_outputs_written_together(self, tmp_path, capsys):
+        spec = synth_spec(tmp_path / "spec.json", bins=50, conversations=2)
+        out = tmp_path / "o"
+        (out / "synth001.truth").mkdir(parents=True)
+        code, stdout, err = run(["synth", str(spec), str(out)], capsys)
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert str(out / "synth001.truth") in err
+        assert stdout == ""
+        assert os.listdir(out) == ["synth001.truth"]
+        assert os.listdir(out / "synth001.truth") == []
+
     @pytest.mark.parametrize("text", ["5", "null"])
     def test_spec_not_an_object(self, tmp_path, capsys, text):
         (tmp_path / "spec.json").write_text(text)
@@ -598,15 +610,46 @@ class TestAdaptInputText:
         bad = tmp_path / "bad.file"
         bad.write_bytes(newline.encode().join(lines))
         code, stdout, err = self.adapt(capsys, small_run, tmp_path / "c.lambda", **{kind: bad})
-        # U+2028 ends a line of a model file, as str.splitlines counts lines,
-        # but not a line of a CNET, which only universal newlines end
-        line = 1 if kind == "cnet" and newline == "\u2028" else 3
+        # only "\n", "\r\n" and "\r" end a line, so U+2028 ends none
+        line = 1 if newline == "\u2028" else 3
         assert code == 2
         assert err == (
             f"error: {bad}: line {line}: not valid UTF-8: invalid start byte (byte 0xff)\n"
         )
         assert stdout == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.file"]
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_line_ends_give_the_same_outputs(small_run, tmp_path, capsys, newline):
+    """Inputs whose lines end in "\\r\\n" or "\\r" give byte for byte the
+    outputs and report of the same inputs with "\\n"."""
+    truth = (small_run / "synth000.truth").read_text().split("\n")
+    spoken = [parts[2] for parts in map(str.split, truth) if len(parts) == 3]
+    ref = "".join(" ".join(spoken[i : i + 9]) + "\n" for i in range(0, len(spoken), 9))
+    results = []
+    for nl in ("\n", newline):
+        d = tmp_path / ("lf" if nl == "\n" else "other")
+        d.mkdir()
+
+        def copy(text, name):
+            (d / name).write_bytes(text.replace("\n", nl).encode("utf-8"))
+
+        for name in ("synth000.cnet", "topics.model", "channel.model"):
+            copy((small_run / name).read_text(), name)
+        code, _, _ = run(["adapt", str(d / "synth000.cnet"), str(d / "topics.model"),
+                          str(d / "c.lambda"), "--variant", "conf-tf",
+                          "--channel", str(d / "channel.model"),
+                          "--out-unigram", str(d / "c.unigram")], capsys)
+        assert code == 0
+        copy((d / "c.unigram").read_text(), "u.unigram")
+        copy(ref, "ref.txt")
+        code, report, _ = run(["ppl", str(d / "u.unigram"), str(d / "ref.txt"),
+                               "--out", str(d / "rep.tsv")], capsys)
+        assert code == 0
+        outputs = ("c.lambda", "c.lambda.diag.json", "c.unigram", "rep.tsv")
+        results.append([report] + [(d / name).read_bytes() for name in outputs])
+    assert results[0] == results[1]
 
 
 class TestAdaptOptions:
@@ -780,6 +823,15 @@ class TestPpl:
         assert float(lines[1].split("\t")[2]) == pytest.approx(expect_all, rel=1e-10)
         assert (tmp_path / "rep.tsv").read_text() == out
 
+    def test_unwritable_out_prints_nothing(self, tmp_path, capsys):
+        uni, ref = self.write_uniform(tmp_path)
+        out = tmp_path / "nodir" / "rep.tsv"
+        code, stdout, err = run(["ppl", str(uni), str(ref), "--out", str(out)], capsys)
+        assert code == 2
+        assert err == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
+        assert stdout == ""
+        assert sorted(os.listdir(tmp_path)) == ["ref.txt", "u.unigram"]
+
     def test_zero_probability_exit_1(self, tmp_path, capsys):
         uni = tmp_path / "u.unigram"
         uni.write_text("UNIGRAM 2\na 1\nb 0\n")
@@ -851,9 +903,8 @@ class TestPpl:
         lines[2] = b"\xff" + lines[2]
         bad.write_bytes(newline.encode().join(lines))
         code, out, err = run(["ppl", str(uni), str(ref)], capsys)
-        # the unigram file is split into lines by str.splitlines, which U+2028
-        # ends; the reference is read with universal newlines, which it does not
-        line = 1 if kind == "ref" and newline == "\u2028" else 3
+        # only "\n", "\r\n" and "\r" end a line, so U+2028 ends none
+        line = 1 if newline == "\u2028" else 3
         assert code == 2
         assert err == (
             f"error: {bad}: line {line}: not valid UTF-8: invalid start byte (byte 0xff)\n"

@@ -1,5 +1,4 @@
 import hashlib
-import re
 from unittest import mock
 
 import numpy as np
@@ -328,6 +327,10 @@ PARSE_ERRORS = [
      ParseError, None),
     ("cell-no-word", ["CONV c", "NET u 1", "BIN :0.5"], "line {no}: bad cell ':0.5'", 2,
      ParseError, None),
+    ("cell-no-colon", ["CONV c", "NET u 1", "BIN a b"], "line {no}: bad cell 'a'", 2,
+     ParseError, None),
+    ("cell-after-colon-word", ["CONV c", "NET u 1", "BIN a:b:0.5 c"],
+     "line {no}: bad cell 'c'", 2, ParseError, None),
     ("posterior", ["CONV c", "NET u 1", "BIN a:x"], "line {no}: bad posterior 'x'", 2,
      ParseError, None),
     ("posterior-no-whole", ["CONV c", "NET u 1", "BIN a:.5"],
@@ -516,7 +519,7 @@ def outcome(parse, *args):
 
 # "a:b", "x:" and "q:q:1" hold ':' and are read by the last one; "zz" and
 # the ones after it are outside the closed vocabulary.  Words without ':'
-# come twice, so that more lines fit the bulk path.  "a.b", "1.5" and "w12"
+# come twice, so that most cells hold one ':'.  "a.b", "1.5" and "w12"
 # hold what posteriors hold; "café" and "日本" are not ASCII; the words
 # longer than 8 bytes share their first 8.
 CNET_WORDS = [
@@ -535,8 +538,7 @@ RARE_POSTERIORS = [
     "0", "1", "1.5", "1.", ".5", "0.1234567890", "1e-3", "+0.5", "0_5", "000000000001",
     "000000000002.5",
 ]
-# whitespace str.split() cuts at besides ' ' and '\t': ASCII (read in bulk)
-# and not (a chunk holding it goes line by line)
+# whitespace str.split() cuts at besides ' ' and '\t', ASCII and not
 ODD_SPACES = ["\x0b", "\x0c", "\x1c", "\r", "\xa0", "\u3000"]
 
 
@@ -566,12 +568,6 @@ def cnet_texts(draw):
             trail = draw(st.sampled_from(["", "", "", " ", "\r", "\x1c", " \xa0"]))
             out += blanks() + [lead + line + trail]
     return "\n".join(out + blanks()) + "\n"
-
-
-# Every chunk whose lines all fit this is read in bulk, with no line-by-line
-# pass: "BIN" at the start of the line, a word without ':' in every cell, and
-# every posterior within 9 fraction digits.
-BULK_LINE = re.compile(r"BIN(?:[ \t]+[^\s:]+:[0-9]+(?:\.[0-9]{1,9})?)+[ \t\r]*")
 
 
 def assert_matches_reference(conv, vocab, want, ref_vocab):
@@ -608,8 +604,8 @@ class TestParseMatchesReference:
     # ASCII, all in bulk
     @example("CONV c\nNET u 3\nBIN a:1\nBIN b:000000000001\n"
              "BIN café:0.5 日本:0.25 a.b:00000000000.125\n", "open", corpus.CHUNK_BINS)
-    # whitespace beside a word: outside ASCII (the first bin goes line by
-    # line) and ASCII (the second goes in bulk)
+    # whitespace beside a word: outside ASCII (the first bin) and ASCII (the
+    # second)
     @example("CONV c\nNET u 2\nBIN \xa0a:0.5 \u3000b:0.25\nBIN \x1ca:0.5\x0bb:0.25\x0c\n", "open", 1)
     # words of 9 bytes and more that share their first 8
     @example("CONV c\nNET u 2\nBIN understand:0.5\n"
@@ -638,8 +634,8 @@ class TestParseMatchesReference:
         assert error == want_error
         if error:
             return
-        # with no error in the file, only chunks the bulk pattern rejects go line by line
-        assert not any(all(map(BULK_LINE.fullmatch, lines)) for lines in by_line)
+        # with no error in the file, no chunk is read line by line
+        assert not by_line
         assert_matches_reference(conv, vocab, want, ref_vocab)
 
     def test_long_closed_file_in_bulk(self):
@@ -661,6 +657,30 @@ class TestParseMatchesReference:
         with mock.patch.object(corpus, "_bins_by_line", side_effect=AssertionError):
             conv = parse_conversation(text, vocab, closed=True)
         assert conv.oov_cells > 1000
+        assert_matches_reference(conv, vocab, want, ref_vocab)
+
+    @pytest.mark.parametrize("mode", ["open", "closed-unk"])
+    def test_wide_space_and_colon_words_in_bulk(self, mode):
+        """Whitespace outside ASCII between and around cells, and words
+        holding ':', need no line-by-line pass either."""
+        rng = np.random.default_rng(13)
+        words = ["a", "a:b", "x:", "q:q:1", ":c", "café", "zz", "<unk>"]
+        seps = [" ", "\xa0", "\u3000", "\t\u3000", "\x85", "\u2028 "]
+        nbins = corpus.CHUNK_BINS + 100
+        lines = ["CONV c", f"NET u {nbins}"]
+        for _ in range(nbins):
+            k = int(rng.integers(1, 5))
+            cells = zip(rng.choice(words, size=k, replace=False),
+                        rng.choice(["0.25", "0.1"], size=k))
+            line = "BIN" + "".join(f"{rng.choice(seps)}{w}:{p}" for w, p in cells)
+            lines.append(line + rng.choice(["", "\xa0"]))
+        text = "\n".join(lines) + "\n"
+        closed = mode != "open"
+        base = ["a", "a:b", ":c", "<unk>"] if closed else []
+        ref_vocab, vocab = Vocabulary(base), Vocabulary(base)
+        want = reference_parse(text, ref_vocab, closed)
+        with mock.patch.object(corpus, "_bins_by_line", side_effect=AssertionError):
+            conv = parse_conversation(text, vocab, closed)
         assert_matches_reference(conv, vocab, want, ref_vocab)
 
     def test_bulk_path_reads_canonical_files(self):

@@ -35,6 +35,32 @@ class TestPerplexity:
         with pytest.raises(EvaluationError, match="token b"):
             perplexity(probs, corpus, vocab)
 
+    def test_first_zero_in_reference_order_named(self):
+        vocab = Vocabulary(["a", "b", "c"])
+        corpus = ReferenceCorpus.from_tokens([0, 2, 1, 2])
+        with pytest.raises(EvaluationError, match="token c$"):
+            perplexity(np.array([1.0, 0.0, 0.0]), corpus, vocab)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 7, 100, 5000])
+    def test_matches_token_loop(self, size):
+        """Bitwise the sum of one log10 after another, in reference order."""
+        rng = np.random.default_rng(size)
+        probs = rng.dirichlet(np.full(40, 0.3))
+        tokens = rng.integers(0, 40, size=size).tolist()
+        corpus = ReferenceCorpus.from_tokens(tokens)
+
+        def loop(kept):
+            total = 0.0
+            for w in kept:
+                total += np.log10(probs[w])
+            return 10.0 ** (-total / len(kept))
+
+        assert perplexity(probs, corpus) == loop(tokens)
+        for thr in (1, 2, 5):
+            kept = [w for w in tokens if corpus.counts[w] <= thr]
+            if kept:
+                assert constrained_perplexity(probs, corpus, thr) == loop(kept)
+
 
 class TestConstrained:
     def test_threshold_one(self):

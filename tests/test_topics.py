@@ -253,13 +253,19 @@ class TestLoaderErrors:
         else:
             assert str(info.value) == message
 
-    def test_other_line_breaks_count_as_lines(self, tmp_path):
-        # lines break where str.splitlines breaks them: \v, \f, \x1c-\x1e, \x85, ...
+    def test_other_breaks_are_whitespace(self, tmp_path):
+        # only "\n", "\r\n" and "\r" end a line; \v, \f, \x1c-\x1e, \x85,
+        # U+2028 and U+2029 are whitespace inside one
         path = tmp_path / "m.topics"
         path.write_text("TOPICS 1 3\r\nTOPIC t\na 0.5\x0bb 0.25\u2028c 0.25", encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            load_topic_model(path)
+        assert str(info.value) == "line 3: expected 5 lines, found 3"
+        path.write_text("TOPICS 1 2\rTOPIC\x1et\na\x0b0.5\r\nb\u20290.5\u2028",
+                        encoding="utf-8")
         tm = load_topic_model(path)
-        assert tm.vocab.words == ("a", "b", "c")
-        assert tm.probs[0].tolist() == [0.5, 0.25, 0.25]
+        assert (tm.labels, tm.vocab.words) == (["t"], ("a", "b"))
+        assert tm.probs[0].tolist() == [0.5, 0.5]
 
 
 @st.composite

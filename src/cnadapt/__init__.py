@@ -14,7 +14,6 @@ from .corpus import (  # noqa: F401
     ConfusionNetwork,
     Conversation,
     Vocabulary,
-    expected_counts,
     parse_conversation,
     prune_bin,
     serialize_conversation,

@@ -1,6 +1,7 @@
 """EM estimators for conversation-level topic mixture weights.
 
-Four variants share one entry point, ``fit``, and one EM driver:
+Four variants share one entry point, ``fit``, and one EM driver;
+``loglik_conf`` evaluates the conf-* objective at given weights:
 
 * ``self-1best`` / ``self-tf``: treat the recognizer output (1-best words,
   or posterior-weighted expected counts) as ground truth and fit the
@@ -211,31 +212,6 @@ def loglik_conf(
     return kernel.stats(np.asarray(lam, dtype=np.float64))[2]
 
 
-def conf_lower_bound(
-    conv: Conversation,
-    tm: TopicModel,
-    cm: ChannelModel,
-    mu,
-    delta,
-    use_tf: bool = False,
-) -> float:
-    """Value of the concave surrogate maximized by one multiplicative update.
-
-    Evaluated at softmax parameters ``mu`` and a candidate step ``delta``;
-    nonnegative at the update the estimator takes, zero at ``delta = 0``,
-    and never above the true Q-difference.
-    """
-    lam = mu_to_lambda(mu)
-    delta = np.asarray(delta, dtype=np.float64)
-    kernel = _ConfKernel(conv, tm, cm, use_tf)
-    ww = kernel.stats(lam)[3]
-    a = lam @ kernel.Q
-    ad = np.divide((lam * delta) @ kernel.Q, a, out=np.zeros_like(a), where=a > 0.0)
-    A = lam @ kernel.S
-    Ad = (lam * np.exp(delta)) @ kernel.S
-    return float(ww.sum() + ww @ ad - kernel.binw @ (Ad / A))
-
-
 def _penalized(ll: float, lam: np.ndarray, m: float) -> float:
     if m == 0.0:
         return float(ll)
@@ -399,35 +375,6 @@ def _self_stats(conv: Conversation, tm: TopicModel, use_tf: bool):
         return c, float(wts @ np.log(qmix))
 
     return stats
-
-
-def loglik_self_1best(conv: Conversation, tm: TopicModel, lam) -> float:
-    return _self_stats(conv, tm, False)(np.asarray(lam, dtype=np.float64))[1]
-
-
-def loglik_self_tf(conv: Conversation, tm: TopicModel, lam) -> float:
-    return _self_stats(conv, tm, True)(np.asarray(lam, dtype=np.float64))[1]
-
-
-def conf_em_step(
-    conv: Conversation,
-    tm: TopicModel,
-    cm: ChannelModel,
-    lam,
-    use_tf: bool = False,
-    map_strength: float = 0.0,
-):
-    """One multiplicative update from ``lam``.
-
-    Returns (new weights, delta) where delta is the softmax-space step the
-    update maximizes the surrogate at (before renormalization).
-    """
-    lam = np.asarray(lam, dtype=np.float64)
-    N, D, _, _ = _ConfKernel(conv, tm, cm, use_tf).stats(lam)
-    u = _conf_update(N, D, lam, map_strength, 0)
-    with np.errstate(divide="ignore"):
-        delta = np.log(u) - np.log(lam)
-    return u / u.sum(), delta
 
 
 def fit(

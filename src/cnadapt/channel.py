@@ -12,7 +12,6 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from functools import cached_property
-from itertools import repeat
 
 import numpy as np
 
@@ -202,7 +201,7 @@ def _read_channel_lines(chunk):
 
 def _word_ids(tokens, vocab: Vocabulary, outside) -> np.ndarray:
     """Ids of ``tokens``; a word ``vocab`` lacks gets the next id in ``outside``."""
-    ids = np.fromiter(map(vocab.get, tokens, repeat(-1)), dtype=np.int64, count=len(tokens))
+    ids = vocab.ids(tokens)
     for i in np.flatnonzero(ids < 0).tolist():
         ids[i] = outside.setdefault(tokens[i], len(vocab) + len(outside))
     return ids

@@ -110,6 +110,9 @@ def cmd_topics_train(args):
     labels = sorted(d for d in os.listdir(root) if os.path.isdir(os.path.join(root, d)))
     if not labels:
         raise InputError(f"no topic subdirectories under {root!r}")
+    for label in labels:
+        if label.split() != [label]:  # the model file's TOPIC line holds one word
+            raise InputError(f"topic folder name {label!r} holds whitespace")
     corpus = []
     for label in labels:
         tokens = []

@@ -70,9 +70,6 @@ class Vocabulary:
             self._index[word] = wid
         return wid
 
-    def id(self, word: str) -> int:
-        return self._index[word]
-
     @property
     def get(self):
         """``get(word)``: the id of ``word``, or None when it is not interned.
@@ -81,11 +78,13 @@ class Vocabulary:
         """
         return self._index.get
 
+    def ids(self, words) -> np.ndarray:
+        """The id of every word of the sequence ``words``, -1 for a word
+        not interned."""
+        return np.fromiter(map(self._index.get, words, repeat(-1)), np.int64, len(words))
+
     def word(self, wid: int) -> str:
         return self._words[wid]
-
-    def __contains__(self, word: str) -> bool:
-        return word in self._index
 
     def __len__(self) -> int:
         return len(self._words)
@@ -170,8 +169,8 @@ class Conversation:
       parsed.
 
     ``Conversation(cid, networks)`` flattens ``ConfusionNetwork`` objects
-    once.  ``networks`` and ``iter_bins`` give the object form back, built
-    on first use; the package itself reads only the arrays.
+    once.  ``networks`` gives the object form back, built on first use; the
+    package itself reads only the arrays.
     """
 
     def __init__(self, cid: str, networks):
@@ -218,10 +217,6 @@ class Conversation:
             for uid, lo, hi in zip(self.uids, ptr, ptr[1:])
         )
 
-    def iter_bins(self):
-        for net in self.networks:
-            yield from net.bins
-
     def __eq__(self, other):
         if not isinstance(other, Conversation):
             return NotImplemented
@@ -265,13 +260,6 @@ def pruned_widths(conv: Conversation, rel_floor: float = 0.05, max_words: int = 
     bin_of = np.repeat(np.arange(width.size), width)
     kept = np.bincount(bin_of[conv.posts >= threshold], minlength=width.size)
     return np.minimum(kept, max_words)
-
-
-def expected_counts(conv: Conversation) -> dict:
-    """Soft term frequency: tf(w) = sum of w's posteriors over all bins."""
-    tf = np.bincount(conv.words, weights=conv.posts)
-    wids = np.unique(conv.words)
-    return dict(zip(wids.tolist(), tf[wids].tolist()))
 
 
 def _parse_posterior(token: str, lineno: int) -> float:
@@ -466,7 +454,7 @@ def _bins_in_bulk(lines, vocab: Vocabulary, closed: bool, unk):
         raw[a:b].decode("utf-8", "surrogatepass")
         for a, b in zip(cs[first].tolist(), colon[first].tolist())
     ]
-    known = np.fromiter(map(vocab.get, names, repeat(-1)), np.int64, len(names))
+    known = vocab.ids(names)
     if not closed:
         new = np.flatnonzero(known < 0)
         for d in new[np.argsort(first[new])].tolist():

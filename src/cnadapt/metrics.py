@@ -40,21 +40,23 @@ def load_reference(path, vocab: Vocabulary) -> ReferenceCorpus:
     """Whitespace-tokenized transcript, one utterance per line.
 
     Out-of-vocabulary tokens map to the unknown-word entry; if the model
-    vocabulary has none, evaluation cannot proceed.
+    vocabulary has none, evaluation cannot proceed, and the error names the
+    first such token.
     """
-    ids = []
-    for tok in read_text(path).split():
-        if tok in vocab:
-            ids.append(vocab.id(tok))
-        elif UNK_WORD in vocab:
-            ids.append(vocab.id(UNK_WORD))
-        else:
-            raise EvaluationError(
-                f"token {tok!r} not covered: vocabulary has no {UNK_WORD!r}"
-            )
-    if not ids:
+    tokens = read_text(path).split()
+    if not tokens:
         raise EvaluationError(f"reference file {path} has no tokens")
-    return ReferenceCorpus.from_tokens(ids)
+    ids = vocab.ids(tokens)
+    outside = ids < 0
+    if outside.any():
+        unk = vocab.get(UNK_WORD)
+        if unk is None:
+            raise EvaluationError(
+                f"{path}: token {tokens[outside.argmax()]!r} not covered: "
+                f"vocabulary has no {UNK_WORD!r}"
+            )
+        ids[outside] = unk
+    return ReferenceCorpus(ids)
 
 
 def _score(probs: np.ndarray, tokens: np.ndarray, vocab: Vocabulary | None) -> float:

@@ -184,15 +184,6 @@ def _sample(spec: SynthSpec, index: int, shared):
     return conv, truth
 
 
-def observed_marginal(truth: SynthTruth) -> np.ndarray:
-    """Distribution of the observed word implied by mixture and channel."""
-    q_star = truth.lam @ truth.topics.probs
-    cm = truth.channel
-    p = np.zeros(len(truth.vocab))
-    np.add.at(p, cm.obs, q_star[cm.spoken()] * cm.probs)
-    return p
-
-
 def save_truth(truth: SynthTruth, conv: Conversation, path) -> None:
     """Sidecar with the true weights and the spoken word per bin."""
     vocab = truth.vocab

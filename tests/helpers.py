@@ -1,10 +1,12 @@
-"""Shared builders for randomized test instances."""
+"""Shared builders for randomized test instances, and the evaluators of
+the estimators' derivation that the tests check them against."""
 
 import numpy as np
 
+from cnadapt.adapt import _ConfKernel, _conf_update, _self_stats
 from cnadapt.channel import ChannelModel
 from cnadapt.corpus import Bin, ConfusionNetwork, Conversation, Vocabulary
-from cnadapt.topics import TopicModel, floor_and_normalize
+from cnadapt.topics import TopicModel, floor_and_normalize, mu_to_lambda
 
 
 def make_topic_model(rng, T, V, sharpness=0.5):
@@ -60,8 +62,51 @@ def make_instance(seed, T=3, V=20, M=100, max_width=5, normalized_bins=False,
     return conv, tm, cm
 
 
+def iter_bins(conv):
+    for net in conv.networks:
+        yield from net.bins
+
+
 def bins_as_lists(conv):
-    return [list(b.cells) for b in conv.iter_bins()]
+    return [list(b.cells) for b in iter_bins(conv)]
+
+
+def loglik_self(conv, tm, lam, use_tf=False):
+    """The self-* log-likelihood at ``lam``: of the 1-best words, or of the
+    expected counts with ``use_tf``."""
+    return _self_stats(conv, tm, use_tf)(np.asarray(lam, dtype=np.float64))[1]
+
+
+def conf_em_step(conv, tm, cm, lam, use_tf=False, map_strength=0.0):
+    """One conf-* multiplicative update from ``lam``.
+
+    Returns (new weights, delta) where delta is the softmax-space step the
+    update maximizes the surrogate at (before renormalization).
+    """
+    lam = np.asarray(lam, dtype=np.float64)
+    N, D, _, _ = _ConfKernel(conv, tm, cm, use_tf).stats(lam)
+    u = _conf_update(N, D, lam, map_strength, 0)
+    with np.errstate(divide="ignore"):
+        delta = np.log(u) - np.log(lam)
+    return u / u.sum(), delta
+
+
+def conf_lower_bound(conv, tm, cm, mu, delta, use_tf=False):
+    """Value of the concave surrogate maximized by one multiplicative update.
+
+    Evaluated at softmax parameters ``mu`` and a candidate step ``delta``;
+    nonnegative at the update the estimator takes, zero at ``delta = 0``,
+    and never above the true Q-difference.
+    """
+    lam = mu_to_lambda(mu)
+    delta = np.asarray(delta, dtype=np.float64)
+    kernel = _ConfKernel(conv, tm, cm, use_tf)
+    ww = kernel.stats(lam)[3]
+    a = lam @ kernel.Q
+    ad = np.divide((lam * delta) @ kernel.Q, a, out=np.zeros_like(a), where=a > 0.0)
+    A = lam @ kernel.S
+    Ad = (lam * np.exp(delta)) @ kernel.S
+    return float(ww.sum() + ww @ ad - kernel.binw @ (Ad / A))
 
 
 def non_decreasing(trace, slack=1e-9):

@@ -11,13 +11,19 @@ import time
 import numpy as np
 
 import oracles
-from cnadapt.adapt import EstimatorConfig, conf_lower_bound, fit
+from cnadapt.adapt import EstimatorConfig, fit
 from cnadapt.channel import estimate_channel
 from cnadapt.cli import main
 from cnadapt.corpus import Bin, ConfusionNetwork, Conversation
 from cnadapt.metrics import ReferenceCorpus, constrained_perplexity, perplexity
 from cnadapt.synth import SynthSpec, load_truth_lambda, sample_conversation
-from helpers import bins_as_lists, make_conversation, make_instance, non_decreasing
+from helpers import (
+    bins_as_lists,
+    conf_lower_bound,
+    make_conversation,
+    make_instance,
+    non_decreasing,
+)
 
 A1_BUDGET = 60.0
 A2_BUDGET = 120.0

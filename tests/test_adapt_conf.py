@@ -10,8 +10,6 @@ from cnadapt.adapt import (
     _conf_update,
     _run_em,
     _step_converged,
-    conf_em_step,
-    conf_lower_bound,
     fit,
     loglik_conf,
 )
@@ -23,6 +21,9 @@ from cnadapt.topics import TopicModel, save_topic_model
 from helpers import (
     bins_as_lists,
     channel_from_rows,
+    conf_em_step,
+    conf_lower_bound,
+    iter_bins,
     make_channel,
     make_instance,
     make_topic_model,
@@ -52,7 +53,7 @@ def reference_posteriors(conv, tm, lam, cm):
     cells = np.zeros(kernel.cell.max() + 1)
     cells[kernel.cell] = kernel.stats(np.asarray(lam, dtype=np.float64))[3]
     out, start = [], 0
-    for b in conv.iter_bins():
+    for b in iter_bins(conv):
         out.append({w: float(cells[start + j]) for j, w in enumerate(b.word_ids())})
         start += len(b)
     return out
@@ -74,7 +75,7 @@ class TestReferencePosterior:
         conv, tm, _ = make_instance(3, T=2, V=10, M=10, max_width=4)
         cm = identity_channel(10)
         posts = reference_posteriors(conv, tm, [0.5, 0.5], cm)
-        for b, r in zip(conv.iter_bins(), posts):
+        for b, r in zip(iter_bins(conv), posts):
             obs = b.one_best()[0]
             assert r[obs] == pytest.approx(1.0)
             assert all(v == 0.0 for w, v in r.items() if w != obs)
@@ -117,7 +118,7 @@ class TestLoglikConf:
     def test_tf_concentrated_equals_1best(self):
         conv, tm, cm = make_instance(5, T=3, V=15, M=40, max_width=4)
         bins = []
-        for b in conv.iter_bins():
+        for b in iter_bins(conv):
             cells = [(b.cells[0][0], 1.0 - 1e-9 * (len(b.cells) - 1))]
             cells += [(w, 1e-9) for w, _ in b.cells[1:]]
             bins.append(Bin(cells))
@@ -266,11 +267,11 @@ class TestRaggedKernel:
 
     def test_instance_has_the_shapes(self):
         conv, tm, cm = ragged_instance(0, dead_bin=True)
-        widths = {len(b) for b in conv.iter_bins()}
+        widths = {len(b) for b in iter_bins(conv)}
         assert widths == set(range(1, 41))
-        words = {w for b in conv.iter_bins() for w in b.word_ids()}
+        words = {w for b in iter_bins(conv) for w in b.word_ids()}
         assert any(w not in cm.rows for w in words)
-        first = next(conv.iter_bins())
+        first = next(iter_bins(conv))
         assert all(cm.prob(0, w) == 0.0 for w in first.word_ids())
 
     @pytest.mark.parametrize("use_tf", [False, True])

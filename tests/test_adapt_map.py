@@ -5,10 +5,9 @@ import oracles
 from cnadapt.adapt import (
     EstimatorConfig,
     _ConfKernel,
-    conf_em_step,
     fit,
 )
-from helpers import bins_as_lists, make_instance, non_decreasing
+from helpers import bins_as_lists, conf_em_step, make_instance, non_decreasing
 
 
 class TestUpdateForms:

@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from cnadapt.adapt import (
-    EstimatorConfig,
-    fit,
-    loglik_self_1best,
-    loglik_self_tf,
-)
+from cnadapt.adapt import EstimatorConfig, fit
 from cnadapt.channel import estimate_channel
 from cnadapt.corpus import (
     Bin,
@@ -18,7 +13,7 @@ from cnadapt.corpus import (
 )
 from cnadapt.errors import EstimationError, ValidationError
 from cnadapt.topics import TopicModel
-from helpers import bins_as_lists, make_instance, non_decreasing
+from helpers import bins_as_lists, iter_bins, loglik_self, make_instance, non_decreasing
 
 
 @pytest.fixture
@@ -34,14 +29,14 @@ def two_topic():
 class TestObjectives:
     def test_loglik_1best_hand(self, two_topic):
         conv, tm = two_topic
-        got = loglik_self_1best(conv, tm, [0.5, 0.5])
+        got = loglik_self(conv, tm, [0.5, 0.5])
         assert got == pytest.approx(np.log(0.55) + np.log(0.45), abs=1e-12)
 
     def test_loglik_certain_word_is_zero(self):
         vocab = Vocabulary(["a"])
         tm = TopicModel(["t"], vocab, np.array([[1.0]]))
         conv = Conversation("c", (ConfusionNetwork("u", (Bin([(0, 1.0)]),)),))
-        assert loglik_self_1best(conv, tm, [1.0]) == pytest.approx(0.0, abs=1e-9)
+        assert loglik_self(conv, tm, [1.0]) == pytest.approx(0.0, abs=1e-9)
 
     def test_bin_order_invariance(self, two_topic):
         conv, tm = two_topic
@@ -49,8 +44,8 @@ class TestObjectives:
             "c1", (ConfusionNetwork("u1", (Bin([(1, 1.0)]), Bin([(0, 1.0)]))),)
         )
         lam = [0.3, 0.7]
-        assert loglik_self_1best(conv, tm, lam) == pytest.approx(
-            loglik_self_1best(flipped, tm, lam)
+        assert loglik_self(conv, tm, lam) == pytest.approx(
+            loglik_self(flipped, tm, lam)
         )
 
     def test_tf_objective_formula(self, two_topic):
@@ -70,8 +65,8 @@ class TestObjectives:
         lam = np.array([0.5, 0.5])
         q = lam @ tm.probs
         expect = 1.3 * np.log(q[0]) + 0.4 * np.log(q[1]) + 0.3 * np.log(q[2])
-        assert loglik_self_tf(conv, tm, lam) == pytest.approx(expect, abs=1e-12)
-        assert loglik_self_tf(conv, tm, lam) == pytest.approx(
+        assert loglik_self(conv, tm, lam, use_tf=True) == pytest.approx(expect, abs=1e-12)
+        assert loglik_self(conv, tm, lam, use_tf=True) == pytest.approx(
             oracles.loglik_self_tf(bins_as_lists(conv), lam, tm.probs), abs=1e-12
         )
 
@@ -104,7 +99,7 @@ class TestTfDegeneracy:
     def test_singleton_posterior_one_equals_1best(self):
         rng = np.random.default_rng(14)
         conv, tm, _ = make_instance(20, T=3, V=15, M=60, max_width=1)
-        bins = tuple(Bin([(b.cells[0][0], 1.0)]) for b in conv.iter_bins())
+        bins = tuple(Bin([(b.cells[0][0], 1.0)]) for b in iter_bins(conv))
         conv1 = Conversation("c", (ConfusionNetwork("u", bins),))
         cfg1 = EstimatorConfig("self-1best", max_iters=30)
         cfg2 = EstimatorConfig("self-tf", max_iters=30)

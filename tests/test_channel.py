@@ -10,7 +10,7 @@ from cnadapt.channel import estimate_channel, load_channel, save_channel
 from cnadapt.corpus import Bin, ConfusionNetwork, Conversation, Vocabulary
 from cnadapt.errors import ParseError, ValidationError
 from cnadapt.modelfile import CHUNK_LINES
-from helpers import channel_from_rows, make_conversation
+from helpers import channel_from_rows, iter_bins, make_conversation
 
 
 def conv_of_bins(cells_per_bin, cid="c"):
@@ -59,7 +59,7 @@ class TestEstimate:
         rng = np.random.default_rng(9)
         conv = make_conversation(rng, V=15, M=80)
         counts = {}
-        for b in conv.iter_bins():
+        for b in iter_bins(conv):
             wids = b.word_ids()[:10]
             for w in wids:
                 for v in wids:

@@ -97,6 +97,18 @@ class TestTopicsTrain:
         code, _, _ = run(["topics-train", str(root), str(tmp_path / "m")], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("name", ["sports news", "news\t", "\u3000news", "a\x85b"])
+    def test_label_with_whitespace_exit_2(self, tmp_path, capsys, name):
+        # the model file's "TOPIC <label>" line would not load back
+        root = write_corpus(tmp_path / "corpus")
+        (root / name).mkdir()
+        (root / name / "a.txt").write_text("vote\n")
+        code, stdout, err = run(["topics-train", str(root), str(tmp_path / "m")], capsys)
+        assert code == 2
+        assert err == f"error: topic folder name {name!r} holds whitespace\n"
+        assert stdout == ""
+        assert not (tmp_path / "m").exists()
+
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
     def test_corpus_not_utf8(self, tmp_path, capsys, newline):
         root = write_corpus(tmp_path / "corpus")
@@ -845,9 +857,10 @@ class TestPpl:
         uni, _ = self.write_uniform(tmp_path)
         ref = tmp_path / "ref.txt"
         ref.write_text("a zzz\n")
-        code, _, err = run(["ppl", str(uni), str(ref)], capsys)
+        code, out, err = run(["ppl", str(uni), str(ref)], capsys)
         assert code == 1
-        assert "zzz" in err
+        assert err == f"error: {ref}: token 'zzz' not covered: vocabulary has no '<unk>'\n"
+        assert out == ""
 
     def test_nan_probability_exit_2(self, tmp_path, capsys):
         uni = tmp_path / "u.unigram"

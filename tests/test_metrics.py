@@ -1,5 +1,10 @@
+import re
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cnadapt.corpus import Vocabulary
 from cnadapt.errors import EvaluationError, ValidationError
@@ -128,7 +133,7 @@ class TestCorpusType:
         ref = tmp_path / "ref.txt"
         ref.write_text("a b zzz\nb a\n")
         corpus = load_reference(ref, vocab)
-        assert corpus.counts[vocab.id("<unk>")] == 1
+        assert corpus.counts[vocab.get("<unk>")] == 1
         assert len(corpus.tokens) == 5
 
     def test_load_reference_without_unk_fails(self, tmp_path):
@@ -143,3 +148,53 @@ class TestCorpusType:
         ref.write_text("\n\n")
         with pytest.raises(EvaluationError):
             load_reference(ref, Vocabulary(["a"]))
+
+
+REF_WORDS = ["a", "b", "zz", "<unk>", "\xe9t\xe9", "\u65e5\u672c", "a:b", "A"]
+# str.split() cuts at all of these, ASCII and not; "\r" and "\r\n" also end lines
+REF_SPACES = [" ", "\t", "\n", "\r\n", "\r", "\x0b", "\x1c", "\x85", "\xa0",
+              "\u2028", "\u3000"]
+
+
+@st.composite
+def references(draw):
+    """(vocabulary words, reference text): some words in the vocabulary and
+    some not, with and without <unk>, any whitespace, possibly no token."""
+    words = draw(st.lists(st.sampled_from(REF_WORDS), unique=True, max_size=5))
+    spaces = st.lists(st.sampled_from(REF_SPACES), min_size=1, max_size=2).map("".join)
+    tokens = draw(st.lists(st.sampled_from(REF_WORDS), max_size=12))
+    text = draw(st.sampled_from(["", " ", "\n"]))
+    for tok in tokens:
+        text += tok + draw(spaces)
+    return words, text
+
+
+class TestLoadReferenceRule:
+    """``load_reference`` against a lookup of one reference token after another."""
+
+    @given(references())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_token_lookup(self, tmp_path_factory, case):
+        words, text = case
+        path = tmp_path_factory.mktemp("ref") / "ref.txt"
+        path.write_bytes(text.encode("utf-8"))
+        vocab = Vocabulary(words)
+        index = dict(zip(words, range(len(words))))
+        want, uncovered = [], None
+        for tok in text.split():
+            wid = index.get(tok, index.get("<unk>"))
+            if wid is None:
+                uncovered = tok
+                break
+            want.append(wid)
+        if uncovered is not None:
+            with pytest.raises(EvaluationError, match=f"token {re.escape(repr(uncovered))} "):
+                load_reference(path, vocab)
+        elif not want:
+            with pytest.raises(EvaluationError, match="has no tokens"):
+                load_reference(path, vocab)
+        else:
+            corpus = load_reference(path, vocab)
+            assert corpus.tokens.dtype == np.int64
+            assert corpus.tokens.tolist() == want
+            assert corpus.counts == dict(Counter(want))

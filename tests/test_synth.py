@@ -10,11 +10,11 @@ from cnadapt.errors import ValidationError
 from cnadapt.synth import (
     SynthSpec,
     load_truth_lambda,
-    observed_marginal,
     sample_conversation,
     sample_conversations,
     save_truth,
 )
+from helpers import iter_bins
 
 
 def spec(**kw):
@@ -32,11 +32,20 @@ def spec(**kw):
     return SynthSpec(**base)
 
 
+def observed_marginal(truth):
+    """Distribution of the observed word implied by mixture and channel."""
+    q_star = truth.lam @ truth.topics.probs
+    cm = truth.channel
+    p = np.zeros(len(truth.vocab))
+    np.add.at(p, cm.obs, q_star[cm.spoken()] * cm.probs)
+    return p
+
+
 class TestSampling:
     def test_noiseless_is_singleton_truth(self):
         conv, truth = sample_conversation(spec(channel_noise=0.0, bins=100))
         refs = truth.refs
-        for b, ref in zip(conv.iter_bins(), refs):
+        for b, ref in zip(iter_bins(conv), refs):
             assert len(b) == 1
             assert b.cells[0] == (ref, 1.0)
 
@@ -54,19 +63,19 @@ class TestSampling:
         conv, truth = sample_conversation(spec(bins=500))
         # the sidecar's spoken words are bin members; the observed 1-best
         # is whatever the channel emitted
-        for b in conv.iter_bins():
+        for b in iter_bins(conv):
             total = sum(p for _, p in b.cells)
             assert total <= 1.0 + 1e-6
             assert b.one_best()[1] == max(p for _, p in b.cells)
 
     def test_bin_width_respected(self):
         conv, _ = sample_conversation(spec(bins=300, bin_width=4))
-        assert max(len(b) for b in conv.iter_bins()) <= 4
+        assert max(len(b) for b in iter_bins(conv)) <= 4
 
     def test_empirical_observed_marginal(self):
         conv, truth = sample_conversation(spec(bins=50000))
         counts = np.zeros(30)
-        for b in conv.iter_bins():
+        for b in iter_bins(conv):
             counts[b.one_best()[0]] += 1
         emp = counts / counts.sum()
         tv = 0.5 * np.abs(emp - observed_marginal(truth)).sum()

@@ -32,10 +32,10 @@ class TestTraining:
         row = tm.probs[0]
         expect = oracles.witten_bell({0: 2, 1: 1}, len(vocab))
         assert np.allclose(row, expect / expect.sum(), atol=1e-9)
-        assert row[vocab.id("a")] == pytest.approx(0.4, rel=1e-9)
-        assert row[vocab.id("b")] == pytest.approx(0.2, rel=1e-9)
-        assert row[vocab.id("c")] == pytest.approx(2 / 15, rel=1e-9)
-        assert row[vocab.id(UNK_WORD)] == pytest.approx(2 / 15, rel=1e-9)
+        assert row[vocab.get("a")] == pytest.approx(0.4, rel=1e-9)
+        assert row[vocab.get("b")] == pytest.approx(0.2, rel=1e-9)
+        assert row[vocab.get("c")] == pytest.approx(2 / 15, rel=1e-9)
+        assert row[vocab.get(UNK_WORD)] == pytest.approx(2 / 15, rel=1e-9)
 
     def test_witten_bell_without_unk_dilution(self):
         # exact spec numbers hold when the vocabulary is just {a,b,c,d}
@@ -48,13 +48,13 @@ class TestTraining:
             [("t", ["a", "a", "a"] + [UNK_WORD])], vocab
         )
         # every vocab word seen: plain relative frequencies
-        assert tm.probs[0][vocab.id("a")] == pytest.approx(0.75, rel=1e-9)
+        assert tm.probs[0][vocab.get("a")] == pytest.approx(0.75, rel=1e-9)
 
     def test_single_word_topic(self):
         vocab = Vocabulary(["a"])
         tm = train_topic_model([("t", ["a", "a", "a"])], vocab)
         row = tm.probs[0]
-        assert row[vocab.id("a")] > 0.5
+        assert row[vocab.get("a")] > 0.5
         assert row.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_rows_sum_to_one_randomized(self):
@@ -91,12 +91,12 @@ class TestMixture:
     def test_hand_example(self):
         vocab, tm = self.make_tm()
         lw = MixtureWeights(np.array([0.5, 0.5]))
-        assert adapted_unigram(tm, lw)[vocab.id("a")] == pytest.approx(0.55, abs=1e-12)
+        assert adapted_unigram(tm, lw)[vocab.get("a")] == pytest.approx(0.55, abs=1e-12)
 
     def test_one_hot_recovers_row(self):
         vocab, tm = self.make_tm()
         lw = MixtureWeights(np.array([0.0, 1.0]))
-        assert adapted_unigram(tm, lw)[vocab.id("a")] == pytest.approx(0.2, abs=1e-12)
+        assert adapted_unigram(tm, lw)[vocab.get("a")] == pytest.approx(0.2, abs=1e-12)
 
     def test_distribution_sums_to_one(self):
         rng = np.random.default_rng(0)

@@ -15,10 +15,11 @@ Four variants share one entry point, ``fit``, and one EM driver;
   update.  MAP variants bound the prior difference too, with separate
   update forms for negative and positive prior strength.
 
-Every conf-* iteration's accumulators come from one numpy kernel over a
-per-conversation layout of bins padded by width class (see ``_ConfKernel``);
-the reductions run in a fixed order, so repeated runs on one platform
-reproduce identical traces.
+The conf-* workspace (see ``_ConfKernel``) contracts the channel with the
+topic rows once per conversation, so each iteration's accumulators are two
+flat matrix-vector products over the observed slots plus the per-bin
+normalizer; the reductions run in a fixed order, so repeated runs on one
+platform reproduce identical traces.
 
 The driver, ``_run_em``, accelerates every variant's EM update with
 safeguarded SQUAREM (Varadhan & Roland, Scand. J. Statist. 2008).  Each
@@ -31,6 +32,7 @@ second EM step instead, so the objective trace never falls.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,6 +79,8 @@ class FitResult:
     accepted points, ``len(loglik_trace) - 1``; ``evaluations`` counts every
     call of the per-iteration statistics, rejected points included.
     ``converged`` means a plain EM step gained at most ``rel_tol``.
+    ``build_s`` is the wall time ``fit`` took to set the statistics up (the
+    conf-* workspace or the self-* word weights) before EM started.
     """
 
     weights: MixtureWeights
@@ -84,6 +88,7 @@ class FitResult:
     iterations: int = 0
     converged: bool = False
     evaluations: int = 0
+    build_s: float = 0.0
 
 
 def _check_in_model(wids: np.ndarray, tm: TopicModel) -> None:
@@ -95,111 +100,128 @@ def _check_in_model(wids: np.ndarray, tm: TopicModel) -> None:
         )
 
 
-def _channel_lookup(cm: ChannelModel, words: np.ndarray):
-    """Sorted pair keys ``w * base + v``, their probabilities and ``base``.
+def _channel_lookup(cm: ChannelModel, words: np.ndarray, V: int, budget: int):
+    """Number the distinct words of ``words`` (ids below ``V``) and look
+    channel pairs up by those local ids: returns ``(ws, local, lookup)``.
 
-    Only the rows of ``words`` are gathered, so the cost does not grow with
-    the channel; a word without a row emits itself.  The rows are taken in
-    word order and hold their observed words in order, so the keys come out
-    sorted.  A sentinel key ends the array, so every lookup lands on an entry.
+    ``ws`` holds the U distinct words in order and ``local[i]`` is the rank
+    of ``words[i]`` among them.  ``lookup(keys)`` gives p(observed o |
+    spoken u) for local pair keys ``u * U + o``, from a dense U x U table
+    when it holds at most ``budget`` entries, else by binary search over the
+    sorted keys.  Only the rows of these words are gathered, and only their
+    entries to these words are kept, so the cost does not grow with the
+    channel; a word without a row emits itself.
     """
-    ws = np.unique(words)
+    present = np.zeros(V, dtype=bool)
+    present[words] = True
+    ws = np.flatnonzero(present)
+    U = ws.size
+    # one slot past the vocabulary: every observed id outside it clips there
+    rank = np.full(V + 1, -1)
+    rank[ws] = np.arange(U)
     last = cm.ptr.size - 1
     start = cm.ptr[np.minimum(ws, last)]
     size = cm.ptr[np.minimum(ws + 1, last)] - start
-    rowless = size == 0
-    size[rowless] = 1
-    spoken = np.repeat(ws, size)
     at = _ragged(start, start + size)
-    stored = ~np.repeat(rowless, size)
-    vs = spoken.copy()
-    vs[stored] = cm.obs[at[stored]]
-    ps = np.ones(spoken.size)
-    ps[stored] = cm.probs[at[stored]]
-    base = max(int(words.max()), int(vs.max())) + 1
-    keys = np.append(spoken * base + vs, np.iinfo(np.int64).max)
-    return keys, np.append(ps, 0.0), base
+    obs = rank.take(cm.obs[at], mode="clip")
+    kept = obs >= 0
+    # rows come in word order and hold their observed words in order
+    keys = np.repeat(np.arange(U) * U, size)[kept] + obs[kept]
+    ps = cm.probs[at[kept]]
+    selfkeys = np.flatnonzero(size == 0) * (U + 1)
+    pos = np.searchsorted(keys, selfkeys)
+    keys, ps = np.insert(keys, pos, selfkeys), np.insert(ps, pos, 1.0)
+    if U * U <= budget:
+        table = np.zeros(U * U)
+        table[keys] = ps
+        return ws, rank[words], table.take
+    # a sentinel key ends the array, so every search lands on an entry
+    keys = np.append(keys, np.iinfo(np.int64).max)
+    ps = np.append(ps, 0.0)
+
+    def lookup(key):
+        pos = np.searchsorted(keys, key)
+        return np.where(keys[pos] == key, ps[pos], 0.0)
+
+    return ws, rank[words], lookup
 
 
 class _ConfKernel:
     """Per-conversation arrays of the conf-* EM and its per-iteration statistics.
 
-    Bins are grouped into width classes (1, 2, 3-4, 5-8, ..., the last one
-    ending at the widest bin) and every bin is padded to its class width K.
-    A class of M bins owns M*K consecutive slots, bin by bin in utterance
-    order; slot 0 of a bin is its 1-best word.  Padding slots have zero
-    topic probabilities and zero weight, so their channel entries never count.
+    A bin's observed slots are its cells under ``conf-tf`` (J = its width)
+    and its 1-best cell under ``conf-1best`` (J = 1).  The build groups bins
+    into width classes (1, 2, 3-4, 5-8, ..., the last one ending at the
+    widest bin) and pads each bin to its class width K with zero topic rows.
+    For a class of M bins it looks the (M, K, J) channel block up (see
+    ``_channel_lookup``) and contracts it with the bins' topic rows in one
+    batched product; the blocks are not kept.  What is kept, with the
+    observed slots in cell order (``conf-tf``) or bin order (``conf-1best``):
 
-    * ``cell`` (slots,): each slot's cell, counting cells in utterance
-      order; padding points one past the last cell;
-    * ``Q`` (T, slots): topic probabilities of each slot's word;
-    * ``S`` (T, bins): per-bin sums of ``Q``, in slot order;
-    * ``binw`` (bins,): evidence mass of each bin, for the variant ``use_tf`` picks;
-    * ``blocks``: per class, its slot range, the (M, K, J) channel block
-      (row = spoken slot, column = observed slot) and the (M, J) weights of
-      the J observed slots, for that variant only: every slot with its
-      posterior for ``conf-tf`` (J = K), the 1-best slot with weight 1 for
-      ``conf-1best`` (J = 1, so its channel blocks are (M, K, 1)).
+    * ``R`` (T, slots): ``R[t, b]`` sums, over the cells a of b's bin,
+      p(word of b | word of a) * p(word of a | topic t), so ``lam @ R`` is
+      each observed word's channel probability under the mixture;
+    * ``w`` (slots,): each slot's evidence, its posterior for ``conf-tf``
+      and 1 for ``conf-1best``, always positive; ``seen`` (slots,): its word;
+    * ``S`` (T, bins): per-bin sums of the topic rows of the bin's words;
+    * ``binw`` (bins,): evidence mass of each bin.
     """
 
     def __init__(self, conv: Conversation, tm: TopicModel, cm: ChannelModel, use_tf: bool):
         words, post = conv.words, conv.posts
         width = np.diff(conv.bin_ptr)
         _check_in_model(words, tm)
-        keys, probs, base = _channel_lookup(cm, words)
+        T, V = tm.probs.shape
         first = conv.bin_ptr[:-1]
-        kclass = np.minimum(np.left_shift(1, np.frexp(width - 1)[1]), width.max())
-        wordx, postx = np.append(words, 0), np.append(post, 0.0)
-        slots, bin_start, self.blocks = [], [], []
-        for K in np.unique(kclass):
-            b = np.flatnonzero(kclass == K)
-            real = np.arange(K) < width[b, None]
-            slot = np.where(real, first[b, None] + np.arange(K), words.size)
-            w = wordx[slot]
-            obs, weight = (w, postx[slot]) if use_tf else (w[:, :1], np.ones((b.size, 1)))
-            key = w[:, :, None] * base + obs[:, None, :]
-            pos = np.searchsorted(keys, key)
-            chan = np.where(keys[pos] == key, probs[pos], 0.0)
-            off = sum(s.size for s in slots)
-            bin_start.append(off + K * np.arange(b.size))
-            slots.append(slot.ravel())
-            self.blocks.append((slice(off, off + slot.size), chan, weight))
-        self.cell = np.concatenate(slots)
-        bin_start = np.concatenate(bin_start)
-        T = tm.probs.shape[0]
-        self.Q = np.concatenate([tm.probs[:, words], np.zeros((T, 1))], axis=1)[:, self.cell]
-        self.S = np.add.reduceat(self.Q, bin_start, axis=1)
+        # class e, the bit length of width - 1, holds widths 1, 2, 3-4, 5-8, ...;
+        # np.unique is avoided because its first call imports numpy.ma (~15 ms)
+        exp = np.frexp(width - 1)[1]
+        classes = [(min(1 << int(e), int(width.max())), np.flatnonzero(exp == e))
+                   for e in np.flatnonzero(np.bincount(exp))]
+        budget = sum(b.size * K * (K if use_tf else 1) for K, b in classes)
+        ws, local, lookup = _channel_lookup(cm, words, V, budget)
+        U = ws.size
+        topics = np.concatenate([tm.probs.take(ws, axis=1).T, np.zeros((1, T))])
+        # padding looks up word 0's channel entries but has the zero topic row
+        spoken, observed, row = np.append(local * U, 0), np.append(local, 0), np.append(local, U)
+        # one spare row past the observed slots takes the padding's writes
+        R = np.empty(((words.size if use_tf else width.size) + 1, T))
+        for K, b in classes:
+            slot = first[b, None] + np.arange(K)
+            slot[np.arange(K) >= width[b, None]] = words.size
+            seen, out = (slot, slot) if use_tf else (slot[:, :1], b[:, None])
+            chan = lookup(spoken[slot][:, :, None] + observed[seen][:, None, :])
+            # (M, J, K) @ (M, K, T): the rows of R of the class's observed slots
+            R[out] = chan.transpose(0, 2, 1) @ topics.take(row[slot], axis=0)
+        self.R = np.ascontiguousarray(R[:-1].T)
+        self.S = np.ascontiguousarray(np.add.reduceat(topics.take(local, axis=0), first).T)
+        self.probs = tm.probs
         if use_tf:
-            self.binw = np.add.reduceat(postx[self.cell], bin_start)
+            self.w, self.seen = post, words
+            self.binw = np.add.reduceat(post, first)
         else:
-            self.binw = np.ones(width.size)
+            self.w, self.seen = np.ones(width.size), words[first]
+            self.binw = self.w
 
     def stats(self, lam: np.ndarray):
-        """Return (N, D, log-likelihood, per-slot reference weights) at ``lam``.
+        """Return (N, D, log-likelihood) at ``lam``.
 
         N[t] is the reference-posterior-weighted topic-t mass, D[t] the
         bin-level topic-t mass ratio; both feed the multiplicative update.
         An observed word that gets zero channel mass from every bin word
         falls back to a point-mass reference posterior on itself.
         """
-        q = lam @ self.Q
-        g = np.empty_like(q)  # reference weight over mixture probability
-        ll = 0.0
+        den = lam @ self.R
+        reached = den > 0.0
         with np.errstate(divide="ignore"):
-            for sl, chan, w in self.blocks:
-                M, J = w.shape
-                qc, gc = q[sl].reshape(M, -1), g[sl].reshape(M, -1)
-                den = np.einsum("mab,ma->mb", chan, qc)
-                live = w > 0.0
-                ll += float(np.vdot(w, np.log(den, out=np.zeros_like(den), where=live)))
-                r = np.divide(w, den, out=np.zeros_like(w), where=den > 0.0)
-                np.einsum("mab,mb->ma", chan, r, out=gc)
-                dead = live & (den == 0.0)
-                if dead.any():
-                    gc[:, :J][dead] += w[dead] / qc[:, :J][dead]
+            N = lam * (self.R @ np.divide(self.w, den, out=np.zeros_like(den), where=reached))
+            if not reached.all():
+                dead = np.flatnonzero(~reached)
+                Q = self.probs[:, self.seen[dead]]
+                N += lam * (Q @ (self.w[dead] / (lam @ Q)))
             binq = lam @ self.S
-            ll -= float(self.binw @ np.log(binq))
-        return lam * (self.Q @ g), self.S @ (self.binw / binq), ll, q * g
+            ll = float(self.w @ np.log(den) - self.binw @ np.log(binq))
+        return N, self.S @ (self.binw / binq), ll
 
 
 def loglik_conf(
@@ -390,6 +412,7 @@ def fit(
     when cfg.map_strength is nonzero.  conf-* variants need the channel ``cm``.
     """
     m = cfg.map_strength
+    start = time.perf_counter()
     if cfg.variant in ("self-1best", "self-tf"):
         stats = _self_stats(conv, tm, cfg.variant == "self-tf")
 
@@ -402,15 +425,18 @@ def fit(
         kernel = _ConfKernel(conv, tm, cm, cfg.variant == "conf-tf")
 
         def stats(lam):
-            N, D, ll, _ = kernel.stats(lam)
+            N, D, ll = kernel.stats(lam)
             return (N, D), ll
 
         def update(acc, lam, it):
             u = _conf_update(*acc, lam, m, it)
             return u / u.sum()
 
+    build_s = time.perf_counter() - start
     T = tm.num_topics
-    return _run_em(np.full(T, 1.0 / T), stats, update, m, cfg.max_iters, cfg.rel_tol)
+    result = _run_em(np.full(T, 1.0 / T), stats, update, m, cfg.max_iters, cfg.rel_tol)
+    result.build_s = build_s
+    return result
 
 
 def adapted_unigram(tm: TopicModel, weights: MixtureWeights) -> np.ndarray:

@@ -210,6 +210,7 @@ def _adapt_one(tm, cm, cfg, cnet_path, out_lambda, out_unigram):
             write_unigram_file(temps[2], tm.vocab, unigram)
     # whole microseconds since start, so the phases add up to the total
     marks = [round((t - start) * 1e6) for t in (parsed, fitted, time.perf_counter())]
+    build = min(round(result.build_s * 1e6), marks[1] - marks[0])
     return {
         "cnet": cnet_path,
         "cid": conv.cid,
@@ -217,6 +218,8 @@ def _adapt_one(tm, cm, cfg, cnet_path, out_lambda, out_unigram):
         "converged": result.converged,
         "parse_s": marks[0] / 1e6,
         "fit_s": (marks[1] - marks[0]) / 1e6,
+        "build_s": build / 1e6,
+        "em_s": (marks[1] - marks[0] - build) / 1e6,
         "write_s": (marks[2] - marks[1]) / 1e6,
         "seconds": marks[2] / 1e6,
     }

@@ -84,7 +84,7 @@ def conf_em_step(conv, tm, cm, lam, use_tf=False, map_strength=0.0):
     update maximizes the surrogate at (before renormalization).
     """
     lam = np.asarray(lam, dtype=np.float64)
-    N, D, _, _ = _ConfKernel(conv, tm, cm, use_tf).stats(lam)
+    N, D, _ = _ConfKernel(conv, tm, cm, use_tf).stats(lam)
     u = _conf_update(N, D, lam, map_strength, 0)
     with np.errstate(divide="ignore"):
         delta = np.log(u) - np.log(lam)
@@ -101,12 +101,10 @@ def conf_lower_bound(conv, tm, cm, mu, delta, use_tf=False):
     lam = mu_to_lambda(mu)
     delta = np.asarray(delta, dtype=np.float64)
     kernel = _ConfKernel(conv, tm, cm, use_tf)
-    ww = kernel.stats(lam)[3]
-    a = lam @ kernel.Q
-    ad = np.divide((lam * delta) @ kernel.Q, a, out=np.zeros_like(a), where=a > 0.0)
+    N = kernel.stats(lam)[0]
     A = lam @ kernel.S
     Ad = (lam * np.exp(delta)) @ kernel.S
-    return float(ww.sum() + ww @ ad - kernel.binw @ (Ad / A))
+    return float(N.sum() + delta @ N - kernel.binw @ (Ad / A))
 
 
 def non_decreasing(trace, slack=1e-9):

@@ -1,11 +1,17 @@
 import json
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from cnadapt import adapt
 from cnadapt.adapt import (
     EstimatorConfig,
+    _channel_lookup,
     _ConfKernel,
     _conf_update,
     _run_em,
@@ -13,7 +19,7 @@ from cnadapt.adapt import (
     fit,
     loglik_conf,
 )
-from cnadapt.channel import save_channel
+from cnadapt.channel import ChannelModel, save_channel
 from cnadapt.cli import main
 from cnadapt.corpus import Bin, ConfusionNetwork, Conversation, Vocabulary, save_conversation
 from cnadapt.errors import EstimationError
@@ -46,16 +52,23 @@ def identity_channel(V):
     return channel_from_rows({w: {w: 1.0} for w in range(V)})
 
 
-def reference_posteriors(conv, tm, lam, cm):
-    """Per bin, {word: posterior that it was spoken given the 1-best word},
-    read from the kernel's conf-1best slot weights."""
-    kernel = _ConfKernel(conv, tm, cm, False)
-    cells = np.zeros(kernel.cell.max() + 1)
-    cells[kernel.cell] = kernel.stats(np.asarray(lam, dtype=np.float64))[3]
-    out, start = [], 0
-    for b in iter_bins(conv):
-        out.append({w: float(cells[start + j]) for j, w in enumerate(b.word_ids())})
-        start += len(b)
+def reference_posteriors(conv, tm, lam, cm, use_tf=False):
+    """Per bin, {word: its reference weight at ``lam``}: the posterior that
+    it was spoken given the 1-best word, or with ``use_tf`` its
+    posterior-weighted sum over the bin's observed words.
+
+    Read from the kernel's N one bin at a time: with one-hot topic rows (one
+    topic per word) and weights proportional to each word's mixture
+    probability, N[w] is word w's reference weight.
+    """
+    q = np.asarray(lam, dtype=np.float64) @ tm.probs
+    onehot = SimpleNamespace(probs=np.eye(q.size))
+    out = []
+    for lo, hi in zip(conv.bin_ptr[:-1], conv.bin_ptr[1:]):
+        one = Conversation.from_arrays("c", ("u",), np.array([0, 1]), np.array([0, hi - lo]),
+                                       conv.words[lo:hi], conv.posts[lo:hi])
+        N = _ConfKernel(one, onehot, cm, use_tf).stats(q / q.sum())[0]
+        out.append({int(w): float(N[w]) for w in one.words})
     return out
 
 
@@ -291,26 +304,80 @@ class TestRaggedKernel:
             conv, tm, cm = ragged_instance(seed, dead_bin=True)
             lam = np.random.default_rng(seed).dirichlet(np.ones(3))
             bins = bins_as_lists(conv)
-            kernel = _ConfKernel(conv, tm, cm, use_tf)
-            got = np.zeros(sum(map(len, bins)) + 1)
-            got[kernel.cell] = kernel.stats(lam)[3]
+            got = reference_posteriors(conv, tm, lam, cm, use_tf)
             want = oracles.reference_weights(bins, lam, tm.probs, cm.prob, use_tf)
-            flat = [wgt[w] for cells, wgt in zip(bins, want) for w, _ in cells]
-            assert np.allclose(got[:-1], flat, rtol=1e-10, atol=1e-13)
+            for g, w in zip(got, want, strict=True):
+                assert g.keys() == w.keys()
+                assert np.allclose(list(g.values()), [w[k] for k in g], rtol=1e-10, atol=1e-13)
             if not use_tf:
-                assert got[:2].tolist() == [1.0, 0.0]
+                assert got[0] == {0: 1.0, 1: 0.0}
+
+
+@st.composite
+def lookup_cases(draw):
+    """A conversation over some of V words and a channel with rowless words
+    (among them every id from ``n`` up), entries to words outside the
+    conversation and to ids past V, and often a word that nothing emits."""
+    V = draw(st.integers(1, 12))
+    n = draw(st.integers(0, V))
+    entries = []
+    for w in range(n):
+        obs = draw(st.lists(st.integers(0, V + 2), max_size=5, unique=True))
+        entries += [(w, v, draw(st.floats(0.01, 1.0))) for v in sorted(obs)]
+    spoken, obs, probs = zip(*entries) if entries else ((), (), ())
+    cm = ChannelModel(np.array(spoken, dtype=np.int64), np.array(obs, dtype=np.int64),
+                      np.array(probs, dtype=np.float64), n)
+    widths = draw(st.lists(st.integers(1, V), min_size=1, max_size=8))
+    bins = [draw(st.permutations(range(V)))[:k] for k in widths]
+    words = np.array([w for b in bins for w in b], dtype=np.int64)
+    posts = np.concatenate([np.full(k, 1.0 / k) for k in widths])
+    conv = Conversation.from_arrays("c", ("u",), np.array([0, len(widths)]),
+                                    np.concatenate([[0], np.cumsum(widths)]), words, posts)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return conv, make_topic_model(rng, draw(st.integers(1, 4)), V), cm
+
+
+class TestChannelLookup:
+    """The dense table and the binary search are two ways to the same values."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(lookup_cases())
+    def test_table_and_search_agree(self, case):
+        conv, tm, cm = case
+        V = tm.probs.shape[1]
+        ws, local, search = _channel_lookup(cm, conv.words, V, 0)
+        U = ws.size
+        ws2, local2, table = _channel_lookup(cm, conv.words, V, U * U)
+        assert (search.__name__, table.__name__) == ("lookup", "take")
+        assert np.array_equal(ws, np.unique(conv.words))
+        assert np.array_equal(ws, ws2) and np.array_equal(local, local2)
+        assert np.array_equal(ws[local], conv.words)
+        keys = np.arange(U * U)
+        want = [cm.prob(int(ws[k % U]), int(ws[k // U])) for k in keys]
+        assert search(keys).tolist() == want
+        assert table(keys).tolist() == want
+
+        def kernel(budget, use_tf):
+            def forced(cm, words, V, _):
+                return _channel_lookup(cm, words, V, budget)
+
+            with mock.patch.object(adapt, "_channel_lookup", forced):
+                return _ConfKernel(conv, tm, cm, use_tf)
+
+        for use_tf in (False, True):
+            assert np.array_equal(kernel(0, use_tf).R, kernel(U * U, use_tf).R)
 
 
 def plain_em(kernel, T, max_iters, rel_tol):
     """Weights and objective trace of unaccelerated EM, one multiplicative
     update after another, stopped by the relative test of the driver."""
     lam = np.full(T, 1.0 / T)
-    N, D, ll, _ = kernel.stats(lam)
+    N, D, ll = kernel.stats(lam)
     trace = [ll]
     for it in range(1, max_iters + 1):
         u = _conf_update(N, D, lam, 0.0, it)
         lam = u / u.sum()
-        N, D, ll, _ = kernel.stats(lam)
+        N, D, ll = kernel.stats(lam)
         trace.append(ll)
         if _step_converged(trace[-2], trace[-1], rel_tol):
             break
@@ -377,7 +444,7 @@ class TestEmDriver:
         rejected = []
 
         def stats(lam):
-            N, D, ll, _ = kernel.stats(lam)
+            N, D, ll = kernel.stats(lam)
             return (N, D), ll
 
         def update(acc, lam, it):

@@ -509,8 +509,10 @@ class TestAdaptDirectory:
         assert [e["cid"] for e in entries] == ["synth000", "synth001", "synth000"]
         for name, e in zip("abc", entries):
             assert set(e) == {"cnet", "cid", "iterations", "converged", "parse_s", "fit_s",
-                              "write_s", "seconds"}
-            assert e["seconds"] >= 0
+                              "build_s", "em_s", "write_s", "seconds"}
+            assert e["seconds"] >= 0 and e["build_s"] >= 0 and e["em_s"] >= 0
+            # whole microseconds: the set-up and the EM add up to the fit
+            assert round(e["build_s"] * 1e6) + round(e["em_s"] * 1e6) == round(e["fit_s"] * 1e6)
             diag = json.loads((out / f"{name}.lambda.diag.json").read_text())
             assert (e["iterations"], e["converged"]) == (diag["iterations"], diag["converged"])
             assert "seconds" not in diag

@@ -4,30 +4,49 @@
 (``prune_ragged``), and ``perfbench/checker.py`` checks ``cnadapt adapt``'s
 outputs from their definitions.  Running both on one small input set here
 makes a library change that breaks the benchmark fail the test suite.
+
+``a3-fit`` (50 words) looks its channel pairs up in the dense table and
+``wide-ragged`` (about 1,700 distinct words per conversation) by binary
+search, so the two workloads run both sides of ``adapt._channel_lookup``.
 """
 
 import importlib
 import json
 import os
 
+import pytest
+
+from cnadapt import adapt
 from cnadapt.cli import main
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 
-def test_wide_ragged_fit_passes_checker(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("variant", ["conf-1best", "conf-tf"])
+@pytest.mark.parametrize("workload, lookup", [("a3-fit", "take"), ("wide-ragged", "lookup")])
+def test_fit_passes_checker(tmp_path, monkeypatch, workload, lookup, variant):
     monkeypatch.syspath_prepend(PERFBENCH)
     gen, checker, workloads = map(importlib.import_module, ("gen", "checker", "workloads"))
     models, seed_dir = tmp_path / "models", tmp_path / "seed1"
-    assert gen.main(["wide-ragged", "1", str(models), str(seed_dir)]) == 0
+    assert gen.main([workload, "1", str(models), str(seed_dir)]) == 0
+    lookups = []
+    channel_lookup = adapt._channel_lookup
+
+    def recorded(*args):
+        found = channel_lookup(*args)
+        lookups.append(found[2].__name__)
+        return found
+
+    monkeypatch.setattr(adapt, "_channel_lookup", recorded)
     cnet, out, unigram = seed_dir / "c0.cnet", tmp_path / "c0.lambda", tmp_path / "c0.unigram"
     assert main([
         "adapt", str(cnet), str(models / "topics.model"), str(out),
-        "--variant", "conf-tf", "--channel", str(models / "channel.model"),
+        "--variant", variant, "--channel", str(models / "channel.model"),
         "--tol", workloads.TOL, "--max-iters", workloads.MAX_ITERS,
         "--out-unigram", str(unigram),
     ]) == 0
+    assert lookups == [lookup]
     model = checker.Model(str(models / "topics.model"), str(models / "channel.model"))
     lat = checker.Lattice(str(cnet), model)
     truth = json.loads((seed_dir / "truth" / f"{lat.cid}.json").read_text())
-    checker.check_fit(lat, model, "conf-tf", str(out), str(unigram), truth)
+    checker.check_fit(lat, model, variant, str(out), str(unigram), truth)

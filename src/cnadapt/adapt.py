@@ -43,6 +43,12 @@ from .errors import EstimationError, ValidationError
 from .topics import MixtureWeights, TopicModel, mu_to_lambda
 
 VARIANTS = ("self-1best", "self-tf", "conf-1best", "conf-tf")
+# elements of the largest array one block of the conf-* workspace build
+# holds (see _ConfKernel), and of the largest dense channel table it builds
+# (see _channel_lookup): 8 MB keeps the table's lookups, five to ten times
+# faster than the binary search, for conversations of up to 1024 words
+BLOCK_ELEMENTS = 1 << 16
+TABLE_ELEMENTS = 1 << 20
 
 
 @dataclass
@@ -80,7 +86,9 @@ class FitResult:
     call of the per-iteration statistics, rejected points included.
     ``converged`` means a plain EM step gained at most ``rel_tol``.
     ``build_s`` is the wall time ``fit`` took to set the statistics up (the
-    conf-* workspace or the self-* word weights) before EM started.
+    conf-* workspace or the self-* word weights) before EM started, and
+    ``lookup`` how the conf-* build looked channel pairs up, ``"table"`` or
+    ``"search"`` (None for self-*).
     """
 
     weights: MixtureWeights
@@ -89,6 +97,7 @@ class FitResult:
     converged: bool = False
     evaluations: int = 0
     build_s: float = 0.0
+    lookup: str | None = None
 
 
 def _check_in_model(wids: np.ndarray, tm: TopicModel) -> None:
@@ -106,11 +115,13 @@ def _channel_lookup(cm: ChannelModel, words: np.ndarray, V: int, budget: int):
 
     ``ws`` holds the U distinct words in order and ``local[i]`` is the rank
     of ``words[i]`` among them.  ``lookup(keys)`` gives p(observed o |
-    spoken u) for local pair keys ``u * U + o``, from a dense U x U table
-    when it holds at most ``budget`` entries, else by binary search over the
-    sorted keys.  Only the rows of these words are gathered, and only their
-    entries to these words are kept, so the cost does not grow with the
-    channel; a word without a row emits itself.
+    spoken u) for local pair keys ``u * U + o``, and 0 for a key of U * U
+    or more, which marks a padding pair.  When U * U <= ``budget`` it reads
+    a dense table of U * U + 1 entries; otherwise it binary-searches the
+    sorted keys, for the keys below U * U only.  ``lookup.__name__`` says
+    which, ``"table"`` or ``"search"``.  Only the rows of these words are
+    gathered, and only their entries to these words are kept, so the cost
+    does not grow with the channel; a word without a row emits itself.
     """
     present = np.zeros(V, dtype=bool)
     present[words] = True
@@ -132,18 +143,35 @@ def _channel_lookup(cm: ChannelModel, words: np.ndarray, V: int, budget: int):
     pos = np.searchsorted(keys, selfkeys)
     keys, ps = np.insert(keys, pos, selfkeys), np.insert(ps, pos, 1.0)
     if U * U <= budget:
-        table = np.zeros(U * U)
-        table[keys] = ps
-        return ws, rank[words], table.take
+        dense = np.zeros(U * U + 1)
+        dense[keys] = ps
+
+        def table(key):
+            return dense.take(key, mode="clip")
+
+        return ws, rank[words], table
     # a sentinel key ends the array, so every search lands on an entry
     keys = np.append(keys, np.iinfo(np.int64).max)
     ps = np.append(ps, 0.0)
 
-    def lookup(key):
+    def search(key):
+        chan = np.zeros(key.shape)
+        real = key < U * U
+        key = key[real]
         pos = np.searchsorted(keys, key)
-        return np.where(keys[pos] == key, ps[pos], 0.0)
+        chan[real] = np.where(keys[pos] == key, ps[pos], 0.0)
+        return chan
 
-    return ws, rank[words], lookup
+    return ws, rank[words], search
+
+
+def _slots(first, width, lo, hi, pad):
+    """(bins, hi - lo): the slots of cells ``lo`` to ``hi`` of bins that
+    start at ``first`` and hold ``width`` cells, ``pad`` past a bin's end."""
+    cell = np.arange(lo, hi)
+    slot = first[:, None] + cell
+    slot[cell >= width[:, None]] = pad
+    return slot
 
 
 class _ConfKernel:
@@ -153,10 +181,20 @@ class _ConfKernel:
     and its 1-best cell under ``conf-1best`` (J = 1).  The build groups bins
     into width classes (1, 2, 3-4, 5-8, ..., the last one ending at the
     widest bin) and pads each bin to its class width K with zero topic rows.
-    For a class of M bins it looks the (M, K, J) channel block up (see
-    ``_channel_lookup``) and contracts it with the bins' topic rows in one
-    batched product; the blocks are not kept.  What is kept, with the
-    observed slots in cell order (``conf-tf``) or bin order (``conf-1best``):
+    It walks each class in blocks of m bins, sized so that no array of a
+    block (the pair keys, the (m, K, J) channel block from
+    ``_channel_lookup``, the bins' gathered topic rows, the batched product)
+    holds more than BLOCK_ELEMENTS elements; a bin too wide for that is
+    taken alone, in ranges of its spoken cells and observed slots, and the
+    products of its spoken ranges are added up.  Each block's product is
+    written straight into ``R``, and ``S`` is summed over blocks of at most
+    BLOCK_ELEMENTS // T cells.  So the scratch memory does not grow with the
+    channel pairs; what grows with the conversation is three int64 per cell
+    (its local word id and two padded copies), the U + 1 topic rows of its
+    distinct words and the channel entries among them (see
+    ``_channel_lookup``).
+    What is kept, with the observed slots in cell order (``conf-tf``) or
+    bin order (``conf-1best``):
 
     * ``R`` (T, slots): ``R[t, b]`` sums, over the cells a of b's bin,
       p(word of b | word of a) * p(word of a | topic t), so ``lam @ R`` is
@@ -164,37 +202,70 @@ class _ConfKernel:
     * ``w`` (slots,): each slot's evidence, its posterior for ``conf-tf``
       and 1 for ``conf-1best``, always positive; ``seen`` (slots,): its word;
     * ``S`` (T, bins): per-bin sums of the topic rows of the bin's words;
-    * ``binw`` (bins,): evidence mass of each bin.
+    * ``binw`` (bins,): evidence mass of each bin;
+    * ``lookup``: ``"table"`` or ``"search"``, how the channel pairs were
+      looked up (see ``_channel_lookup``).
     """
 
     def __init__(self, conv: Conversation, tm: TopicModel, cm: ChannelModel, use_tf: bool):
-        words, post = conv.words, conv.posts
-        width = np.diff(conv.bin_ptr)
+        words, post, ptr = conv.words, conv.posts, conv.bin_ptr
+        width = np.diff(ptr)
         _check_in_model(words, tm)
         T, V = tm.probs.shape
-        first = conv.bin_ptr[:-1]
+        first = ptr[:-1]
         # class e, the bit length of width - 1, holds widths 1, 2, 3-4, 5-8, ...;
         # np.unique is avoided because its first call imports numpy.ma (~15 ms)
         exp = np.frexp(width - 1)[1]
         classes = [(min(1 << int(e), int(width.max())), np.flatnonzero(exp == e))
                    for e in np.flatnonzero(np.bincount(exp))]
-        budget = sum(b.size * K * (K if use_tf else 1) for K, b in classes)
-        ws, local, lookup = _channel_lookup(cm, words, V, budget)
+        pairs = int(width @ width) if use_tf else words.size
+        ws, local, lookup = _channel_lookup(cm, words, V, min(pairs, TABLE_ELEMENTS))
         U = ws.size
         topics = np.concatenate([tm.probs.take(ws, axis=1).T, np.zeros((1, T))])
-        # padding looks up word 0's channel entries but has the zero topic row
-        spoken, observed, row = np.append(local * U, 0), np.append(local, 0), np.append(local, U)
-        # one spare row past the observed slots takes the padding's writes
-        R = np.empty(((words.size if use_tf else width.size) + 1, T))
+        # a padding slot has the zero topic row, and its pair keys are U * U
+        # or more, which look up 0
+        pad = words.size
+        row, observed = np.append(local, U), np.append(local, U * U)
+        R = np.empty((T, words.size if use_tf else width.size))
         for K, b in classes:
-            slot = first[b, None] + np.arange(K)
-            slot[np.arange(K) >= width[b, None]] = words.size
-            seen, out = (slot, slot) if use_tf else (slot[:, :1], b[:, None])
-            chan = lookup(spoken[slot][:, :, None] + observed[seen][:, None, :])
-            # (M, J, K) @ (M, K, T): the rows of R of the class's observed slots
-            R[out] = chan.transpose(0, 2, 1) @ topics.take(row[slot], axis=0)
-        self.R = np.ascontiguousarray(R[:-1].T)
-        self.S = np.ascontiguousarray(np.add.reduceat(topics.take(local, axis=0), first).T)
+            J = K if use_tf else 1
+            ka = min(K, max(1, BLOCK_ELEMENTS // T))
+            kc = min(J, max(1, BLOCK_ELEMENTS // max(ka, T)))
+            m = max(1, BLOCK_ELEMENTS // max(ka * kc, ka * T, kc * T))
+            for lo in range(0, b.size, m):
+                bb = b[lo : lo + m]
+                for a in range(0, K, ka):
+                    said = row[_slots(first[bb], width[bb], a, min(a + ka, K), pad)]
+                    rows = topics.take(said, axis=0)
+                    for c in range(0, J, kc):
+                        if use_tf:
+                            out = seen = _slots(first[bb], width[bb], c, min(c + kc, J), pad)
+                        else:
+                            seen, out = first[bb, None], bb[:, None]
+                        chan = lookup((said * U)[:, :, None] + observed[seen][:, None, :])
+                        # (m, kc, ka) @ (m, ka, T): the columns of R of these slots,
+                        # summed over the spoken ranges of a bin split into several
+                        prod = chan.transpose(0, 2, 1) @ rows
+                        real = out != pad
+                        if a:
+                            R[:, out[real]] += prod[real].T
+                        else:
+                            R[:, out[real]] = prod[real].T
+        self.R = R
+        # blocks of whole bins of at most cap cells, or of cap cells of a
+        # wider bin, whose pieces add up
+        S = np.zeros((T, width.size))
+        cap = max(1, BLOCK_ELEMENTS // T)
+        lo = 0
+        while lo < words.size:
+            end = ptr[np.searchsorted(ptr, lo + cap, "right") - 1]
+            hi = int(end) if end > lo else min(lo + cap, words.size)
+            b0, b1 = np.searchsorted(ptr, lo, "right") - 1, np.searchsorted(ptr, hi)
+            starts = np.maximum(first[b0:b1], lo) - lo
+            S[:, b0:b1] += np.add.reduceat(topics.take(local[lo:hi], axis=0), starts).T
+            lo = hi
+        self.S = S
+        self.lookup = lookup.__name__
         self.probs = tm.probs
         if use_tf:
             self.w, self.seen = post, words
@@ -385,7 +456,8 @@ def _self_stats(conv: Conversation, tm: TopicModel, use_tf: bool):
     else:
         words = conv.words[conv.bin_ptr[:-1]]
         weights = np.ones(words.size)
-    wids = np.unique(words)
+    # np.unique is avoided because its first call imports numpy.ma (~15 ms)
+    wids = np.flatnonzero(np.bincount(words))
     _check_in_model(wids, tm)
     # bincount adds in cell order, so each weight is bitwise a running sum
     wts = np.bincount(words, weights)[wids]
@@ -413,6 +485,7 @@ def fit(
     """
     m = cfg.map_strength
     start = time.perf_counter()
+    lookup = None
     if cfg.variant in ("self-1best", "self-tf"):
         stats = _self_stats(conv, tm, cfg.variant == "self-tf")
 
@@ -423,6 +496,7 @@ def fit(
         if cm is None:
             raise ValidationError(f"variant {cfg.variant!r} requires a channel model")
         kernel = _ConfKernel(conv, tm, cm, cfg.variant == "conf-tf")
+        lookup = kernel.lookup
 
         def stats(lam):
             N, D, ll = kernel.stats(lam)
@@ -435,7 +509,7 @@ def fit(
     build_s = time.perf_counter() - start
     T = tm.num_topics
     result = _run_em(np.full(T, 1.0 / T), stats, update, m, cfg.max_iters, cfg.rel_tol)
-    result.build_s = build_s
+    result.build_s, result.lookup = build_s, lookup
     return result
 
 

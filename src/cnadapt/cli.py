@@ -216,6 +216,7 @@ def _adapt_one(tm, cm, cfg, cnet_path, out_lambda, out_unigram):
         "cid": conv.cid,
         "iterations": result.iterations,
         "converged": result.converged,
+        "lookup": result.lookup,
         "parse_s": marks[0] / 1e6,
         "fit_s": (marks[1] - marks[0]) / 1e6,
         "build_s": build / 1e6,

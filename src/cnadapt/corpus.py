@@ -33,8 +33,9 @@ from .modelfile import COUNT, read_text
 POSTERIOR_SUM_SLACK = 1e-6
 MAX_FRACTION_DIGITS = 9
 UNK_WORD = "<unk>"
-# bin lines parsed together; a chunk that breaks a rule is read again line by line
-CHUNK_BINS = 2048
+# characters of the bin lines parsed together (a longer line is a chunk of
+# its own); a chunk that breaks a rule is read again line by line
+CHUNK_CHARS = 1 << 18
 
 _POSTERIOR = re.compile(r"[0-9]+(?:\.([0-9]+))?")
 # The bulk reader's tables.  Whitespace outside ASCII is folded to ' '.
@@ -508,13 +509,15 @@ def parse_conversation(text: str, vocab: Vocabulary, closed: bool = False) -> Co
     dropped otherwise, and a bin or utterance left empty is dropped too.
     Raises ParseError/ValidationError with line numbers.
 
-    The NET lines are read first; then the BIN lines, CHUNK_BINS at a time,
-    in bulk, and a chunk that fails a check line by line for its error.  An
+    The NET lines are read first; then the BIN lines, in chunks of whole
+    lines of at most CHUNK_CHARS characters (stripped), in bulk, and a
+    chunk that fails a check line by line for its error.  An
     error outside BIN lines is raised once the BIN lines before it are read,
     so the first error in the file is the one reported.
     """
     lines = text.split("\n")
-    nonblank = np.flatnonzero(list(map(len, map(str.strip, lines)))).tolist()
+    size = np.fromiter(map(len, map(str.strip, lines)), np.int64, len(lines))
+    nonblank = np.flatnonzero(size).tolist()
     if not nonblank:
         raise ParseError("empty input", 1)
     header = lines[nonblank[0]]
@@ -553,13 +556,18 @@ def parse_conversation(text: str, vocab: Vocabulary, closed: bool = False) -> Co
     intern = vocab.get if closed else vocab.add
     unk = vocab.get(UNK_WORD) if closed else None
     chunks = []
-    for lo in range(0, len(bin_rows), CHUNK_BINS):
-        rows = bin_rows[lo : lo + CHUNK_BINS]
+    chars = np.cumsum(size[bin_rows])
+    lo = 0
+    while lo < len(bin_rows):
+        done = chars[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(chars, done + CHUNK_CHARS, "right")))
+        rows = bin_rows[lo:hi]
         chunk = [lines[i] for i in rows]
         got = _bins_in_bulk(chunk, vocab, closed, unk)
         if got is None:  # a line breaks a rule: find it
             _bins_by_line(chunk, [i + 1 for i in rows], intern, unk)
         chunks.append(got)
+        lo = hi
     if failure is not None:
         raise failure
     if not uids:

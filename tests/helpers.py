@@ -1,6 +1,8 @@
 """Shared builders for randomized test instances, and the evaluators of
 the estimators' derivation that the tests check them against."""
 
+import tracemalloc
+
 import numpy as np
 
 from cnadapt.adapt import _ConfKernel, _conf_update, _self_stats
@@ -60,6 +62,33 @@ def make_instance(seed, T=3, V=20, M=100, max_width=5, normalized_bins=False,
     cm = make_channel(rng, V)
     conv = make_conversation(rng, V, M, max_width, normalized_bins)
     return conv, tm, cm
+
+
+def wide_instance(seed, nbins, T=10, V=2000, width=40):
+    """A long conversation of ``nbins`` unpruned bins of ``width`` distinct
+    words out of V, equal posteriors, with its topic model and channel: the
+    bins' K^2 channel pairs outnumber everything else the build reads."""
+    rng = np.random.default_rng(seed)
+    tm = make_topic_model(rng, T, V)
+    cm = make_channel(rng, V)
+    words = np.concatenate([rng.choice(V, width, replace=False) for _ in range(nbins)])
+    conv = Conversation.from_arrays("c", ("u",), np.array([0, nbins]),
+                                    np.arange(nbins + 1) * width, words,
+                                    np.full(words.size, 1.0 / width))
+    return conv, tm, cm
+
+
+def traced_peak(fn, *args):
+    """``(result, peak)``: what ``fn(*args)`` returns, and how far the
+    memory tracemalloc traced while it ran peaked above what was still
+    held once it returned."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - kept
 
 
 def iter_bins(conv):

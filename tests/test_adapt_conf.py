@@ -34,6 +34,8 @@ from helpers import (
     make_instance,
     make_topic_model,
     non_decreasing,
+    traced_peak,
+    wide_instance,
 )
 
 
@@ -313,6 +315,54 @@ class TestRaggedKernel:
                 assert got[0] == {0: 1.0, 1: 0.0}
 
 
+class TestBlocks:
+    """The build walks each width class in blocks of at most BLOCK_ELEMENTS
+    elements per array."""
+
+    @pytest.mark.parametrize("use_tf", [False, True])
+    @pytest.mark.parametrize("block", [1, 7, 64, 1600])
+    def test_block_size_changes_no_value(self, use_tf, block):
+        """Blocks of whole bins (1600 elements hold a width-40 bin at T = 3)
+        give bitwise the arrays of the default blocks; a bin split into
+        ranges of cells adds its partial sums in another order."""
+        conv, tm, cm = ragged_instance(0, dead_bin=True)
+        whole = _ConfKernel(conv, tm, cm, use_tf)
+        sizes = []
+        channel_lookup = adapt._channel_lookup
+
+        def spied(*args):
+            ws, local, lookup = channel_lookup(*args)
+
+            def counted(key):
+                sizes.append(key.size)
+                return lookup(key)
+
+            counted.__name__ = lookup.__name__
+            return ws, local, counted
+
+        with mock.patch.object(adapt, "BLOCK_ELEMENTS", block), \
+                mock.patch.object(adapt, "_channel_lookup", spied):
+            got = _ConfKernel(conv, tm, cm, use_tf)
+        assert max(sizes) <= block
+        for a, b in ((got.R, whole.R), (got.S, whole.S)):
+            if block == 1600:
+                assert np.array_equal(a, b)
+            else:
+                assert np.allclose(a, b, rtol=1e-13, atol=0.0)
+        lam = np.array([0.2, 0.5, 0.3])
+        assert got.stats(lam)[2] == whole.stats(lam)[2] == -np.inf
+
+    @pytest.mark.parametrize("nbins", [1000, 4000])
+    def test_scratch_memory_is_bounded(self, nbins):
+        """4000 bins of 40 distinct words are 6.4M channel pairs; the build's
+        peak stays within a fixed 16 MB of what the kernel keeps (R alone is
+        12.8 MB at 4000 bins), over the binary search of U = 2000 words."""
+        conv, tm, cm = wide_instance(5, nbins)
+        kernel, scratch = traced_peak(_ConfKernel, conv, tm, cm, True)
+        assert kernel.lookup == "search"
+        assert scratch < 16e6
+
+
 @st.composite
 def lookup_cases(draw):
     """A conversation over some of V words and a channel with rowless words
@@ -348,12 +398,13 @@ class TestChannelLookup:
         ws, local, search = _channel_lookup(cm, conv.words, V, 0)
         U = ws.size
         ws2, local2, table = _channel_lookup(cm, conv.words, V, U * U)
-        assert (search.__name__, table.__name__) == ("lookup", "take")
+        assert (search.__name__, table.__name__) == ("search", "table")
         assert np.array_equal(ws, np.unique(conv.words))
         assert np.array_equal(ws, ws2) and np.array_equal(local, local2)
         assert np.array_equal(ws[local], conv.words)
-        keys = np.arange(U * U)
-        want = [cm.prob(int(ws[k % U]), int(ws[k // U])) for k in keys]
+        # keys from U * U on are padding, which looks up 0
+        keys = np.arange(2 * U * U + 1)
+        want = [cm.prob(int(ws[k % U]), int(ws[k // U])) if k < U * U else 0.0 for k in keys]
         assert search(keys).tolist() == want
         assert table(keys).tolist() == want
 
@@ -365,7 +416,9 @@ class TestChannelLookup:
                 return _ConfKernel(conv, tm, cm, use_tf)
 
         for use_tf in (False, True):
-            assert np.array_equal(kernel(0, use_tf).R, kernel(U * U, use_tf).R)
+            searched, tabled = kernel(0, use_tf), kernel(U * U, use_tf)
+            assert (searched.lookup, tabled.lookup) == ("search", "table")
+            assert np.array_equal(searched.R, tabled.R)
 
 
 def plain_em(kernel, T, max_iters, rel_tol):

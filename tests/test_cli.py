@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -403,6 +405,24 @@ def small_run(tmp_path_factory):
     return d
 
 
+@pytest.mark.parametrize("variant", adapt.VARIANTS)
+def test_adapt_imports_no_numpy_ma(small_run, tmp_path, variant):
+    """A fresh ``cnadapt adapt`` process never imports numpy.ma, which the
+    first call of np.unique does (about 15 ms of the first fit)."""
+    probe = ("import sys\nfrom cnadapt.cli import main\n"
+             "code = main(sys.argv[1:])\nprint(code, 'numpy.ma' in sys.modules)\n")
+    argv = ["adapt", str(small_run / "synth000.cnet"), str(small_run / "topics.model"),
+            str(tmp_path / "c.lambda"), "--variant", variant]
+    if variant.startswith("conf-"):
+        argv += ["--channel", str(small_run / "channel.model")]
+    src = os.path.dirname(os.path.abspath(cli.__file__)).rpartition(os.sep)[0]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.stdout.split()[-2:] == ["0", "False"], proc.stderr
+
+
 def rename_one_cell(src, dst, word="zzzoov"):
     """Copy a CNET, renaming the second cell of its first multi-cell bin."""
     lines = src.read_text().splitlines()
@@ -508,8 +528,10 @@ class TestAdaptDirectory:
         assert [e["cnet"] for e in entries] == [str(d / f"{n}.cnet") for n in "abc"]
         assert [e["cid"] for e in entries] == ["synth000", "synth001", "synth000"]
         for name, e in zip("abc", entries):
-            assert set(e) == {"cnet", "cid", "iterations", "converged", "parse_s", "fit_s",
-                              "build_s", "em_s", "write_s", "seconds"}
+            assert set(e) == {"cnet", "cid", "iterations", "converged", "lookup", "parse_s",
+                              "fit_s", "build_s", "em_s", "write_s", "seconds"}
+            # 50 distinct words: the channel pairs come from the dense table
+            assert e["lookup"] == "table"
             assert e["seconds"] >= 0 and e["build_s"] >= 0 and e["em_s"] >= 0
             # whole microseconds: the set-up and the EM add up to the fit
             assert round(e["build_s"] * 1e6) + round(e["em_s"] * 1e6) == round(e["fit_s"] * 1e6)

@@ -21,7 +21,7 @@ from cnadapt.corpus import (
 )
 from cnadapt.errors import ParseError, ValidationError
 from cnadapt.synth import SynthSpec, sample_conversation
-from helpers import iter_bins
+from helpers import iter_bins, traced_peak, wide_instance
 
 
 def make_bin(vocab, cells):
@@ -552,14 +552,14 @@ class TestParseMatchesReference:
     @given(
         cnet_texts(),
         st.sampled_from(["open", "closed", "closed-unk"]),
-        st.sampled_from([1, 2, 3, corpus.CHUNK_BINS]),
+        st.sampled_from([1, 16, 48, corpus.CHUNK_CHARS]),
     )
     # cells meeting at <unk> merge, and their sum is capped at 1
     @example("CONV c\nNET u 2\nBIN a:0.5 zz:0.1 NET:0.2\nBIN zz:0.7 <unk>:0.7\n", "closed-unk", 1)
     # posteriors with no '.' and with long whole parts, and words outside
     # ASCII, all in bulk
     @example("CONV c\nNET u 3\nBIN a:1\nBIN b:000000000001\n"
-             "BIN café:0.5 日本:0.25 a.b:00000000000.125\n", "open", corpus.CHUNK_BINS)
+             "BIN café:0.5 日本:0.25 a.b:00000000000.125\n", "open", corpus.CHUNK_CHARS)
     # whitespace beside a word: outside ASCII (the first bin) and ASCII (the
     # second)
     @example("CONV c\nNET u 2\nBIN \xa0a:0.5 \u3000b:0.25\nBIN \x1ca:0.5\x0bb:0.25\x0c\n", "open", 1)
@@ -567,7 +567,7 @@ class TestParseMatchesReference:
     @example("CONV c\nNET u 2\nBIN understand:0.5\n"
              "BIN understanding:0.5 understan:0.25 understandingness:0.125\n", "open", 1)
     # a word ending in a NUL byte is another word
-    @example("CONV c\nNET u 2\nBIN a:0.5\nBIN a\x00:0.25\n", "open", corpus.CHUNK_BINS)
+    @example("CONV c\nNET u 2\nBIN a:0.5\nBIN a\x00:0.25\n", "open", corpus.CHUNK_CHARS)
     # a byte that is no digit in the last fraction place
     @example("CONV c\nNET u 1\nBIN a:0.00000001e\n", "open", 1)
     @settings(max_examples=300, deadline=None)
@@ -583,7 +583,7 @@ class TestParseMatchesReference:
             return read_by_line(lines, *args)
 
         read_by_line = corpus._bins_by_line
-        with mock.patch.object(corpus, "CHUNK_BINS", chunk), mock.patch.object(
+        with mock.patch.object(corpus, "CHUNK_CHARS", chunk), mock.patch.object(
             corpus, "_bins_by_line", spy
         ):
             conv, error = outcome(parse_conversation, text, vocab, closed)
@@ -600,7 +600,7 @@ class TestParseMatchesReference:
         rng = np.random.default_rng(12)
         words = ["a", "b", "café", "<unk>", "日本", "zz", "w.1"]
         posteriors = ["0.25", "0.1", "0.05", "0.123456789", "0000000000.2", "0.2"]
-        nbins = 2 * corpus.CHUNK_BINS + 100
+        nbins = 4196
         lines = ["CONV c", f"NET u {nbins}"]
         for _ in range(nbins):
             k = int(rng.integers(1, 5))
@@ -610,7 +610,8 @@ class TestParseMatchesReference:
         base = ["a", "b", "café", "<unk>"]
         ref_vocab, vocab = Vocabulary(base), Vocabulary(base)
         want = reference_parse(text, ref_vocab, True)
-        with mock.patch.object(corpus, "_bins_by_line", side_effect=AssertionError):
+        with mock.patch.object(corpus, "_bins_by_line", side_effect=AssertionError), \
+                mock.patch.object(corpus, "CHUNK_CHARS", len(text) // 4):
             conv = parse_conversation(text, vocab, closed=True)
         assert conv.oov_cells > 1000
         assert_matches_reference(conv, vocab, want, ref_vocab)
@@ -622,7 +623,7 @@ class TestParseMatchesReference:
         rng = np.random.default_rng(13)
         words = ["a", "a:b", "x:", "q:q:1", ":c", "café", "zz", "<unk>"]
         seps = [" ", "\xa0", "\u3000", "\t\u3000", "\x85", "\u2028 "]
-        nbins = corpus.CHUNK_BINS + 100
+        nbins = 2148
         lines = ["CONV c", f"NET u {nbins}"]
         for _ in range(nbins):
             k = int(rng.integers(1, 5))
@@ -635,7 +636,8 @@ class TestParseMatchesReference:
         base = ["a", "a:b", ":c", "<unk>"] if closed else []
         ref_vocab, vocab = Vocabulary(base), Vocabulary(base)
         want = reference_parse(text, ref_vocab, closed)
-        with mock.patch.object(corpus, "_bins_by_line", side_effect=AssertionError):
+        with mock.patch.object(corpus, "_bins_by_line", side_effect=AssertionError), \
+                mock.patch.object(corpus, "CHUNK_CHARS", len(text) // 2):
             conv = parse_conversation(text, vocab, closed)
         assert_matches_reference(conv, vocab, want, ref_vocab)
 
@@ -657,6 +659,22 @@ class TestParseMatchesReference:
         with mock.patch.object(corpus, "_bins_by_line", side_effect=AssertionError):
             conv = parse_conversation(text, vocab, closed=True)
         assert serialize_conversation(conv, vocab) == text
+
+
+class TestParseMemory:
+    """Chunks are cut by characters, so a chunk of wide bins holds no more
+    cells than one of narrow bins."""
+
+    @pytest.mark.parametrize("nbins", [1000, 4000])
+    def test_scratch_memory_is_bounded(self, nbins):
+        """A CNET of width-40 bins (1.85 MB at 4000 bins) parses within a
+        fixed 8 MB of what it keeps; that includes its split lines, a copy
+        of the text."""
+        conv, tm, _ = wide_instance(5, nbins)
+        text = serialize_conversation(conv, tm.vocab)
+        parsed, scratch = traced_peak(parse_conversation, text, tm.vocab, True)
+        assert parsed.words.size == 40 * nbins
+        assert scratch < 8e6
 
 
 class TestPinnedParse:

@@ -7,7 +7,8 @@ makes a library change that breaks the benchmark fail the test suite.
 
 ``a3-fit`` (50 words) looks its channel pairs up in the dense table and
 ``wide-ragged`` (about 1,700 distinct words per conversation) by binary
-search, so the two workloads run both sides of ``adapt._channel_lookup``.
+search, so the two workloads run both sides of ``adapt._channel_lookup``;
+the manifest entry's ``lookup`` says which side ran.
 """
 
 import importlib
@@ -16,28 +17,18 @@ import os
 
 import pytest
 
-from cnadapt import adapt
 from cnadapt.cli import main
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 
 @pytest.mark.parametrize("variant", ["conf-1best", "conf-tf"])
-@pytest.mark.parametrize("workload, lookup", [("a3-fit", "take"), ("wide-ragged", "lookup")])
+@pytest.mark.parametrize("workload, lookup", [("a3-fit", "table"), ("wide-ragged", "search")])
 def test_fit_passes_checker(tmp_path, monkeypatch, workload, lookup, variant):
     monkeypatch.syspath_prepend(PERFBENCH)
     gen, checker, workloads = map(importlib.import_module, ("gen", "checker", "workloads"))
     models, seed_dir = tmp_path / "models", tmp_path / "seed1"
     assert gen.main([workload, "1", str(models), str(seed_dir)]) == 0
-    lookups = []
-    channel_lookup = adapt._channel_lookup
-
-    def recorded(*args):
-        found = channel_lookup(*args)
-        lookups.append(found[2].__name__)
-        return found
-
-    monkeypatch.setattr(adapt, "_channel_lookup", recorded)
     cnet, out, unigram = seed_dir / "c0.cnet", tmp_path / "c0.lambda", tmp_path / "c0.unigram"
     assert main([
         "adapt", str(cnet), str(models / "topics.model"), str(out),
@@ -45,7 +36,8 @@ def test_fit_passes_checker(tmp_path, monkeypatch, workload, lookup, variant):
         "--tol", workloads.TOL, "--max-iters", workloads.MAX_ITERS,
         "--out-unigram", str(unigram),
     ]) == 0
-    assert lookups == [lookup]
+    manifest = json.loads((tmp_path / "c0.lambda.manifest.json").read_text())
+    assert [e["lookup"] for e in manifest["conversations"]] == [lookup]
     model = checker.Model(str(models / "topics.model"), str(models / "channel.model"))
     lat = checker.Lattice(str(cnet), model)
     truth = json.loads((seed_dir / "truth" / f"{lat.cid}.json").read_text())

@@ -38,8 +38,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelModel
-from .corpus import Conversation, _ragged
+from .corpus import Conversation
 from .errors import EstimationError, ValidationError
+from .modelfile import ragged
 from .topics import MixtureWeights, TopicModel, mu_to_lambda
 
 VARIANTS = ("self-1best", "self-tf", "conf-1best", "conf-tf")
@@ -133,7 +134,7 @@ def _channel_lookup(cm: ChannelModel, words: np.ndarray, V: int, budget: int):
     last = cm.ptr.size - 1
     start = cm.ptr[np.minimum(ws, last)]
     size = cm.ptr[np.minimum(ws + 1, last)] - start
-    at = _ragged(start, start + size)
+    at = ragged(start, start + size)
     obs = rank.take(cm.obs[at], mode="clip")
     kept = obs >= 0
     # rows come in word order and hold their observed words in order

@@ -5,6 +5,14 @@ recognizer's top word is v given that w was spoken.  It is estimated by
 counting, for every pruned bin, each ordered pair of co-resident words once
 (self-pairs included, so correct recognition keeps probability mass), then
 normalizing per conditioning word.
+
+``load_channel`` reads its file as bytes, a block of whole lines at a time
+(see ``modelfile``): each block's distinct words are looked up once among
+the vocabulary's sorted byte keys, only a word outside it is decoded, and
+a probability in the exact case (at most 19 digits forming an integer
+below 2**53, a power of ten of at most 22) is read with uint64 arithmetic
+and one IEEE multiply or divide, bitwise what ``float()`` returns; any
+other token goes through ``float()``.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ import numpy as np
 
 from .corpus import Conversation, Vocabulary, _offsets, pruned_widths
 from .errors import ParseError, ValidationError
-from .modelfile import read_lines, split_fields
+from .modelfile import WordKeys, read_blocks
 
 
 class ChannelModel:
@@ -26,13 +34,16 @@ class ChannelModel:
     The row of spoken word w is entries ``ptr[w]`` to ``ptr[w + 1]`` of
     ``obs`` (observed word ids, ascending) and ``probs``.  A word without
     entries, or past the end of ``ptr``, has no row and emits itself.
+    ``dropped`` counts the entries of a loaded file that named a word
+    outside the vocabulary.
     """
 
-    def __init__(self, spoken, obs, probs, n: int):
+    def __init__(self, spoken, obs, probs, n: int, dropped: int = 0):
         """Wrap entries sorted by (spoken, observed) word id, every spoken
         id below ``n``; nothing is checked."""
         self.ptr = _offsets(np.bincount(spoken, minlength=n))
         self.obs, self.probs = obs, probs
+        self.dropped = dropped
 
     @cached_property
     def _lists(self):
@@ -124,12 +135,62 @@ def load_channel(path, vocab: Vocabulary) -> ChannelModel:
 
     ``vocab`` is never grown: entries naming a word it lacks are dropped
     after the row sums are checked, the rest of each row is renormalized,
-    and a row left empty is dropped.  A pair listed twice is an error.
-    Lines are parsed a chunk at a time (see ``modelfile``); a chunk that
-    fails a check is read again line by line for the error to report.
+    and a row left empty is dropped; the model's ``dropped`` counts those
+    entries.  A pair listed twice is an error.
+
+    The lines are read in blocks of bytes (see ``modelfile``).  A block's
+    words are matched as byte keys: its distinct words are numbered, then
+    looked up among ``vocab``'s sorted keys, and only a word ``vocab`` lacks
+    is decoded.  A block that fails a check is read again line by line for
+    the error to report.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        nlines, header, chunks = read_lines(fh)
+    known = len(vocab)
+    ws, vs, ps, names = _read_entries(path, vocab)
+    nrows = ps.size
+
+    def name(wid):
+        return vocab.word(wid) if wid < known else names[wid - known]
+
+    nid = known + len(names)
+    order = _entry_order(ws, vs, nid, name)
+    # bincount adds each row's entries in file order, as a line-by-line sum does
+    totals = np.bincount(ws, weights=ps, minlength=nid)
+    bad = (np.abs(totals - 1.0) > 1e-6) & (np.bincount(ws, minlength=nid) > 0)
+    if bad.any():
+        w = int(ws[bad[ws]][0])  # the bad row whose first entry comes first
+        raise ValidationError(f"channel row {name(w)!r} sums to {float(totals[w])!r}")
+    take, dropped = order, 0
+    if names:
+        keep = (ws < known) & (vs < known)
+        dropped = nrows - int(np.count_nonzero(keep))
+        totals = np.bincount(ws[keep], weights=ps[keep], minlength=nid)
+        take = np.flatnonzero(keep) if order is None else order[keep[order]]
+    if take is not None:
+        ws, vs, ps = ws[take], vs[take], ps[take]
+    return ChannelModel(ws, vs, ps / totals[ws], known, dropped)
+
+
+def _entry_order(ws, vs, nid, name):
+    """The order that sorts the entries by (w, v), or None when they are
+    sorted already, as files written by save_channel over ids in string
+    order are; raises the error of the first line that repeats an entry."""
+    key = ws * nid + vs
+    if (key[1:] > key[:-1]).all():
+        return None
+    order = np.argsort(key, kind="stable")
+    dup = np.flatnonzero(key[order[1:]] == key[order[:-1]])
+    if dup.size:
+        i = int(order[dup + 1].min())
+        raise ParseError(f"duplicate entry {name(ws[i])!r} {name(vs[i])!r}", i + 2)
+    return order
+
+
+def _read_entries(path, vocab: Vocabulary):
+    """(spoken ids, observed ids, probabilities, outside words) of the
+    entries of a channel file, in file order: ids from ``len(vocab)`` up
+    stand for the outside words, numbered in the order they first appear."""
+    with open(path, "rb") as fh:
+        nlines, header, blocks = read_blocks(fh)
         if not nlines:
             raise ParseError("empty channel file", 1)
         m = _CHANNEL_HEADER.match(header)
@@ -138,73 +199,38 @@ def load_channel(path, vocab: Vocabulary) -> ChannelModel:
         nrows = int(m.group(1))
         if nlines - 1 != nrows:
             raise ParseError(f"header declares {nrows} rows, found {nlines - 1}", 1)
-        known = len(vocab)
-        outside = {}  # ids from ``known`` up stand for the words ``vocab`` lacks
+        index = WordKeys.of_words(vocab.words).index()
+        outside = {}
         ws = np.empty(nrows, dtype=np.int64)
         vs = np.empty(nrows, dtype=np.int64)
         ps = np.empty(nrows, dtype=np.float64)
-        line = 2  # file line of the chunk's first line
-        for chunk in chunks:
-            parsed = _read_channel_lines(chunk)
-            if parsed is None:
-                raise _first_channel_error(chunk, line)
-            fields, p = parsed
-            at = slice(line - 2, line - 2 + len(chunk))
-            ps[at] = p
-            ws[at] = _word_ids(fields[0::3], vocab, outside)
-            vs[at] = _word_ids(fields[1::3], vocab, outside)
-            line += len(chunk)
-    names = list(outside)
-
-    def name(wid):
-        return vocab.word(wid) if wid < known else names[wid - known]
-
-    # entries by (w, v); files written by save_channel over ids in string
-    # order are sorted already
-    nid = known + len(outside)
-    key = ws * nid + vs
-    order = None
-    if not (key[1:] > key[:-1]).all():
-        order = np.argsort(key, kind="stable")
-        dup = np.flatnonzero(key[order[1:]] == key[order[:-1]])
-        if dup.size:
-            i = int(order[dup + 1].min())
-            raise ParseError(f"duplicate entry {name(ws[i])!r} {name(vs[i])!r}", i + 2)
-    # bincount adds each row's entries in file order, as a line-by-line sum does
-    totals = np.bincount(ws, weights=ps, minlength=nid)
-    bad = (np.abs(totals - 1.0) > 1e-6) & (np.bincount(ws, minlength=nid) > 0)
-    if bad.any():
-        w = int(ws[bad[ws]][0])  # the bad row whose first entry comes first
-        raise ValidationError(f"channel row {name(w)!r} sums to {float(totals[w])!r}")
-    take = order
-    if outside:
-        keep = (ws < known) & (vs < known)
-        totals = np.bincount(ws[keep], weights=ps[keep], minlength=nid)
-        take = np.flatnonzero(keep) if order is None else order[keep[order]]
-    if take is not None:
-        ws, vs, ps = ws[take], vs[take], ps[take]
-    return ChannelModel(ws, vs, ps / totals[ws], known)
+        for block in blocks:
+            got = _read_channel_block(block, index, outside, len(vocab))
+            if got is None:
+                raise _first_channel_error(block.lines(), block.line)
+            at = slice(block.line - 2, block.line - 2 + block.size)
+            ps[at], ws[at], vs[at] = got
+    return ws, vs, ps, list(outside)
 
 
-def _read_channel_lines(chunk):
-    """The fields of a chunk of channel lines and their probabilities, or
-    None if any line is bad."""
-    fields = split_fields(chunk, 3)
-    if fields is None:
+def _read_channel_block(block, index, outside, known):
+    """(probabilities, spoken ids, observed ids) of a block's entries, or
+    None if any line is bad.  A word outside ``index`` gets the next id in
+    ``outside``, in the order the words first appear."""
+    if not block.fields(3):
         return None
-    try:
-        p = np.array(fields[2::3], dtype=np.float64)
-    except ValueError:
+    n = block.size
+    p = block.floats(np.arange(2, 3 * n, 3))
+    if p is None or not (p > 0.0).all():  # also for NaN
         return None
-    return (fields, p) if (p > 0.0).all() else None  # also None for NaN
-
-
-def _word_ids(tokens, vocab: Vocabulary, outside) -> np.ndarray:
-    """Ids of ``tokens``; a word ``vocab`` lacks gets the next id in ``outside``."""
-    ids = vocab.ids(tokens)
-    for i in np.flatnonzero(ids < 0).tolist():
-        ids[i] = outside.setdefault(tokens[i], len(vocab) + len(outside))
-    return ids
+    # the spoken and observed word of each line, one after the other
+    tokens = np.arange(3 * n).reshape(n, 3)[:, :2].ravel()
+    ids = block.words(tokens).find(index)
+    missing = np.flatnonzero(ids < 0)
+    if missing.size:
+        names = block.text(tokens[missing])
+        ids[missing] = [outside.setdefault(w, known + len(outside)) for w in names]
+    return p, ids[0::2], ids[1::2]
 
 
 def _first_channel_error(chunk, line):

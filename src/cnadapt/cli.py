@@ -316,6 +316,8 @@ def cmd_adapt(args):
         "models_load_s": round(load_end - load_start, 6),
         "topics_load_s": round(topics_end - load_start, 6),
         "channel_load_s": round(load_end - topics_end, 6) if cm else None,
+        # channel entries naming a word outside the topic model's vocabulary
+        "channel_dropped_entries": cm.dropped if cm else None,
         "conversations": entries,
         "exit_code": max(e.get("exit_code", 0) for e in entries),
     }

@@ -28,7 +28,7 @@ from itertools import repeat
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .modelfile import COUNT, read_text
+from .modelfile import COUNT, WordKeys, ragged, read_text, tokenize, unaligned_u64
 
 POSTERIOR_SUM_SLACK = 1e-6
 MAX_FRACTION_DIGITS = 9
@@ -38,12 +38,8 @@ UNK_WORD = "<unk>"
 CHUNK_CHARS = 1 << 18
 
 _POSTERIOR = re.compile(r"[0-9]+(?:\.([0-9]+))?")
-# The bulk reader's tables.  Whitespace outside ASCII is folded to ' '.
-_WIDE_SPACE = re.compile(r"[^\S\x00-\x7f]")
+# The bulk reader's tables.
 _BIN = np.frombuffer(b"BIN", dtype=np.uint8)
-# _HIGH[s]: a little-endian uint64 with 0xFF, which no UTF-8 text holds, in
-# every byte from the s-th on
-_HIGH = np.array([(2**64 - 1) >> (8 * s) << (8 * s) for s in range(8)] + [0], dtype="<u8")
 # _FRACTION[k + 1, j]: whether digit j after a '.' is in a fraction of k
 # digits (k = -1: the posterior has no '.')
 _FRACTION = np.arange(MAX_FRACTION_DIGITS) < np.arange(-1, MAX_FRACTION_DIGITS + 1)[:, None]
@@ -315,45 +311,7 @@ def _bins_by_line(lines, nos, intern, unk):
     raise AssertionError(f"no bad line among lines {nos[0]}-{nos[-1]}")
 
 
-def _ascii_space(buf) -> np.ndarray:
-    """Which bytes are ASCII whitespace as str.split() sees it: 9-13, 28-31, 32."""
-    return (buf == 32) | (buf - 9 <= 13 - 9) | (buf - 28 <= 31 - 28)
-
-
-def _ragged(lo, hi) -> np.ndarray:
-    """The positions of every span [lo[i], hi[i]), one after another."""
-    size = hi - lo
-    return np.arange(size.sum()) + np.repeat(lo - np.cumsum(size) + size, size)
-
-
-def _distinct_words(padded, start, size):
-    """Number the distinct words of a chunk: (word, first), where cell i
-    holds word ``word[i]`` and word d first occurs in cell ``first[d]``.
-
-    A word is compared as its bytes padded with 0xFF to a multiple of 8
-    bytes, viewed as uint64 blocks.  Words of one padded width are sorted
-    together, since words of different widths differ, so a long word widens
-    no other.
-    """
-    blocks = (size + 7) // 8
-    word = np.empty(size.size, dtype=np.int64)
-    firsts = []
-    for b in np.flatnonzero(np.bincount(blocks)).tolist():
-        cells = np.flatnonzero(blocks == b)
-        rows = np.lib.stride_tricks.sliding_window_view(padded, 8 * b)[start[cells]]
-        keys = rows.view("<u8") | _HIGH[np.clip(size[cells, None] - 8 * np.arange(b), 0, 8)]
-        keys = keys.ravel() if b == 1 else keys.view(f"S{8 * b}").ravel()
-        order = keys.argsort()
-        keys = keys[order]
-        new = np.empty(keys.size, dtype=bool)
-        new[0] = True
-        np.not_equal(keys[1:], keys[:-1], out=new[1:])
-        word[cells[order]] = np.cumsum(new) - 1 + sum(map(len, firsts))
-        firsts.append(cells[np.minimum.reduceat(order, np.flatnonzero(new))])
-    return word, np.concatenate(firsts)
-
-
-def _posteriors(buf, padded, colon, end):
+def _posteriors(buf, colon, end):
     """The values of the posteriors [colon + 1, end) of a chunk's cells, or
     None when one is not digits, then optionally '.' and 1 to
     MAX_FRACTION_DIGITS digits, or is above 1.
@@ -365,7 +323,7 @@ def _posteriors(buf, padded, colon, end):
     """
     # the '.', at end when there is none, is nearly always right after one
     # digit; when a posterior of two bytes or more has none there, look for it
-    dot = np.where(padded[colon + 2] == ord("."), colon + 2, end)
+    dot = np.where(buf[colon + 2] == ord("."), colon + 2, end)
     if ((dot == end) & (end - colon > 2)).any():
         dots = np.flatnonzero(buf == ord("."))
         owner = np.searchsorted(colon, dots) - 1
@@ -380,9 +338,9 @@ def _posteriors(buf, padded, colon, end):
         return None
     # a whole part of several digits is zeros and then its last digit, or above 1
     long = np.flatnonzero(dot - colon > 2)
-    if long.size and (buf[_ragged(colon[long] + 1, dot[long] - 1)] != ord("0")).any():
+    if long.size and (buf[ragged(colon[long] + 1, dot[long] - 1)] != ord("0")).any():
         return None
-    digits = np.lib.stride_tricks.sliding_window_view(padded, MAX_FRACTION_DIGITS)[dot + 1]
+    digits = np.lib.stride_tricks.sliding_window_view(buf, MAX_FRACTION_DIGITS)[dot + 1]
     digits -= ord("0")
     digits *= _FRACTION[frac + 1]
     if (digits > 9).any():
@@ -402,27 +360,17 @@ def _bins_in_bulk(lines, vocab: Vocabulary, closed: bool, unk):
     """(widths, words, posts, outside words) of BIN lines, parsed together,
     or None when some line breaks a rule of the format.
 
-    It reads the chunk's UTF-8 bytes with numpy, with whitespace outside
-    ASCII folded to ' ' first.  Tokens are the runs between ASCII
-    whitespace bytes, as str.split() cuts them.  The first token of a line
-    must be "BIN", and every other one must hold a ':', with a word before
-    the last one and a posterior after it (see ``_posteriors``).  No byte
-    of a multi-byte UTF-8 character is ASCII, so words outside ASCII need
-    no special case.
+    It cuts the chunk's UTF-8 bytes into tokens as str.split() does, with
+    the tokenizer the model loaders share (``modelfile.tokenize``).  The
+    first token of a line must be "BIN", and every other one must hold a
+    ':', with a word before the last one and a posterior after it (see
+    ``_posteriors``).
 
     Each distinct word is looked up in ``vocab`` once; in open mode the
     words it lacks are interned in the order they first occur.  The cells
     are sorted only when some bin is not in canonical order.
     """
-    text = "\n".join(lines)
-    if not text.isascii():
-        text = _WIDE_SPACE.sub(" ", text)
-    raw = text.encode("utf-8", "surrogatepass")
-    buf = np.frombuffer(raw, dtype=np.uint8)
-    solid = np.zeros(buf.size + 2, dtype=bool)
-    np.logical_not(_ascii_space(buf), out=solid[1:-1])
-    edges = np.flatnonzero(solid[1:] != solid[:-1])
-    starts, ends = edges[0::2], edges[1::2]
+    data, buf, starts, ends = tokenize("\n".join(lines).encode("utf-8", "surrogatepass"))
     # no line is blank, so the first token of each starts at or after its start
     heads = np.searchsorted(starts, np.flatnonzero(buf == ord("\n")) + 1)
     heads = np.concatenate(([0], heads))
@@ -444,15 +392,15 @@ def _bins_in_bulk(lines, vocab: Vocabulary, closed: bool, unk):
     # the i-th ':' inside cell i, with bytes on either side
     if not ((cs < colon) & (colon + 1 < ce)).all():
         return None
-    # every row read past the chunk's end ends within 10 bytes of it
-    padded = np.concatenate((buf, np.zeros(10, dtype=np.uint8)))
-    posts = _posteriors(buf, padded, colon, ce)
+    # every row read past the chunk's end ends within 10 bytes of it, inside
+    # the padding
+    posts = _posteriors(buf, colon, ce)
     if posts is None:
         return None
 
-    word, first = _distinct_words(padded, cs, colon - cs)
+    word, first = WordKeys(buf, unaligned_u64(data), cs, colon - cs).distinct()
     names = [
-        raw[a:b].decode("utf-8", "surrogatepass")
+        data[a:b].decode("utf-8", "surrogatepass")
         for a, b in zip(cs[first].tolist(), colon[first].tolist())
     ]
     known = vocab.ids(names)

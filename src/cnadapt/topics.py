@@ -4,6 +4,14 @@ A topic model is a row-stochastic matrix: one smoothed unigram distribution
 per topic over a shared vocabulary.  A conversation-level mixture is a
 simplex weight vector; ``mu_to_lambda`` maps softmax parameters, in which
 the confusion-aware estimators take their multiplicative steps, onto it.
+
+``load_topic_model`` reads its file as bytes, a block of whole lines at a
+time (see ``modelfile``): the first topic's words are decoded into the
+vocabulary, a later topic's words are compared with them as byte keys, and
+a probability in the exact case (at most 19 digits forming an integer
+below 2**53, a power of ten of at most 22) is read with uint64 arithmetic
+and one IEEE multiply or divide, bitwise what ``float()`` returns; any
+other token goes through ``float()``.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ import numpy as np
 
 from .corpus import UNK_WORD, Vocabulary
 from .errors import ParseError, TrainingError, ValidationError
-from .modelfile import COUNT, read_lines, split_fields
+from .modelfile import COUNT, WordKeys, read_blocks
 
 PROB_FLOOR = 1e-10
 ROW_SUM_TOL = 1e-9
@@ -140,11 +148,22 @@ def save_topic_model(tm: TopicModel, path) -> None:
 def load_topic_model(path) -> TopicModel:
     """Read a topic model file, validating block structure and row sums.
 
-    Lines are parsed a chunk at a time (see ``modelfile``); a chunk that
+    The lines are read in blocks of bytes (see ``modelfile``).  The words
+    of the first topic are decoded into the vocabulary; a later topic's
+    words are compared with them as byte keys, line for line.  A block that
     fails a check is read again line by line for the error to report.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        nlines, header, chunks = read_lines(fh)
+    labels, vocab, rows = _read_rows(path)
+    sums = rows.sum(axis=1)
+    if np.any(rows < 0) or np.any(np.abs(sums - 1.0) > 1e-6):
+        raise ValidationError(f"topic rows do not sum to 1: {sums}")
+    return TopicModel(labels, vocab, floor_and_normalize(rows))
+
+
+def _read_rows(path):
+    """(labels, vocabulary, rows) of a topic model file, the rows as read."""
+    with open(path, "rb") as fh:
+        nlines, header, blocks = read_blocks(fh)
         if not nlines:
             raise ParseError("empty topic model file", 1)
         parts = header.split()
@@ -162,65 +181,55 @@ def load_topic_model(path) -> TopicModel:
         vocab = Vocabulary()
         labels = []
         rows = np.empty((T, V), dtype=np.float64)
-        line = 2  # file line of the chunk's first line
-        words = ()
-        for chunk in chunks:
-            words = _read_topic_lines(chunk, line, vocab, labels, rows, words)
-            if words is None:
-                raise _first_topic_error(chunk, line, vocab, labels[-1] if labels else None, V)
-            line += len(chunk)
-    sums = rows.sum(axis=1)
-    if np.any(rows < 0) or np.any(np.abs(sums - 1.0) > 1e-6):
-        raise ValidationError(f"topic rows do not sum to 1: {sums}")
-    return TopicModel(labels, vocab, floor_and_normalize(rows))
+        keys = None  # the first topic's words as byte keys, once it is complete
+        for block in blocks:
+            keys = _read_topic_block(block, vocab, labels, rows, keys)
+            if keys is False:
+                raise _first_topic_error(
+                    block.lines(), block.line, vocab, labels[-1] if labels else None, V
+                )
+    return labels, vocab, rows
 
 
-def _read_topic_lines(chunk, line, vocab, labels, rows, words):
-    """Parse a chunk of the lines after the header in bulk.
+def _read_topic_block(block, vocab, labels, rows, keys):
+    """Parse a block of the lines after the header.
 
-    ``line`` is the file line of the chunk's first line.  The words of the
-    first topic are interned into ``vocab``; ``labels`` grows only when
-    every line of the chunk is good.  ``words`` holds the model's words
-    once the first topic is complete, and is empty before.  Returns
-    ``words`` as it stands after the chunk, or None if any line is bad.
+    The words of the first topic are interned into ``vocab``; ``labels``
+    grows only when every line of the block is good.  ``keys`` holds the
+    first topic's words as ``WordKeys`` once that topic is complete, and is
+    None before.  Returns ``keys`` as it stands after the block, or False
+    if any line is bad.
     """
-    fields = split_fields(chunk, 2)
-    if fields is None:
-        return None
-    heads, tails = fields[0::2], fields[1::2]
+    if not block.fields(2):
+        return False
     V = rows.shape[1]
-    new_labels = []
-    i = 0
-    while i < len(chunk):
-        t, r = divmod(line - 2 + i, V + 1)
-        if r == 0:
-            if heads[i] != "TOPIC":
-                return None
-            new_labels.append(tails[i])
-            i += 1
-            continue
-        end = min(len(chunk), i + V + 1 - r)
-        seg = heads[i:end]
-        if t == 0:
-            size = len(vocab)
-            for word in seg:
-                vocab.add(word)
-            if len(vocab) != size + len(seg):
-                return None
-            if len(vocab) == V:
-                words = vocab.words
-        elif tuple(seg) != words[r - 1 : r - 1 + len(seg)]:
-            return None
-        try:
-            probs = np.array(tails[i:end], dtype=np.float64)
-        except ValueError:
-            return None
-        if np.isnan(probs).any():
-            return None
-        rows[t, r - 1 : r - 1 + len(seg)] = probs
-        i = end
-    labels += new_labels
-    return words
+    line = block.line - 2 + np.arange(block.size)  # counted from the first TOPIC line
+    topic, r = np.divmod(line, V + 1)
+    head = np.flatnonzero(r == 0)
+    tags = block.text(2 * head)
+    if tags.count("TOPIC") != len(tags):
+        return False
+    entry = np.flatnonzero(r)
+    probs = block.floats(2 * entry + 1)
+    if probs is None or np.isnan(probs).any():
+        return False
+    first = entry[topic[entry] == 0]
+    # the first topic's words and the labels, decoded together
+    names = block.text(np.concatenate((2 * first, 2 * head + 1)))
+    if first.size:
+        size = len(vocab)
+        for word in names[: first.size]:
+            vocab.add(word)
+        if len(vocab) != size + first.size:
+            return False
+        if len(vocab) == V:
+            keys = WordKeys.of_words(vocab.words)
+    later = entry[topic[entry] > 0]
+    if later.size and not block.words(2 * later).equal(keys, r[later] - 1):
+        return False
+    rows.reshape(-1)[line[entry] - topic[entry] - 1] = probs
+    labels += names[first.size :]
+    return keys
 
 
 def _first_topic_error(chunk, line, vocab, label, V):

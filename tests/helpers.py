@@ -4,6 +4,7 @@ the estimators' derivation that the tests check them against."""
 import tracemalloc
 
 import numpy as np
+from hypothesis import strategies as st
 
 from cnadapt.adapt import _ConfKernel, _conf_update, _self_stats
 from cnadapt.channel import ChannelModel
@@ -139,3 +140,74 @@ def conf_lower_bound(conv, tm, cm, mu, delta, use_tf=False):
 def non_decreasing(trace, slack=1e-9):
     """Pairwise check that tolerates repeated +/-inf entries."""
     return all(b >= a - slack for a, b in zip(trace, trace[1:]))
+
+
+def reference_load_channel(text, vocab):
+    """The loader's contract, line by line: rows summed in file order, then
+    entries outside ``vocab`` dropped and the rest renormalized."""
+    lines = text.splitlines()[1:]
+    known = len(vocab)
+    outside = {}
+    raw = {}
+    for line in lines:
+        w, v, ptok = line.split()
+        wid, vid = vocab.get(w), vocab.get(v)
+        if wid is None:
+            wid = outside.setdefault(w, known + len(outside))
+        if vid is None:
+            vid = outside.setdefault(v, known + len(outside))
+        raw.setdefault(wid, {})[vid] = float(ptok)
+    rows = {}
+    for w, row in raw.items():
+        total = sum(row.values())
+        assert abs(total - 1.0) <= 1e-6
+        if outside:
+            row = {v: p for v, p in row.items() if v < known}
+            if w >= known or not row:
+                continue
+            total = sum(row.values())
+        rows[w] = {v: p / total for v, p in row.items()}
+    return rows
+
+
+def reference_load_topic_model(text):
+    """The topic loader's contract, line by line: (labels, words, rows), the
+    words those of the first topic and each probability as float() reads it."""
+    lines = text.splitlines()
+    T, V = map(int, lines[0].split()[1:])
+    labels, words, rows = [], [], []
+    for t in range(T):
+        block = [line.split() for line in lines[1 + t * (V + 1) : 1 + (t + 1) * (V + 1)]]
+        labels.append(block[0][1])
+        words.append(tuple(w for w, _ in block[1:]))
+        rows.append([float(p) for _, p in block[1:]])
+    assert all(w == words[0] for w in words)
+    return labels, words[0] if words else (), floor_and_normalize(np.array(rows).reshape(T, V))
+
+
+# words of 7, 8, 9, 16 and 17 bytes, around the 8-byte blocks the loaders
+# compare words in, and words with bytes outside ASCII or a NUL inside
+EDGE_WORDS = st.one_of(
+    st.sampled_from([7, 8, 9, 16, 17]).flatmap(
+        lambda n: st.text(alphabet="abxyz", min_size=n, max_size=n)),
+    st.text(alphabet="ab\x00éア\U0001f600", min_size=1, max_size=9),
+)
+# ways to write a probability that float() reads, around the loaders' exact
+# case: 12 to 17 significant digits and exponent form, then repr() with a
+# sign ("+"), an extra leading zero ("0"), no digit before the '.' (".") or
+# an underscore between two digits ("_")
+PROB_FORMS = ("{!r}", "{:.12g}", "{:.15g}", "{:.16g}", "{:.17g}", "{:.17e}", "{:E}",
+              "+", "0", ".", "_")
+
+
+def write_prob(p, form):
+    """``p`` written in ``form``, one of PROB_FORMS."""
+    text = repr(p)
+    if form in ("+", "0"):
+        return form + text
+    if form == ".":
+        return text[1:] if text.startswith("0.") else text
+    if form == "_":
+        pairs = [i for i in range(len(text) - 1) if text[i : i + 2].isdigit()]
+        return text[: pairs[0] + 1] + "_" + text[pairs[0] + 1 :] if pairs else text
+    return form.format(p)

@@ -9,8 +9,8 @@ from cnadapt import modelfile
 from cnadapt.channel import estimate_channel, load_channel, save_channel
 from cnadapt.corpus import Bin, ConfusionNetwork, Conversation, Vocabulary
 from cnadapt.errors import ParseError, ValidationError
-from cnadapt.modelfile import CHUNK_LINES
-from helpers import channel_from_rows, iter_bins, make_conversation
+from helpers import (EDGE_WORDS, PROB_FORMS, channel_from_rows, iter_bins, make_conversation,
+                     reference_load_channel, write_prob)
 
 
 def conv_of_bins(cells_per_bin, cid="c"):
@@ -221,42 +221,15 @@ class TestLoaderErrors:
         assert cm.rows == {0: {0: 0.5, 1: 0.5}, 1: {1: 1.0}}
 
 
-def reference_load_channel(text, vocab):
-    """The loader's contract, line by line: rows summed in file order, then
-    entries outside ``vocab`` dropped and the rest renormalized."""
-    lines = text.splitlines()[1:]
-    known = len(vocab)
-    outside = {}
-    raw = {}
-    for line in lines:
-        w, v, ptok = line.split()
-        wid, vid = vocab.get(w), vocab.get(v)
-        if wid is None:
-            wid = outside.setdefault(w, known + len(outside))
-        if vid is None:
-            vid = outside.setdefault(v, known + len(outside))
-        raw.setdefault(wid, {})[vid] = float(ptok)
-    rows = {}
-    for w, row in raw.items():
-        total = sum(row.values())
-        assert abs(total - 1.0) <= 1e-6
-        if outside:
-            row = {v: p for v, p in row.items() if v < known}
-            if w >= known or not row:
-                continue
-            total = sum(row.values())
-        rows[w] = {v: p / total for v, p in row.items()}
-    return rows
-
-
 WORDS = st.text(alphabet="abcxyzé", min_size=1, max_size=3)
 
 
 @st.composite
-def channel_files(draw):
+def channel_files(draw, words=WORDS, forms=("{!r}", "{:.12g}", "{:.17e}")):
     """A vocabulary whose ids are not in string order, words outside it, and
-    the entries of every row shuffled together, as a channel file's text."""
-    names = draw(st.lists(WORDS, min_size=2, max_size=12, unique=True))
+    the entries of every row shuffled together, as a channel file's text;
+    each row's probabilities are written in one of ``forms``."""
+    names = draw(st.lists(words, min_size=2, max_size=12, unique=True))
     n_known = draw(st.integers(1, len(names)))
     known, others = names[:n_known], ["o" + w for w in names[n_known:]]
     words = known + others
@@ -265,9 +238,9 @@ def channel_files(draw):
         observed = draw(st.lists(st.sampled_from(words), min_size=1, unique=True))
         weights = draw(st.lists(st.integers(1, 10**6), min_size=len(observed),
                                 max_size=len(observed)))
-        fmt = draw(st.sampled_from(["{!r}", "{:.12g}", "{:.17e}"]))
+        form = draw(st.sampled_from(forms))
         total = sum(weights)
-        entries += [(w, v, fmt.format(c / total)) for v, c in zip(observed, weights)]
+        entries += [(w, v, write_prob(c / total, form)) for v, c in zip(observed, weights)]
     entries = draw(st.permutations(entries))
     text = f"CHANNEL {len(entries)}\n" + "".join(f"{w} {v} {p}\n" for w, v, p in entries)
     return text, known
@@ -285,14 +258,25 @@ class TestLoaderExactness:
         assert len(vocab) == len(known)
         assert cm.rows == reference_load_channel(text, Vocabulary(known))
 
-    @pytest.mark.parametrize("chunk_lines", [2, CHUNK_LINES])
-    @given(case=channel_files())
-    @settings(max_examples=80, deadline=None)
-    def test_chunk_boundaries_do_not_matter(self, tmp_path_factory, chunk_lines, case):
+    @given(channel_files(EDGE_WORDS, PROB_FORMS))
+    @settings(max_examples=150, deadline=None)
+    def test_edge_words_and_numbers_equal_reference(self, tmp_path_factory, case):
         text, known = case
         path = tmp_path_factory.mktemp("ch") / "ch.model"
-        path.write_text(text, encoding="utf-8")
-        with mock.patch.object(modelfile, "CHUNK_LINES", chunk_lines):
+        path.write_bytes(text.encode("utf-8"))
+        cm = load_channel(path, Vocabulary(known))
+        assert cm.rows == reference_load_channel(text, Vocabulary(known))
+
+    # reads of a few bytes end inside a line, inside a token and
+    # between the "\r" and "\n" of a line end
+    @pytest.mark.parametrize("block_bytes", [1, 2, 7, 8192])
+    @given(case=channel_files(), end=st.sampled_from(["\n", "\r\n", "\r"]))
+    @settings(max_examples=80, deadline=None)
+    def test_chunk_boundaries_do_not_matter(self, tmp_path_factory, block_bytes, case, end):
+        text, known = case
+        path = tmp_path_factory.mktemp("ch") / "ch.model"
+        path.write_bytes(text.replace("\n", end).encode("utf-8"))
+        with mock.patch.object(modelfile, "BLOCK_BYTES", block_bytes):
             cm = load_channel(path, Vocabulary(known))
         assert cm.rows == reference_load_channel(text, Vocabulary(known))
 

@@ -405,6 +405,38 @@ def small_run(tmp_path_factory):
     return d
 
 
+class TestChannelDroppedEntries:
+    """The ``adapt`` manifest counts the channel entries dropped because they
+    name a word outside the topic model's vocabulary; the diag never does."""
+
+    def fit(self, small_run, tmp_path, channel, variant="conf-tf"):
+        out = tmp_path / "c.lambda"
+        argv = ["adapt", str(small_run / "synth000.cnet"), str(small_run / "topics.model"),
+                str(out), "--variant", variant]
+        if channel:
+            argv += ["--channel", str(channel)]
+        assert main(argv) == 0
+        diag = json.loads((tmp_path / "c.lambda.diag.json").read_text())
+        assert "channel_dropped_entries" not in diag
+        return json.loads((tmp_path / "c.lambda.manifest.json").read_text())
+
+    def test_counts_outside_entries(self, small_run, tmp_path, capsys):
+        lines = (small_run / "channel.model").read_text().splitlines()
+        known = lines[1].split()[0]
+        # a row outside the vocabulary (two entries) and one outside word in a
+        # known word's row, whose other entry keeps the row
+        extra = ["zz zz 0.5", f"zz {known} 0.5", f"{known} yy 0.5", f"{known} {known} 0.5"]
+        body = [ln for ln in lines[1:] if ln.split()[0] != known] + extra
+        channel = tmp_path / "outside.model"
+        channel.write_text(f"CHANNEL {len(body)}\n" + "\n".join(body) + "\n")
+        assert self.fit(small_run, tmp_path, channel)["channel_dropped_entries"] == 3
+
+    def test_zero_and_none(self, small_run, tmp_path, capsys):
+        assert self.fit(small_run, tmp_path, small_run / "channel.model")[
+            "channel_dropped_entries"] == 0
+        assert self.fit(small_run, tmp_path, None, "self-tf")["channel_dropped_entries"] is None
+
+
 @pytest.mark.parametrize("variant", adapt.VARIANTS)
 def test_adapt_imports_no_numpy_ma(small_run, tmp_path, variant):
     """A fresh ``cnadapt adapt`` process never imports numpy.ma, which the

@@ -8,16 +8,23 @@ makes a library change that breaks the benchmark fail the test suite.
 ``a3-fit`` (50 words) looks its channel pairs up in the dense table and
 ``wide-ragged`` (about 1,700 distinct words per conversation) by binary
 search, so the two workloads run both sides of ``adapt._channel_lookup``;
-the manifest entry's ``lookup`` says which side ran.
+the manifest entry's ``lookup`` says which side ran.  The ``wide-ragged``
+model pair is also loaded and checked against the loaders' line-by-line
+references.
 """
 
 import importlib
 import json
 import os
 
+import numpy as np
 import pytest
 
+from cnadapt.channel import load_channel
 from cnadapt.cli import main
+from cnadapt.corpus import Vocabulary
+from cnadapt.topics import load_topic_model
+from helpers import reference_load_channel, reference_load_topic_model
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -42,3 +49,29 @@ def test_fit_passes_checker(tmp_path, monkeypatch, workload, lookup, variant):
     lat = checker.Lattice(str(cnet), model)
     truth = json.loads((seed_dir / "truth" / f"{lat.cid}.json").read_text())
     checker.check_fit(lat, model, variant, str(out), str(unigram), truth)
+
+
+def test_model_pair_matches_line_by_line_reference(tmp_path, monkeypatch):
+    """The ``wide-ragged`` topic model (10 topics over 2,000 words) and
+    channel load bitwise as the line-by-line references read them."""
+    monkeypatch.syspath_prepend(PERFBENCH)
+    gen = importlib.import_module("gen")
+    models = tmp_path / "models"
+    assert gen.main(["wide-ragged", "1", str(models), str(tmp_path / "seed1")]) == 0
+    text = (models / "topics.model").read_text(encoding="utf-8")
+    tm = load_topic_model(models / "topics.model")
+    labels, words, probs = reference_load_topic_model(text)
+    assert (tm.labels, tm.vocab.words) == (labels, words)
+    assert tm.probs.dtype == probs.dtype and tm.probs.tobytes() == probs.tobytes()
+
+    text = (models / "channel.model").read_text(encoding="utf-8")
+    cm = load_channel(models / "channel.model", tm.vocab)
+    rows = reference_load_channel(text, Vocabulary(words))
+    spoken = sorted(rows)
+    counts = np.zeros(len(words), dtype=np.int64)
+    counts[spoken] = [len(rows[w]) for w in spoken]
+    assert cm.ptr.tolist() == [0] + np.cumsum(counts).tolist()
+    assert cm.obs.tolist() == [v for w in spoken for v in sorted(rows[w])]
+    want = np.array([rows[w][v] for w in spoken for v in sorted(rows[w])])
+    assert cm.probs.tobytes() == want.tobytes()
+    assert cm.dropped == 0

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from helpers import EDGE_WORDS, PROB_FORMS, reference_load_topic_model, write_prob
 from cnadapt.adapt import adapted_unigram
 from cnadapt import modelfile
 from cnadapt.corpus import Vocabulary
 from cnadapt.errors import ParseError, TrainingError, ValidationError
-from cnadapt.modelfile import CHUNK_LINES
 from cnadapt.topics import (
     PROB_FLOOR,
     UNK_WORD,
@@ -269,20 +269,20 @@ class TestLoaderErrors:
 
 
 @st.composite
-def topic_files(draw):
-    """Topic rows over words whose ids are not in string order, written with
-    assorted float formats, and the rows as each token reads with float()."""
-    words = draw(st.lists(st.text(alphabet="abcxyzé", min_size=1, max_size=3),
-                          min_size=1, max_size=10, unique=True))
+def topic_files(draw, words=st.text(alphabet="abcxyzé", min_size=1, max_size=3),
+                forms=("{!r}", "{:.12g}", "{:.17e}")):
+    """Topic rows over words whose ids are not in string order, each written
+    in one of ``forms``, and the rows as each token reads with float()."""
+    words = draw(st.lists(words, min_size=1, max_size=10, unique=True))
     T = draw(st.integers(1, 4))
     lines = [f"TOPICS {T} {len(words)}"]
     rows = []
     for t in range(T):
         weights = draw(st.lists(st.floats(1e-12, 1.0), min_size=len(words),
                                 max_size=len(words)))
-        fmt = draw(st.sampled_from(["{!r}", "{:.12g}", "{:.17e}"]))
+        form = draw(st.sampled_from(forms))
         total = sum(weights)
-        toks = [fmt.format(x / total) for x in weights]
+        toks = [write_prob(x / total, form) for x in weights]
         lines.append(f"TOPIC t{t}")
         lines += [f"{w} {p}" for w, p in zip(words, toks)]
         rows.append([float(p) for p in toks])
@@ -300,14 +300,27 @@ class TestLoaderExactness:
         assert tm.vocab.words == tuple(words)
         assert np.array_equal(tm.probs, floor_and_normalize(rows))
 
-    @pytest.mark.parametrize("chunk_lines", [3, CHUNK_LINES])
-    @given(case=topic_files())
-    @settings(max_examples=60, deadline=None)
-    def test_chunk_boundaries_do_not_matter(self, tmp_path_factory, chunk_lines, case):
+    @given(topic_files(EDGE_WORDS, PROB_FORMS))
+    @settings(max_examples=100, deadline=None)
+    def test_edge_words_and_numbers_equal_reference(self, tmp_path_factory, case):
         text, words, rows = case
         path = tmp_path_factory.mktemp("tm") / "m.topics"
-        path.write_text(text, encoding="utf-8")
-        with mock.patch.object(modelfile, "CHUNK_LINES", chunk_lines):
+        path.write_bytes(text.encode("utf-8"))
+        tm = load_topic_model(path)
+        labels, ref_words, ref_probs = reference_load_topic_model(text)
+        assert (tm.labels, tm.vocab.words) == (labels, tuple(words)) == (labels, ref_words)
+        assert tm.probs.tobytes() == ref_probs.tobytes()
+
+    # reads of a few bytes end inside a line, inside a token and
+    # between the "\r" and "\n" of a line end
+    @pytest.mark.parametrize("block_bytes", [1, 3, 7, 8192])
+    @given(case=topic_files(), end=st.sampled_from(["\n", "\r\n", "\r"]))
+    @settings(max_examples=60, deadline=None)
+    def test_chunk_boundaries_do_not_matter(self, tmp_path_factory, block_bytes, case, end):
+        text, words, rows = case
+        path = tmp_path_factory.mktemp("tm") / "m.topics"
+        path.write_bytes(text.replace("\n", end).encode("utf-8"))
+        with mock.patch.object(modelfile, "BLOCK_BYTES", block_bytes):
             tm = load_topic_model(path)
         assert tm.vocab.words == tuple(words)
         assert np.array_equal(tm.probs, floor_and_normalize(rows))

@@ -9,10 +9,9 @@ normalizing per conditioning word.
 ``load_channel`` reads its file as bytes, a block of whole lines at a time
 (see ``modelfile``): each block's distinct words are looked up once among
 the vocabulary's sorted byte keys, only a word outside it is decoded, and
-a probability in the exact case (at most 19 digits forming an integer
-below 2**53, a power of ten of at most 22) is read with uint64 arithmetic
-and one IEEE multiply or divide, bitwise what ``float()`` returns; any
-other token goes through ``float()``.
+the probabilities are cast from their bytes to float64 by numpy, bitwise
+what ``float()`` returns, with ``float()`` itself for a block the cast
+cannot take.
 """
 
 from __future__ import annotations

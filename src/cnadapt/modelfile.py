@@ -11,13 +11,9 @@ turns into "\n"; the other breaks are whitespace inside a line.
 A block is cut into tokens with numpy (``tokenize``, which the CNET reader
 shares): no Python object is made per token.  Words are compared as byte
 keys (``WordKeys``), so only the words a loader keeps are decoded.
-Numbers are read by ``Block.floats``: a token of digits with an optional
-'.' and exponent, whose digits form an integer M < 2**53 scaled by a power
-of ten of at most 22, is read eight digits per uint64 and scaled with one
-IEEE multiply or divide.  M and the power are exact doubles, so the result
-is the double nearest the decimal: bitwise what ``float()`` returns
-(Clinger's exact case).  Every other token, such as a 17-digit ``repr``,
-a sign or "nan", goes through ``float()``.
+Numbers are read by ``Block.floats``: numpy casts the tokens' bytes to
+float64 in one call, bitwise as ``float()`` reads them, and a block the
+cast cannot take goes through ``float()`` itself.
 
 ``read_text`` reads a whole text file of any kind, and ``utf8_error``
 reports one that does not decode as UTF-8.
@@ -50,22 +46,6 @@ _PAD = b" " * PAD
 # _HIGH[s]: a little-endian uint64 with 0xFF, which no UTF-8 text holds, in
 # every byte from the s-th on
 _HIGH = np.array([(2**64 - 1) >> (8 * s) << (8 * s) for s in range(8)] + [0], dtype="<u8")
-# the number reader's constants: _ONES * c holds c in every byte
-_ONES = np.uint64(0x0101010101010101)
-_TOPS = np.uint64(0x8080808080808080)
-_LOW7 = ~_TOPS
-_ZEROS = _ONES * np.uint64(ord("0"))
-_DOTS = _ONES * np.uint64(ord("."))
-_CASE = _ONES * np.uint64(0x20)  # 'E' | 0x20 is 'e'
-_ES = _ONES * np.uint64(ord("e"))
-_OVER_9 = _ONES * np.uint64(0x76)  # (byte & 0x7F) + 0x76 sets the top bit of a byte above 9
-_PAIRS = np.uint64(0x000000FF000000FF)
-_MUL_LOW = np.uint64(100 + (1000000 << 32))
-_MUL_HIGH = np.uint64(1 + (10000 << 32))
-_1, _7, _8, _10, _16, _32, _56, _64 = map(np.uint64, (1, 7, 8, 10, 16, 32, 56, 64))
-_1E8, _2P53 = np.uint64(10**8), np.uint64(2**53)
-_POW10_INT = 10 ** np.arange(20, dtype=np.uint64)
-_POW10 = 10.0 ** np.arange(23)  # each exact
 
 
 def read_text(path) -> str:
@@ -104,7 +84,7 @@ def read_blocks(fh):
     decoder, ascii = codecs.getincrementaldecoder("utf-8")(), True
     try:
         for data in iter(partial(fh.read, BLOCK_BYTES), b""):
-            count += np.count_nonzero(np.frombuffer(data, dtype=np.uint8) == 10)
+            count += data.count(b"\n")
             if b"\r" in data:
                 count += data.count(b"\r") - data.count(b"\r\n")
             count -= cr and data[0] == 10  # "\r\n" split between two reads
@@ -290,70 +270,6 @@ class WordKeys:
         return True
 
 
-def _zeros(y):
-    """The top bit of the lowest zero byte of each uint64 of ``y`` (and maybe
-    of higher bytes), 0 when no byte is zero."""
-    return (y - _ONES) & ~y & _TOPS
-
-
-def _first(flags):
-    """The index of the lowest byte of each uint64 of ``flags`` with its top
-    bit set, 8 when there is none."""
-    below = ((flags - _1) & ~flags) >> _7  # 0xFF in each byte below it
-    return ((below & _ONES) * _ONES) >> _56  # their count, summed in the top byte
-
-
-def _digits(w, below):
-    """The value of the digits in the top bytes of each uint64 of ``w``,
-    the first in the lower byte, above its ``below`` (uint64) bits, read
-    eight at a time (Lemire's method), and a uint64 with a top bit set in
-    some byte where one of them is no digit.  ``w`` is overwritten."""
-    w >>= below
-    w <<= below
-    fill = _64 - below
-    np.right_shift(_ZEROS, fill, out=fill)
-    w |= fill  # '0' below the digits
-    w ^= _ZEROS  # each digit byte now holds its value
-    bad = np.bitwise_and(w, _LOW7, out=fill)
-    bad += _OVER_9
-    bad |= w  # a top bit set where a byte is above 9
-    pair = w >> _8
-    w *= _10
-    w += pair  # byte i: 10 * d[i] + d[i + 1]
-    np.right_shift(w, _16, out=pair)
-    pair &= _PAIRS
-    pair *= _MUL_HIGH
-    w &= _PAIRS
-    w *= _MUL_LOW
-    w += pair
-    w >>= _32
-    return w, bad
-
-
-def _read_digits(u64, ends, counts):
-    """The values of runs of digits, each read back from where it ends:
-    run i of each token is the ``counts[i]`` digits before ``ends[i]``, at
-    most 16 for the first two runs and 8 for the last.  Returns (the values
-    per run, whether some byte of a token's runs is no digit)."""
-    # every run's last 8 digits, then the 8 before of the first two
-    at = np.empty((5, ends[0].size), dtype=np.int64)
-    at[:3] = ends
-    at[3:] = at[:2] - 8
-    at -= 8
-    w = u64[at]
-    n = at  # now the number of digits of each read
-    n[:3] = counts
-    n[3:] = n[:2] - 8
-    np.maximum(n, 0, out=n)
-    np.minimum(n, 8, out=n)
-    np.subtract(8, n, out=n)
-    n <<= 3  # the bits below the digits
-    w, bad = _digits(w, n.view(np.uint64))
-    w[3:] *= _1E8
-    w[:2] += w[3:]
-    return w[:3], np.bitwise_or.reduce(bad) & _TOPS != 0
-
-
 class Block:
     """Whole lines of a model file, cut into tokens.
 
@@ -406,46 +322,24 @@ class Block:
         """The numbers the tokens spell as ``float()`` reads them, or None
         when some token is no number.
 
-        A token is read here when it is at most 16 integer digits,
-        optionally a '.' among its first 16 bytes and at most 16 fraction
-        digits (19 digits in all), then optionally 'e' or 'E', a sign and 1
-        to 3 exponent digits, and when its digits form an integer below
-        2**53 and its power of ten is at most 22 in size; every other token
-        goes through ``float()``.
+        Each token's bytes, NUL-padded to the widest, are cast to float64
+        at once; numpy's cast reads bytes as ``float()`` reads a str.  A
+        block with a NUL byte (which ``float()`` rejects but the padded
+        cast would drop), a token wider than PAD (whose window would pass
+        the padding) and a block the cast rejects (such as one with digits
+        outside ASCII, which only a str reads) go through ``float()``.
         """
-        s, e = self.starts[tokens], self.ends[tokens]
-        size = e - s
-        u64 = self.u64
-        # the first '.' among the first 16 bytes (past the token when it has none)
-        dot = _first(_zeros(u64[s] ^ _DOTS)).view(np.int64)
-        far = np.flatnonzero((dot == 8) & (size > 8))
-        if far.size:
-            dot[far] += _first(_zeros(u64[s[far] + 8] ^ _DOTS)).view(np.int64)
-        # the first 'e' or 'E' among the token's last 8 bytes
-        last = _first(_zeros((u64[e - 8] | _CASE) ^ _ES) & _HIGH[np.maximum(8 - size, 0)])
-        mark = size - 8 + last.view(np.int64)  # size when there is none
-        has_mark = last < 8
-        has_dot = (dot < mark) & (dot < 16)
-        whole = np.where(has_dot, dot, mark)
-        frac = mark - whole - has_dot
-        after = self.buf[s + mark + 1]
-        minus = has_mark & (after == ord("-"))
-        nexp = size - mark - has_mark - (minus | has_mark & (after == ord("+")))
-        ok = (whole + frac >= 1) & (whole + frac <= 19) & (whole <= 16) & (frac <= 16)
-        ok &= (nexp <= 3) & (has_mark <= (nexp > 0))  # an exponent has digits
-        whole, frac = np.minimum(whole, 16), np.minimum(frac, 16)
-        (m, low, exp), bad = _read_digits(u64, (s + whole, s + mark, e), (whole, frac, nexp))
-        m *= _POW10_INT[frac]
-        m += low
-        q = exp.view(np.int64) * (1 - 2 * minus) - frac
-        ok &= ~bad & (m < _2P53) & (np.abs(q) <= 22)
-        m = m.astype(np.float64)
-        scale = _POW10[np.minimum(np.abs(q), 22)]
-        value = np.where(q >= 0, m * scale, m / scale)
-        data = self.data
-        for i in np.flatnonzero(~ok).tolist():
+        s = self.starts[tokens]
+        size = self.ends[tokens] - s
+        width = int(size.max(initial=1))
+        if width <= PAD and b"\0" not in self.raw:
+            rows = np.lib.stride_tricks.sliding_window_view(self.buf, width)[s]
+            rows *= np.arange(width) < size[:, None]  # NULs past each token
             try:
-                value[i] = float(data[s[i] : e[i]].decode("utf-8"))
+                return rows.view(f"S{width}").ravel().astype(np.float64)
             except ValueError:
-                return None
-        return value
+                pass
+        try:
+            return np.array(self.text(tokens), dtype=np.float64)
+        except ValueError:
+            return None

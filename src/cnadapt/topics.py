@@ -8,10 +8,9 @@ the confusion-aware estimators take their multiplicative steps, onto it.
 ``load_topic_model`` reads its file as bytes, a block of whole lines at a
 time (see ``modelfile``): the first topic's words are decoded into the
 vocabulary, a later topic's words are compared with them as byte keys, and
-a probability in the exact case (at most 19 digits forming an integer
-below 2**53, a power of ten of at most 22) is read with uint64 arithmetic
-and one IEEE multiply or divide, bitwise what ``float()`` returns; any
-other token goes through ``float()``.
+the probabilities are cast from their bytes to float64 by numpy, bitwise
+what ``float()`` returns, with ``float()`` itself for a block the cast
+cannot take.
 """
 
 from __future__ import annotations
@@ -236,7 +235,7 @@ def _first_topic_error(chunk, line, vocab, label, V):
     """The error of the first bad line of ``chunk``, read line by line.
 
     ``label`` is the topic open before the chunk; words of the first topic
-    that ``_read_topic_lines`` interned keep their ids, so they read as good.
+    that ``_read_topic_block`` interned keep their ids, so they read as good.
     """
     for no, text in enumerate(chunk, start=line):
         text = text.rstrip("\n")

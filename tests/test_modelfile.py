@@ -7,15 +7,15 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cnadapt import modelfile
 from cnadapt.channel import load_channel
 from cnadapt.modelfile import Block, WordKeys
 from cnadapt.topics import load_topic_model, save_topic_model
 from helpers import EDGE_WORDS, make_topic_model, traced_peak
 
-# every edge of the exact case: 15 to 17 significant digits, 2**53, powers
-# of ten at and past 22, the optional parts of the form, and the tokens
-# only float() reads
+# edges of the number form: 15 to 17 significant digits, 2**53, powers of
+# ten at and past 22, the optional parts of the form, the tokens only a str
+# reads, a NUL the padded cast would drop and a token wider than PAD
+WIDE = "0." + "0" * 37 + "1"  # 40 bytes
 EDGE_NUMBERS = [
     "1", "1.", ".5", "00.5", "+0.5", "1_0", "1E+05", "1e-10", "inf", "NaN", "-0.0",
     "123456789012345", "1234567890123456", "12345678901234567",
@@ -29,6 +29,10 @@ EDGE_NUMBERS = [
     "138049845.79974445", "13804984579974445e-8",
     # 20 digits, whose integer 2**64 + 5 would wrap around a uint64
     "184467440737095.51621",
+    "0.5\x00", WIDE,
+    # a short token that ends the block after the wide one, where a window
+    # of its width would pass the padding
+    "2",
 ]
 FORMATS = ["{!r}", "{:.12g}", "{:.15g}", "{:.16g}", "{:.17g}", "{:.17e}", "{:.15e}", "{:E}"]
 NUMBERS = st.one_of(
@@ -44,8 +48,7 @@ def block_of(lines):
     return Block("".join(line + "\n" for line in lines).encode("utf-8"), 2)
 
 
-# tokens in the exact case: at most 15 digits and a power of ten of at most
-# 22 in all, so float() is never needed
+# the forms the model writers use, which the bytes cast reads alone
 EXACT = st.one_of(
     st.from_regex(r"\A[0-9]{1,8}\.[0-9]{0,7}\Z"),
     st.from_regex(r"\A[0-9]{0,8}\.[0-9]{1,7}([eE][+-]?[0-9])?\Z"),
@@ -59,6 +62,7 @@ EXACT = st.one_of(
 class TestFloats:
     @given(st.lists(NUMBERS, min_size=1, max_size=30))
     @example(EDGE_NUMBERS)
+    @example([WIDE])  # the wide token last in its block
     @settings(max_examples=300, deadline=None)
     def test_bitwise_float(self, tokens):
         """Each token float() reads is read bitwise as float() reads it; a
@@ -85,12 +89,13 @@ class TestFloats:
               "123456789012345", "0.1234567890123456", "1e22", "1e-22", "4.5e-07"])
     @settings(max_examples=200, deadline=None)
     def test_exact_case_needs_no_float(self, tokens):
-        """The forms the model writers use (``{:.12g}``) are read with
-        uint64 arithmetic alone; float() is the fallback, not the reader."""
+        """The forms the model writers use (``{:.12g}``) are read by the
+        bytes cast alone; the str path is the fallback, not the reader."""
         block = block_of(f"w {t}" for t in tokens)
         calls = []
-        with mock.patch.object(modelfile, "float", create=True,
-                               side_effect=lambda t: calls.append(t) or float(t)):
+        text = Block.text
+        with mock.patch.object(Block, "text", autospec=True,
+                               side_effect=lambda *a: calls.append(a) or text(*a)):
             got = block.floats(np.arange(1, 2 * len(tokens), 2))
         want = np.array([float(t) for t in tokens])
         assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()

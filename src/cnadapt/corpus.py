@@ -7,12 +7,14 @@ in canonical order (descending posterior, ascending word id on ties) so the
 1-best word and the serialized form are both deterministic.
 
 A ``Conversation`` holds its cells as flat arrays in that order, and the
-parser fills them a chunk of bin lines at a time.  ``Bin`` and
+parser fills them a block of lines at a time.  ``Bin`` and
 ``ConfusionNetwork`` are the object form that builders of conversations use.
 
-Every chunk is read in bulk, with numpy over its UTF-8 bytes; a chunk
-that breaks a rule of the format is read again line by line, only to name
-its first bad line.  The bulk reader reads a posterior as the
+A CNET, from a file or a string alike, is read as bytes in ``modelfile``'s
+``Block``s of whole lines, as the model files are.  In each block only the
+CONV and NET lines are decoded; the BIN lines are read in bulk, with numpy,
+and a block that breaks a rule of the format is read again line by line,
+only to name its first bad line.  The bulk reader reads a posterior as the
 integer n of its digits, the fraction padded with zeros to 9 digits, over
 10**9: n <= 10**9 < 2**53 and 10**9 are exact doubles, so the quotient is
 bitwise what ``float()`` returns.
@@ -20,6 +22,7 @@ bitwise what ``float()`` returns.
 
 from __future__ import annotations
 
+import io
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -27,15 +30,12 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
-from .modelfile import COUNT, WordKeys, ragged, read_text, tokenize, unaligned_u64
+from .errors import InputError, ParseError, ValidationError
+from .modelfile import COUNT, WordKeys, blocks, ragged, utf8_error
 
 POSTERIOR_SUM_SLACK = 1e-6
 MAX_FRACTION_DIGITS = 9
 UNK_WORD = "<unk>"
-# characters of the bin lines parsed together (a longer line is a chunk of
-# its own); a chunk that breaks a rule is read again line by line
-CHUNK_CHARS = 1 << 18
 
 _POSTERIOR = re.compile(r"[0-9]+(?:\.([0-9]+))?")
 # The bulk reader's tables.
@@ -91,17 +91,13 @@ class Vocabulary:
         return tuple(self._words)
 
 
-def _canonical_cells(cells):
-    return tuple(sorted(cells, key=lambda c: (-c[1], c[0])))
-
-
 class Bin:
     """One time slot of a confusion network: (word id, posterior) cells."""
 
     __slots__ = ("cells",)
 
     def __init__(self, cells):
-        cells = _canonical_cells(cells)
+        cells = tuple(sorted(cells, key=lambda c: (-c[1], c[0])))
         if not cells:
             raise ValidationError("empty bin")
         seen = set()
@@ -275,16 +271,42 @@ def _parse_posterior(token: str, lineno: int) -> float:
     return value
 
 
-def _bins_by_line(lines, nos, intern, unk):
-    """Raise the error of the first bad line among BIN lines ``lines``,
-    numbered ``nos``, checking every rule of the format one line at a time.
+def _head(parts, line, no, header):
+    """(id, bin count) of the CONV line, when not ``header``, or of a NET
+    line (the CONV line counts 0 bins), or raise its error."""
+    if not header:
+        if len(parts) != 2 or parts[0] != "CONV":
+            raise ParseError(f"expected 'CONV <id>', got {line!r}", no)
+        return parts[1], 0
+    if parts[0] != "NET" or len(parts) != 3:
+        raise ParseError(f"expected 'NET <id> <bin-count>', got {line!r}", no)
+    if COUNT.fullmatch(parts[2]) is None:
+        raise ParseError(f"bad bin count {parts[2]!r}", no)
+    nbins = int(parts[2])
+    if nbins < 1:
+        raise ValidationError(f"line {no}: utterance {parts[1]!r} declares {nbins} bins")
+    return parts[1], nbins
 
-    A word ``intern`` maps to None becomes ``unk``; when that is None too
-    the cell is dropped.  Cells meeting at ``unk`` in a bin with such a word
-    merge, their posteriors summed in file order and capped at 1.
+
+def _first_bad_line(block, header, left, intern, unk):
+    """Raise the error of the first bad line of ``block``, checking every
+    rule of the format one line at a time.
+
+    ``header`` tells whether the CONV line came before the block, and
+    ``left`` how many BIN lines the last NET line still awaits.  A word
+    ``intern`` maps to None becomes ``unk``; when that is None too the cell
+    is dropped.  Cells meeting at ``unk`` in a bin with such a word merge,
+    their posteriors summed in file order and capped at 1.
     """
-    for line, no in zip(lines, nos):
+    for no, line in enumerate(block.lines(), start=block.line):
         parts = line.split()
+        if not parts:
+            continue
+        if not (header and left):
+            _, left = _head(parts, line, no, header)
+            header = True
+            continue
+        left -= 1
         if parts[0] != "BIN" or len(parts) < 2:
             raise ParseError(f"expected 'BIN <word>:<posterior> ...', got {line!r}", no)
         cells = []
@@ -308,11 +330,11 @@ def _bins_by_line(lines, nos, intern, unk):
                 Bin(cells)
             except ValidationError as exc:
                 raise ValidationError(f"line {no}: {exc}") from None
-    raise AssertionError(f"no bad line among lines {nos[0]}-{nos[-1]}")
+    raise AssertionError(f"no bad line among lines {block.line}-{block.line + block.size - 1}")
 
 
 def _posteriors(buf, colon, end):
-    """The values of the posteriors [colon + 1, end) of a chunk's cells, or
+    """The values of the posteriors [colon + 1, end) of a block's cells, or
     None when one is not digits, then optionally '.' and 1 to
     MAX_FRACTION_DIGITS digits, or is above 1.
 
@@ -356,51 +378,71 @@ def _posteriors(buf, colon, end):
     return num / float(10**MAX_FRACTION_DIGITS)
 
 
-def _bins_in_bulk(lines, vocab: Vocabulary, closed: bool, unk):
-    """(widths, words, posts, outside words) of BIN lines, parsed together,
-    or None when some line breaks a rule of the format.
+def _read_block(block, heads, left, vocab: Vocabulary, closed: bool, unk):
+    """Read ``block`` in bulk: (left, (widths, words, posts, outside words)
+    of its BIN lines) as they stand after it, or None when some line breaks
+    a rule of the format.
 
-    It cuts the chunk's UTF-8 bytes into tokens as str.split() does, with
-    the tokenizer the model loaders share (``modelfile.tokenize``).  The
-    first token of a line must be "BIN", and every other one must hold a
-    ':', with a word before the last one and a posterior after it (see
-    ``_posteriors``).
-
-    Each distinct word is looked up in ``vocab`` once; in open mode the
-    words it lacks are interned in the order they first occur.  The cells
-    are sorted only when some bin is not in canonical order.
+    ``heads`` holds the (id, bin count) of the CONV line and of each NET
+    line read so far, and grows by the block's; ``left`` is how many BIN
+    lines the last NET line still awaits.  Only the lines whose first token
+    is not "BIN" are decoded, and walked in Python with ``_head``.  In a BIN
+    line, every cell must hold a ':', with a word before the last one and a
+    posterior after it (see ``_posteriors``).  Each distinct word is looked
+    up in ``vocab`` once; in open mode the words it lacks are interned in
+    the order they first occur.  The cells are sorted only when some bin is
+    not in canonical order.
     """
-    data, buf, starts, ends = tokenize("\n".join(lines).encode("utf-8", "surrogatepass"))
-    # no line is blank, so the first token of each starts at or after its start
-    heads = np.searchsorted(starts, np.flatnonzero(buf == ord("\n")) + 1)
-    heads = np.concatenate(([0], heads))
-    width = np.diff(heads, append=starts.size) - 1
-    tag = starts[heads]
-    if not ((width > 0).all() and (ends[heads] - tag == 3).all()):
+    starts, ends, buf = block.starts, block.ends, block.buf
+    # line i holds tokens bound[i] to bound[i + 1]; a break is whitespace
+    bound = np.searchsorted(starts, np.r_[0, block.breaks[: block.size - 1], buf.size])
+    count = np.diff(bound)
+    lines = np.flatnonzero(count)
+    tag = starts[bound[lines]]
+    is_bin = (ends[bound[lines]] - tag == 3) & (
+        np.lib.stride_tricks.sliding_window_view(buf, 3)[tag] == _BIN
+    ).all(axis=1)
+    other = np.flatnonzero(~is_bin)
+    lo, hi = bound[lines[other]], bound[lines[other] + 1]
+    done = 0  # the nonblank lines walked
+    for o, a, b in zip(other.tolist(), starts[lo].tolist(), ends[hi - 1].tolist()):
+        line = block.data[a:b].decode("utf-8")
+        if o - done != left:
+            return None
+        try:
+            heads.append(_head(line.split(), line, None, bool(heads)))
+        except InputError:
+            return None
+        left, done = heads[-1][1], o + 1
+    left -= lines.size - done
+    width = count[lines[is_bin]] - 1
+    if left < 0 or not (width > 0).all():
         return None
-    if (np.lib.stride_tricks.sliding_window_view(buf, 3)[tag] != _BIN).any():
-        return None
+    nb = width.size
+    if not nb:
+        return left, None
     cell = np.ones(starts.size, dtype=bool)
-    cell[heads] = False
+    cell[bound[lines]] = False
+    cell[ragged(lo, hi)] = False
     cs, ce = starts[cell], ends[cell]
     colon = np.flatnonzero(buf == ord(":"))
     if colon.size != cs.size:
-        # some word holds ':' or some cell none: take each cell's last ':'
+        # some word or id holds ':' or some cell none: take each cell's last ':'
         if not colon.size:
             return None
         colon = colon[np.searchsorted(colon, ce) - 1]
     # the i-th ':' inside cell i, with bytes on either side
     if not ((cs < colon) & (colon + 1 < ce)).all():
         return None
-    # every row read past the chunk's end ends within 10 bytes of it, inside
+    # every row read past the block's end ends within 10 bytes of it, inside
     # the padding
     posts = _posteriors(buf, colon, ce)
     if posts is None:
         return None
 
-    word, first = WordKeys(buf, unaligned_u64(data), cs, colon - cs).distinct()
+    word, first = WordKeys(buf, block.u64, cs, colon - cs).distinct()
     names = [
-        data[a:b].decode("utf-8", "surrogatepass")
+        block.data[a:b].decode("utf-8")
         for a, b in zip(cs[first].tolist(), colon[first].tolist())
     ]
     known = vocab.ids(names)
@@ -409,7 +451,7 @@ def _bins_in_bulk(lines, vocab: Vocabulary, closed: bool, unk):
         for d in new[np.argsort(first[new])].tolist():
             known[d] = vocab.add(names[d])
     ids = known[word]
-    bin_of = np.repeat(np.arange(len(lines)), width)
+    bin_of = np.repeat(np.arange(nb), width)
     outside = np.flatnonzero(ids < 0)
     if outside.size:
         keep = np.ones(ids.size, dtype=bool)
@@ -419,7 +461,7 @@ def _bins_in_bulk(lines, vocab: Vocabulary, closed: bool, unk):
             ids[outside] = unk
             # cells at unk in a bin with an outside word merge into the first,
             # summed in file order
-            hit = np.zeros(len(lines), dtype=bool)
+            hit = np.zeros(nb, dtype=bool)
             hit[bin_of[outside]] = True
             at = np.flatnonzero((ids == unk) & hit[bin_of])
             b = bin_of[at]
@@ -428,7 +470,7 @@ def _bins_in_bulk(lines, vocab: Vocabulary, closed: bool, unk):
             posts[at[head]] = np.minimum(total[b[head]], 1.0)
             keep[at[~head]] = False
         ids, posts, bin_of = ids[keep], posts[keep], bin_of[keep]
-        width = np.bincount(bin_of, minlength=len(lines))
+        width = np.bincount(bin_of, minlength=nb)
     if not (posts > 0.0).all():
         return None
     later = posts[1:]
@@ -442,10 +484,10 @@ def _bins_in_bulk(lines, vocab: Vocabulary, closed: bool, unk):
     if (key[1:] == key[:-1]).any():
         return None  # a word twice in a bin
     # bincount adds each bin's posteriors in canonical order, as Bin does
-    total = np.bincount(bin_of, weights=posts, minlength=len(lines))
+    total = np.bincount(bin_of, weights=posts, minlength=nb)
     if (total > 1.0 + POSTERIOR_SUM_SLACK).any():
         return None
-    return width, ids, posts, outside.size
+    return left, (width, ids, posts, outside.size)
 
 
 def parse_conversation(text: str, vocab: Vocabulary, closed: bool = False) -> Conversation:
@@ -457,75 +499,39 @@ def parse_conversation(text: str, vocab: Vocabulary, closed: bool = False) -> Co
     dropped otherwise, and a bin or utterance left empty is dropped too.
     Raises ParseError/ValidationError with line numbers.
 
-    The NET lines are read first; then the BIN lines, in chunks of whole
-    lines of at most CHUNK_CHARS characters (stripped), in bulk, and a
-    chunk that fails a check line by line for its error.  An
-    error outside BIN lines is raised once the BIN lines before it are read,
-    so the first error in the file is the one reported.
+    The text is read as its UTF-8 bytes by the reader of a CNET file, so a
+    line ends at "\\n", "\\r\\n" or "\\r" in both.  It reads a block of whole
+    lines at a time, in bulk, and a block that fails a check line by line
+    for its error, so the first error in the file is the one reported.
     """
-    lines = text.split("\n")
-    size = np.fromiter(map(len, map(str.strip, lines)), np.int64, len(lines))
-    nonblank = np.flatnonzero(size).tolist()
-    if not nonblank:
-        raise ParseError("empty input", 1)
-    header = lines[nonblank[0]]
-    parts = header.split()
-    if len(parts) != 2 or parts[0] != "CONV":
-        raise ParseError(f"expected 'CONV <id>', got {header!r}", nonblank[0] + 1)
-    cid = parts[1]
+    return _read(blocks(io.BytesIO(text.encode("utf-8"))), vocab, closed)
 
-    uids, nbins_of, bin_rows = [], [], []
-    failure = None
-    at = 1
-    while at < len(nonblank):
-        no = nonblank[at] + 1
-        line = lines[no - 1]
-        parts = line.split()
-        if parts[0] != "NET" or len(parts) != 3:
-            failure = ParseError(f"expected 'NET <id> <bin-count>', got {line!r}", no)
-            break
-        uid = parts[1]
-        if COUNT.fullmatch(parts[2]) is None:
-            failure = ParseError(f"bad bin count {parts[2]!r}", no)
-            break
-        nbins = int(parts[2])
-        if nbins < 1:
-            failure = ValidationError(f"line {no}: utterance {uid!r} declares {nbins} bins")
-            break
-        rows = nonblank[at + 1 : at + 1 + nbins]
-        uids.append(uid)
-        nbins_of.append(len(rows))
-        bin_rows += rows
-        if len(rows) < nbins:
-            failure = ParseError(f"unexpected end of input inside NET {uid!r}")
-            break
-        at += 1 + nbins
 
-    intern = vocab.get if closed else vocab.add
+def _read(file_blocks, vocab: Vocabulary, closed: bool) -> Conversation:
+    """The conversation whose CNET lines ``file_blocks`` (``modelfile.Block``s
+    from line 1) hold."""
     unk = vocab.get(UNK_WORD) if closed else None
-    chunks = []
-    chars = np.cumsum(size[bin_rows])
-    lo = 0
-    while lo < len(bin_rows):
-        done = chars[lo - 1] if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(chars, done + CHUNK_CHARS, "right")))
-        rows = bin_rows[lo:hi]
-        chunk = [lines[i] for i in rows]
-        got = _bins_in_bulk(chunk, vocab, closed, unk)
+    heads, left, parts = [], 0, []
+    for block in file_blocks:
+        before = bool(heads), left
+        got = _read_block(block, heads, left, vocab, closed, unk)
         if got is None:  # a line breaks a rule: find it
-            _bins_by_line(chunk, [i + 1 for i in rows], intern, unk)
-        chunks.append(got)
-        lo = hi
-    if failure is not None:
-        raise failure
-    if not uids:
+            _first_bad_line(block, *before, vocab.get if closed else vocab.add, unk)
+        left, bins = got
+        if bins is not None:
+            parts.append(bins)
+    if not heads:
+        raise ParseError("empty input", 1)
+    (cid, _), *nets = heads
+    if left:
+        raise ParseError(f"unexpected end of input inside NET {nets[-1][0]!r}")
+    if not nets:
         raise ParseError("conversation has no utterances", 1)
-    width, words, posts, oov = zip(*chunks)
+    uids, nbins = zip(*nets)
+    width, words, posts, oov = zip(*parts)
     width, oov = np.concatenate(width), sum(oov)
     kept = width > 0
-    per_utt = np.bincount(
-        np.repeat(np.arange(len(uids)), nbins_of)[kept], minlength=len(uids)
-    )
+    per_utt = np.bincount(np.repeat(np.arange(len(uids)), nbins)[kept], minlength=len(uids))
     if not per_utt.any():  # every cell's word was outside the closed vocabulary
         raise ValidationError(f"conversation {cid!r} has no word in the vocabulary")
     return Conversation.from_arrays(
@@ -561,7 +567,13 @@ def serialize_conversation(conv: Conversation, vocab: Vocabulary) -> str:
 
 
 def load_conversation(path, vocab: Vocabulary, closed: bool = False) -> Conversation:
-    return parse_conversation(read_text(path), vocab, closed)
+    """Parse the CNET file ``path``, as ``parse_conversation`` parses its
+    text; a block that is not UTF-8 raises ``utf8_error`` as it is read."""
+    with open(path, "rb") as fh:
+        try:
+            return _read(blocks(fh), vocab, closed)
+        except UnicodeDecodeError:
+            raise utf8_error(path) from None
 
 
 def save_conversation(conv: Conversation, vocab: Vocabulary, path) -> None:

@@ -1,19 +1,22 @@
 """Block reading of the line-oriented files, as bytes.
 
-The topic model and the channel files hold a header line, then one record
-of a fixed number of whitespace-separated fields per line.  ``read_blocks``
-counts the lines and checks that the file is UTF-8 in one pass, then reads
-it again BLOCK_BYTES at a time and hands the lines after the header over in
-``Block``s of whole lines, so no loader holds the whole file.  In every file
-cnadapt reads, a line ends at "\n", "\r\n" or "\r", the breaks text mode
-turns into "\n"; the other breaks are whitespace inside a line.
+A CNET, the topic model and the channel file are read as bytes,
+BLOCK_BYTES at a time, in ``Block``s of whole lines, so no reader holds
+the whole file.  In every file cnadapt reads, a line ends at "\n", "\r\n"
+or "\r", the breaks text mode turns into "\n"; the other breaks are
+whitespace inside a line.  The model files hold a header line, then one
+record of a fixed number of whitespace-separated fields per line:
+``read_blocks`` counts the lines and checks that the file is UTF-8 in one
+pass, then hands the lines after the header over in blocks.  A CNET is
+read by ``blocks`` from line 1, in one pass: each block is checked as it
+is made.
 
-A block is cut into tokens with numpy (``tokenize``, which the CNET reader
-shares): no Python object is made per token.  Words are compared as byte
-keys (``WordKeys``), so only the words a loader keeps are decoded.
-Numbers are read by ``Block.floats``: numpy casts the tokens' bytes to
-float64 in one call, bitwise as ``float()`` reads them, and a block the
-cast cannot take goes through ``float()`` itself.
+A block is cut into tokens with numpy: no Python object is made per
+token.  Words are compared as byte keys (``WordKeys``), so only the words
+a loader keeps are decoded.  Numbers are read by ``Block.floats``: numpy
+casts the tokens' bytes to float64 in one call, bitwise as ``float()``
+reads them, and a block the cast cannot take goes through ``float()``
+itself.
 
 ``read_text`` reads a whole text file of any kind, and ``utf8_error``
 reports one that does not decode as UTF-8.
@@ -24,7 +27,6 @@ from __future__ import annotations
 import codecs
 import re
 from functools import partial
-from itertools import chain
 
 import numpy as np
 
@@ -32,12 +34,11 @@ from .errors import ParseError
 
 # bytes read at a time; a block holds the whole lines they complete
 BLOCK_BYTES = 1 << 18
-_UNIVERSAL_BREAK = re.compile(r"\r\n?|\n")
 _BREAK = re.compile(rb"\r\n?|\n")
 # a header count: an optional "-" (a negative count has its own message) and
 # ASCII digits; int() and \d also take other scripts' digits, and int() "+" and "_"
 COUNT = re.compile(r"-?[0-9]+")
-# Whitespace outside ASCII, which ``tokenize`` folds to b" ".
+# Whitespace outside ASCII, which ``Block`` folds to b" ".
 _WIDE_SPACE = re.compile(r"[^\S\x00-\x7f]")
 # spaces around a tokenized buffer, so every fixed-width read near a token
 # stays inside it
@@ -66,7 +67,7 @@ def utf8_error(path) -> ParseError:
     try:
         raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        lineno = len(_UNIVERSAL_BREAK.split(raw[: exc.start].decode("utf-8")))
+        lineno = len(_BREAK.split(raw[: exc.start]))
         return ParseError(
             f"not valid UTF-8: {exc.reason} (byte 0x{raw[exc.start]:02x})", lineno
         )
@@ -98,20 +99,21 @@ def read_blocks(fh):
         raise utf8_error(fh.name) from None
     count += last not in b"\r\n"
     fh.seek(0)
-    pieces = _whole_lines(fh)
-    first = next(pieces, b"")
+    first = next(_whole_lines(fh), b"")
     end = _BREAK.search(first)
     header = first[: end.start() if end else None].decode("utf-8")
-    rest = first[end.end() :] if end else b""
+    fh.seek(end.end() if end else len(first))
+    return count, header, blocks(fh, 2)
 
-    def blocks():
-        line = 2
-        for raw in chain((rest,) if rest else (), pieces):
-            block = Block(raw, line)
-            line += block.size
-            yield block
 
-    return count, header, blocks()
+def blocks(fh, line=1):
+    """The ``Block``s of the lines of ``fh``, a file opened for reading
+    bytes, from where it stands; the first is numbered ``line``.  A block
+    that is not UTF-8 raises UnicodeDecodeError as it is made."""
+    for raw in _whole_lines(fh):
+        block = Block(raw, line)
+        line += block.size
+        yield block
 
 
 def _whole_lines(fh):
@@ -129,34 +131,6 @@ def _whole_lines(fh):
         parts = [data[cut:]]
     if any(parts):
         yield b"".join(parts)
-
-
-def tokenize(raw: bytes):
-    """Cut UTF-8 ``raw`` into tokens as str.split() cuts its text.
-
-    Returns (data, buf, starts, ends): ``raw`` with whitespace outside
-    ASCII folded to b" " and PAD spaces on either side, as bytes and as
-    uint8, and where each token starts and ends in it.  Tokens are the runs
-    between ASCII whitespace bytes; no byte of a multi-byte UTF-8 character
-    is ASCII, so words outside ASCII need no special case.
-    """
-    if not raw.isascii():
-        raw = _WIDE_SPACE.sub(" ", raw.decode("utf-8", "surrogatepass")).encode(
-            "utf-8", "surrogatepass"
-        )
-    data = b"".join((_PAD, raw, _PAD))
-    buf = np.frombuffer(data, dtype=np.uint8)
-    # ASCII whitespace as str.split() sees it: 9-13, 28-31, 32
-    solid = np.zeros(buf.size + 1, dtype=bool)
-    space = solid[1:]
-    byte = buf - 9
-    np.less_equal(byte, 13 - 9, out=space)
-    np.subtract(buf, 28, out=byte)
-    space |= byte <= 31 - 28
-    space |= buf == 32
-    np.logical_not(space, out=space)
-    edges = np.flatnonzero(solid[1:] != solid[:-1])
-    return data, buf, edges[0::2], edges[1::2]
 
 
 def ragged(lo, hi) -> np.ndarray:
@@ -271,19 +245,39 @@ class WordKeys:
 
 
 class Block:
-    """Whole lines of a model file, cut into tokens.
+    """Whole lines of a file, cut into tokens as str.split() cuts its text.
 
     ``line`` is the file line of its first line and ``size`` its number of
-    lines.
+    lines.  ``raw`` must be UTF-8 (else UnicodeDecodeError); ``data`` and
+    ``buf`` are ``raw`` with whitespace outside ASCII folded to b" " and PAD
+    spaces on either side, as bytes and as uint8;
+    token i spans ``starts[i]`` to ``ends[i]`` in it, and ``breaks`` are
+    where its lines end.  Tokens are the runs between ASCII whitespace
+    bytes; no byte of a multi-byte UTF-8 character is ASCII, so words
+    outside ASCII need no special case.
     """
 
     def __init__(self, raw: bytes, line: int):
         self.raw, self.line = raw, line
-        self.data, self.buf, self.starts, self.ends = tokenize(raw)
+        if not raw.isascii():
+            raw = _WIDE_SPACE.sub(" ", raw.decode("utf-8")).encode("utf-8")
+        self.data = b"".join((_PAD, raw, _PAD))
+        self.buf = buf = np.frombuffer(self.data, dtype=np.uint8)
         self.u64 = unaligned_u64(self.data)
-        ends = self.buf == 10
+        # ASCII whitespace as str.split() sees it: 9-13, 28-31, 32
+        solid = np.zeros(buf.size + 1, dtype=bool)
+        space = solid[1:]
+        byte = buf - 9
+        np.less_equal(byte, 13 - 9, out=space)
+        np.subtract(buf, 28, out=byte)
+        space |= byte <= 31 - 28
+        space |= buf == 32
+        np.logical_not(space, out=space)
+        edges = np.flatnonzero(solid[1:] != solid[:-1])
+        self.starts, self.ends = edges[0::2], edges[1::2]
+        ends = buf == 10
         if b"\r" in raw:
-            cr = self.buf == 13
+            cr = buf == 13
             ends[1:] &= ~cr[:-1]  # the '\n' of "\r\n" ends no second line
             ends |= cr
         self.breaks = np.flatnonzero(ends)
@@ -304,7 +298,8 @@ class Block:
 
     def lines(self):
         """The text of each line, for naming a bad one."""
-        return _UNIVERSAL_BREAK.split(self.raw.decode("utf-8"))[: self.size]
+        lines = _BREAK.split(self.raw)[: self.size]
+        return [line.decode("utf-8") for line in lines]
 
     def words(self, tokens) -> WordKeys:
         start = self.starts[tokens]
@@ -335,8 +330,9 @@ class Block:
         if width <= PAD and b"\0" not in self.raw:
             rows = np.lib.stride_tricks.sliding_window_view(self.buf, width)[s]
             rows *= np.arange(width) < size[:, None]  # NULs past each token
-            try:
-                return rows.view(f"S{width}").ravel().astype(np.float64)
+            try:  # a number past the float range reads as inf, as float() reads it
+                with np.errstate(over="ignore"):
+                    return rows.view(f"S{width}").ravel().astype(np.float64)
             except ValueError:
                 pass
         try:

@@ -27,7 +27,6 @@ import numpy as np
 from .channel import ChannelModel
 from .corpus import Conversation, Vocabulary, _offsets
 from .errors import ValidationError
-from .modelfile import read_text
 from .topics import TopicModel, floor_and_normalize
 
 UTTERANCE_BINS = 50
@@ -198,11 +197,3 @@ def save_truth(truth: SynthTruth, conv: Conversation, path) -> None:
             for j in range(hi - lo):
                 fh.write(f"{uid} {j} {vocab.word(truth.refs[lo + j])}\n")
 
-
-def load_truth_lambda(path) -> np.ndarray:
-    """Read just the true weight vector back from a sidecar file."""
-    lines = read_text(path).removesuffix("\n").split("\n")
-    if len(lines) < 2 or not lines[1].startswith("LAMBDA "):
-        raise ValidationError(f"{path} is not a truth sidecar")
-    count = int(lines[1].split()[1])
-    return np.array([float(lines[2 + t].split()[1]) for t in range(count)])

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from cnadapt.adapt import _ConfKernel, _conf_update, _self_stats
 from cnadapt.channel import ChannelModel
 from cnadapt.corpus import Bin, ConfusionNetwork, Conversation, Vocabulary
+from cnadapt.errors import ValidationError
+from cnadapt.modelfile import read_text
 from cnadapt.topics import TopicModel, floor_and_normalize, mu_to_lambda
 
 
@@ -211,3 +213,12 @@ def write_prob(p, form):
         pairs = [i for i in range(len(text) - 1) if text[i : i + 2].isdigit()]
         return text[: pairs[0] + 1] + "_" + text[pairs[0] + 1 :] if pairs else text
     return form.format(p)
+
+
+def load_truth_lambda(path) -> np.ndarray:
+    """Read just the true weight vector back from a sidecar file."""
+    lines = read_text(path).removesuffix("\n").split("\n")
+    if len(lines) < 2 or not lines[1].startswith("LAMBDA "):
+        raise ValidationError(f"{path} is not a truth sidecar")
+    count = int(lines[1].split()[1])
+    return np.array([float(lines[2 + t].split()[1]) for t in range(count)])

@@ -16,10 +16,11 @@ from cnadapt.channel import estimate_channel
 from cnadapt.cli import main
 from cnadapt.corpus import Bin, ConfusionNetwork, Conversation
 from cnadapt.metrics import ReferenceCorpus, constrained_perplexity, perplexity
-from cnadapt.synth import SynthSpec, load_truth_lambda, sample_conversation
+from cnadapt.synth import SynthSpec, sample_conversation
 from helpers import (
     bins_as_lists,
     conf_lower_bound,
+    load_truth_lambda,
     make_conversation,
     make_instance,
     non_decreasing,

@@ -11,7 +11,7 @@ from cnadapt import adapt, cli, synth, topics
 from cnadapt.cli import main
 from cnadapt.corpus import Vocabulary
 from cnadapt.errors import EstimationError
-from cnadapt.synth import load_truth_lambda
+from helpers import load_truth_lambda
 
 
 def run(argv, capsys):

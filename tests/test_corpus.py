@@ -1,4 +1,5 @@
 import hashlib
+import re
 from unittest import mock
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cnadapt import corpus
+from cnadapt import corpus, modelfile
 from cnadapt.corpus import (
     Bin,
     ConfusionNetwork,
@@ -29,7 +30,7 @@ def make_bin(vocab, cells):
 
 
 class TestParse:
-    def test_basic(self):
+    def test_basic(self, tmp_path):
         vocab = Vocabulary()
         conv = parse_conversation("CONV c1\nNET u1 1\nBIN a:0.6 b:0.4\n", vocab)
         assert conv.cid == "c1"
@@ -40,6 +41,13 @@ class TestParse:
             (vocab.get("a"), 0.6),
             (vocab.get("b"), 0.4),
         )
+        # a string and a file end lines at "\n", "\r\n" and "\r" alike
+        text = "CONV c1\rNET u1 2\r\nBIN a:0.6 b:0.4\nBIN b:1\r"
+        path = tmp_path / "c.cnet"
+        path.write_bytes(text.encode("utf-8"))
+        conv = parse_conversation(text, vocab)
+        assert conv == load_conversation(path, vocab)
+        assert (conv.cid, conv.uids, conv.bin_ptr.tolist()) == ("c1", ("u1",), [0, 2, 3])
 
     def test_posterior_above_one(self):
         with pytest.raises(ValidationError, match="outside"):
@@ -49,9 +57,28 @@ class TestParse:
         with pytest.raises(ValidationError):
             parse_conversation("CONV c1\nNET u1 1\nBIN a:0\n", Vocabulary())
 
-    def test_malformed_line_reports_number(self):
+    def test_malformed_line_reports_number(self, tmp_path):
         with pytest.raises(ParseError, match="line 3"):
             parse_conversation("CONV c1\nNET u1 1\nBOGUS a:0.5\n", Vocabulary())
+        text = "CONV c1\rNET u1 1\r\nBIN a:0.5\rBIN b:1\n"
+        path = tmp_path / "c.cnet"
+        path.write_bytes(text.encode("utf-8"))
+        want = "line 4: expected 'NET <id> <bin-count>', got 'BIN b:1'"
+        for parse, source in ((parse_conversation, text), (load_conversation, path)):
+            with pytest.raises(ParseError) as info:
+                parse(source, Vocabulary())
+            assert str(info.value) == want
+
+    def test_file_checked_a_block_at_a_time(self, tmp_path):
+        """A file's UTF-8 is checked as each block is read: a bad byte is
+        reported at its line, unless a bad line comes in an earlier block."""
+        path = tmp_path / "c.cnet"
+        path.write_bytes(b"CONV c\nNET u 2\nBIN a:2\nBIN \xff:1\n")
+        with pytest.raises(ParseError, match="line 4: not valid UTF-8"):
+            load_conversation(path, Vocabulary())
+        with mock.patch.object(modelfile, "BLOCK_BYTES", 8), \
+                pytest.raises(ValidationError, match="line 3: posterior 2 outside"):
+            load_conversation(path, Vocabulary())
 
     def test_too_many_fraction_digits(self):
         with pytest.raises(ParseError, match="fraction digits"):
@@ -249,18 +276,17 @@ class TestSerialization:
 
 
 # (id, lines, message, index of the line it names or None, error type, closed vocabulary);
-# "{no}" is that line's number in the file as laid out, "{cr}" stands for the
-# "\r" a CRLF string keeps at the end of a line it quotes
+# "{no}" is that line's number in the file as laid out
 PARSE_ERRORS = [
     ("header", ["CONVX c1", "NET u 1", "BIN a:1"],
-     "line {no}: expected 'CONV <id>', got 'CONVX c1{cr}'", 0, ParseError, None),
-    ("header-short", ["CONV"], "line {no}: expected 'CONV <id>', got 'CONV{cr}'", 0,
+     "line {no}: expected 'CONV <id>', got 'CONVX c1'", 0, ParseError, None),
+    ("header-short", ["CONV"], "line {no}: expected 'CONV <id>', got 'CONV'", 0,
      ParseError, None),
     ("empty", [], "line 1: empty input", None, ParseError, None),
     ("net-line", ["CONV c", "NOT u 1", "BIN a:1"],
-     "line {no}: expected 'NET <id> <bin-count>', got 'NOT u 1{cr}'", 1, ParseError, None),
+     "line {no}: expected 'NET <id> <bin-count>', got 'NOT u 1'", 1, ParseError, None),
     ("net-fields", ["CONV c", "NET u 1 2"],
-     "line {no}: expected 'NET <id> <bin-count>', got 'NET u 1 2{cr}'", 1, ParseError, None),
+     "line {no}: expected 'NET <id> <bin-count>', got 'NET u 1 2'", 1, ParseError, None),
     ("bin-count", ["CONV c", "NET u x"], "line {no}: bad bin count 'x'", 1, ParseError, None),
     ("bin-count-arabic-indic", ["CONV c", "NET u \u0663", "BIN a:1", "BIN a:1", "BIN a:1"],
      "line {no}: bad bin count '\u0663'", 1, ParseError, None),
@@ -275,12 +301,12 @@ PARSE_ERRORS = [
     ("end-of-input", ["CONV c", "NET u 2", "BIN a:1"],
      "unexpected end of input inside NET 'u'", None, ParseError, None),
     ("bin-line", ["CONV c", "NET u 1", "BOGUS a:0.5"],
-     "line {no}: expected 'BIN <word>:<posterior> ...', got 'BOGUS a:0.5{cr}'", 2,
+     "line {no}: expected 'BIN <word>:<posterior> ...', got 'BOGUS a:0.5'", 2,
      ParseError, None),
     ("bin-no-cells", ["CONV c", "NET u 1", "BIN"],
-     "line {no}: expected 'BIN <word>:<posterior> ...', got 'BIN{cr}'", 2, ParseError, None),
+     "line {no}: expected 'BIN <word>:<posterior> ...', got 'BIN'", 2, ParseError, None),
     ("bin-missing", ["CONV c", "NET u 2", "BIN a:1", "NET v 1", "BIN a:1"],
-     "line {no}: expected 'BIN <word>:<posterior> ...', got 'NET v 1{cr}'", 3,
+     "line {no}: expected 'BIN <word>:<posterior> ...', got 'NET v 1'", 3,
      ParseError, None),
     ("bin-before-net-error", ["CONV c", "NET u 1", "BIN a:2", "NET v"],
      "line {no}: posterior 2 outside [0, 1]", 2, ValidationError, None),
@@ -371,9 +397,7 @@ class TestParseErrors:
         eol = "\r\n" if layout.startswith("crlf") else "\n"
         text = eol.join(laid) + (eol if laid else "")
         vocab = Vocabulary(closed or ["a"])
-        want = message.format(
-            no=None if at is None else number(at), cr="\\r" if layout == "crlf-str" else ""
-        )
+        want = message.format(no=None if at is None else number(at))
         with pytest.raises(exc) as info:
             if layout == "crlf-file":
                 path = tmp_path / "c.cnet"
@@ -388,7 +412,7 @@ def reference_parse(text, vocab, closed):
     """Line-by-line CNET parser: every cell read on its own and every bin
     checked as a ``Bin``.  Returns the conversation id, the (uid, cells of
     each bin) of every utterance and the outside-word count."""
-    lines = enumerate(text.split("\n"), start=1)
+    lines = enumerate(re.split("\r\n?|\n", text), start=1)
 
     def next_line():
         for no, ln in lines:
@@ -547,19 +571,19 @@ def assert_matches_reference(conv, vocab, want, ref_vocab):
 
 
 class TestParseMatchesReference:
-    """The chunked parser gives bitwise the arrays of a line-by-line parse."""
+    """The block parser gives bitwise the arrays of a line-by-line parse."""
 
     @given(
         cnet_texts(),
         st.sampled_from(["open", "closed", "closed-unk"]),
-        st.sampled_from([1, 16, 48, corpus.CHUNK_CHARS]),
+        st.sampled_from([1, 16, 48, modelfile.BLOCK_BYTES]),
     )
     # cells meeting at <unk> merge, and their sum is capped at 1
     @example("CONV c\nNET u 2\nBIN a:0.5 zz:0.1 NET:0.2\nBIN zz:0.7 <unk>:0.7\n", "closed-unk", 1)
     # posteriors with no '.' and with long whole parts, and words outside
     # ASCII, all in bulk
     @example("CONV c\nNET u 3\nBIN a:1\nBIN b:000000000001\n"
-             "BIN café:0.5 日本:0.25 a.b:00000000000.125\n", "open", corpus.CHUNK_CHARS)
+             "BIN café:0.5 日本:0.25 a.b:00000000000.125\n", "open", modelfile.BLOCK_BYTES)
     # whitespace beside a word: outside ASCII (the first bin) and ASCII (the
     # second)
     @example("CONV c\nNET u 2\nBIN \xa0a:0.5 \u3000b:0.25\nBIN \x1ca:0.5\x0bb:0.25\x0c\n", "open", 1)
@@ -567,35 +591,39 @@ class TestParseMatchesReference:
     @example("CONV c\nNET u 2\nBIN understand:0.5\n"
              "BIN understanding:0.5 understan:0.25 understandingness:0.125\n", "open", 1)
     # a word ending in a NUL byte is another word
-    @example("CONV c\nNET u 2\nBIN a:0.5\nBIN a\x00:0.25\n", "open", corpus.CHUNK_CHARS)
+    @example("CONV c\nNET u 2\nBIN a:0.5\nBIN a\x00:0.25\n", "open", modelfile.BLOCK_BYTES)
     # a byte that is no digit in the last fraction place
     @example("CONV c\nNET u 1\nBIN a:0.00000001e\n", "open", 1)
+    # CONV and NET ids holding ':' and '.', in the block beside the cells
+    # whose posteriors the byte scans for ':' and '.' read
+    @example("CONV c:1.5\nNET u:0.5 2\nBIN a:1\nBIN b:00.5 a.b:0.25\nNET v.1:2 1\nBIN a:01\n",
+             "open", modelfile.BLOCK_BYTES)
     @settings(max_examples=300, deadline=None)
-    def test_arrays_and_errors(self, text, mode, chunk):
+    def test_arrays_and_errors(self, text, mode, block):
         closed = mode != "open"
         base = CLOSED_WORDS + (["<unk>"] if mode == "closed-unk" else []) if closed else ["a"]
         ref_vocab, vocab = Vocabulary(base), Vocabulary(base)
         want, want_error = outcome(reference_parse, text, ref_vocab, closed)
-        by_line = []  # the chunks read line by line
+        by_line = []  # the blocks read line by line
 
         def spy(lines, *args):
             by_line.append(lines)
             return read_by_line(lines, *args)
 
-        read_by_line = corpus._bins_by_line
-        with mock.patch.object(corpus, "CHUNK_CHARS", chunk), mock.patch.object(
-            corpus, "_bins_by_line", spy
+        read_by_line = corpus._first_bad_line
+        with mock.patch.object(modelfile, "BLOCK_BYTES", block), mock.patch.object(
+            corpus, "_first_bad_line", spy
         ):
             conv, error = outcome(parse_conversation, text, vocab, closed)
         assert error == want_error
         if error:
             return
-        # with no error in the file, no chunk is read line by line
+        # with no error in the file, no block is read line by line
         assert not by_line
         assert_matches_reference(conv, vocab, want, ref_vocab)
 
     def test_long_closed_file_in_bulk(self):
-        """A closed-vocabulary file of more than two chunks, with words outside
+        """A closed-vocabulary file of more than two blocks, with words outside
         ASCII and outside words merging at <unk>, needs no line-by-line pass."""
         rng = np.random.default_rng(12)
         words = ["a", "b", "café", "<unk>", "日本", "zz", "w.1"]
@@ -610,8 +638,8 @@ class TestParseMatchesReference:
         base = ["a", "b", "café", "<unk>"]
         ref_vocab, vocab = Vocabulary(base), Vocabulary(base)
         want = reference_parse(text, ref_vocab, True)
-        with mock.patch.object(corpus, "_bins_by_line", side_effect=AssertionError), \
-                mock.patch.object(corpus, "CHUNK_CHARS", len(text) // 4):
+        with mock.patch.object(corpus, "_first_bad_line", side_effect=AssertionError), \
+                mock.patch.object(modelfile, "BLOCK_BYTES", len(text) // 4):
             conv = parse_conversation(text, vocab, closed=True)
         assert conv.oov_cells > 1000
         assert_matches_reference(conv, vocab, want, ref_vocab)
@@ -636,8 +664,8 @@ class TestParseMatchesReference:
         base = ["a", "a:b", ":c", "<unk>"] if closed else []
         ref_vocab, vocab = Vocabulary(base), Vocabulary(base)
         want = reference_parse(text, ref_vocab, closed)
-        with mock.patch.object(corpus, "_bins_by_line", side_effect=AssertionError), \
-                mock.patch.object(corpus, "CHUNK_CHARS", len(text) // 2):
+        with mock.patch.object(corpus, "_first_bad_line", side_effect=AssertionError), \
+                mock.patch.object(modelfile, "BLOCK_BYTES", len(text) // 2):
             conv = parse_conversation(text, vocab, closed)
         assert_matches_reference(conv, vocab, want, ref_vocab)
 
@@ -656,25 +684,28 @@ class TestParseMatchesReference:
                 bins.append(Bin([(int(w), float(p)) for w, p in zip(wids, post)]))
             nets.append(ConfusionNetwork(f"u{u}", tuple(bins)))
         text = serialize_conversation(Conversation("c", nets), vocab)
-        with mock.patch.object(corpus, "_bins_by_line", side_effect=AssertionError):
+        with mock.patch.object(corpus, "_first_bad_line", side_effect=AssertionError):
             conv = parse_conversation(text, vocab, closed=True)
         assert serialize_conversation(conv, vocab) == text
 
 
 class TestParseMemory:
-    """Chunks are cut by characters, so a chunk of wide bins holds no more
-    cells than one of narrow bins."""
+    """Blocks are cut by bytes, so a block of wide bins holds no more cells
+    than one of narrow bins."""
 
     @pytest.mark.parametrize("nbins", [1000, 4000])
-    def test_scratch_memory_is_bounded(self, nbins):
+    def test_scratch_memory_is_bounded(self, tmp_path, nbins):
         """A CNET of width-40 bins (1.85 MB at 4000 bins) parses within a
-        fixed 8 MB of what it keeps; that includes its split lines, a copy
-        of the text."""
+        fixed 8 MB of what it keeps, from its text (which it encodes, a copy
+        of the text) and from its file."""
         conv, tm, _ = wide_instance(5, nbins)
         text = serialize_conversation(conv, tm.vocab)
-        parsed, scratch = traced_peak(parse_conversation, text, tm.vocab, True)
-        assert parsed.words.size == 40 * nbins
-        assert scratch < 8e6
+        path = tmp_path / "c.cnet"
+        path.write_text(text, encoding="utf-8")
+        for parse, source in ((parse_conversation, text), (load_conversation, path)):
+            parsed, scratch = traced_peak(parse, source, tm.vocab, True)
+            assert parsed.words.size == 40 * nbins
+            assert scratch < 8e6
 
 
 class TestPinnedParse:

@@ -22,6 +22,8 @@ EDGE_NUMBERS = [
     "0.123456789012345", "0.1234567890123456", "0.12345678901234567",
     "9007199254740991", "9007199254740992", "9007199254740993", "900719925474099.3",
     "1e22", "1e23", "1e-22", "1e-23", "4.5e22", "4.5e-23", "0.1e-21", "1234e-25",
+    # past the float range, which float() reads as inf and 0.0
+    "1e400", "-1e400", "1e-400",
     "0.000000000000000000001", "1e-000", "1e0001", "1e", "e5", ".", "..5", "1.2.3",
     "1e5.5", "1e+-5", "0x10", "١", "1__0", "1.5E-7", "7.58394403183e-08",
     # digits of an integer between 2**53 and 2**54, which one IEEE divide

@@ -9,12 +9,11 @@ from cnadapt.corpus import serialize_conversation
 from cnadapt.errors import ValidationError
 from cnadapt.synth import (
     SynthSpec,
-    load_truth_lambda,
     sample_conversation,
     sample_conversations,
     save_truth,
 )
-from helpers import iter_bins
+from helpers import iter_bins, load_truth_lambda
 
 
 def spec(**kw):

@@ -1,6 +1,16 @@
 """Topic-mixture language model adaptation from ASR confusion networks."""
 
+import os
+
 __version__ = "0.1.0"
+
+# One BLAS/OpenMP thread unless the user has set a count in any of these,
+# set before numpy first loads: a fit's matrix products are small, and a
+# BLAS thread waiting for a busy core stalls them.
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if not any(var in os.environ for var in _THREAD_VARS):
+    for var in _THREAD_VARS:
+        os.environ[var] = "1"
 
 from .adapt import (  # noqa: F401
     EstimatorConfig,

@@ -24,7 +24,7 @@ import numpy as np
 
 from .corpus import Conversation, Vocabulary, _offsets, pruned_widths
 from .errors import ParseError, ValidationError
-from .modelfile import WordKeys, read_blocks
+from .modelfile import WordKeys, read_blocks, write_lines
 
 
 class ChannelModel:
@@ -115,15 +115,11 @@ def save_channel(cm: ChannelModel, vocab: Vocabulary, path) -> None:
     rank[sorted(range(len(words)), key=words.__getitem__)] = np.arange(len(words))
     spoken = cm.spoken()
     order = np.lexsort((rank[cm.obs], rank[spoken]))
-    lines = [f"CHANNEL {order.size}\n"]
-    lines += [
-        f"{words[w]} {words[v]} {p:.12g}\n"
-        for w, v, p in zip(
-            spoken[order].tolist(), cm.obs[order].tolist(), cm.probs[order].tolist()
-        )
-    ]
+    names = np.array(words, dtype=object)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("".join(lines))
+        fh.write(f"CHANNEL {order.size}\n")
+        write_lines(fh, "{} {} {:.12g}\n",
+                    names[spoken[order]], names[cm.obs[order]], cm.probs[order])
 
 
 _CHANNEL_HEADER = re.compile(r"^CHANNEL ([0-9]+)$")
@@ -166,16 +162,19 @@ def load_channel(path, vocab: Vocabulary) -> ChannelModel:
         take = np.flatnonzero(keep) if order is None else order[keep[order]]
     if take is not None:
         ws, vs, ps = ws[take], vs[take], ps[take]
-    return ChannelModel(ws, vs, ps / totals[ws], known, dropped)
+    ps /= totals[ws]
+    return ChannelModel(ws, vs, ps, known, dropped)
 
 
 def _entry_order(ws, vs, nid, name):
     """The order that sorts the entries by (w, v), or None when they are
     sorted already, as files written by save_channel over ids in string
     order are; raises the error of the first line that repeats an entry."""
-    key = ws * nid + vs
-    if (key[1:] > key[:-1]).all():
+    rising = ws[1:] > ws[:-1]
+    rising |= (ws[1:] == ws[:-1]) & (vs[1:] > vs[:-1])
+    if rising.all():
         return None
+    key = ws * nid + vs
     order = np.argsort(key, kind="stable")
     dup = np.flatnonzero(key[order[1:]] == key[order[:-1]])
     if dup.size:

@@ -16,7 +16,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -24,7 +23,7 @@ from . import __version__, adapt, metrics, synth, topics
 from .channel import estimate_channel, load_channel, save_channel
 from .corpus import Vocabulary, load_conversation, save_conversation
 from .errors import ComputeError, InputError, ParseError
-from .modelfile import COUNT, read_text
+from .modelfile import COUNT, read_text, write_lines
 
 DEFAULT_REL_FLOOR = 0.05
 DEFAULT_MAX_WORDS = 10
@@ -57,10 +56,9 @@ def write_lambda_file(path, cid, labels, lam) -> None:
 
 
 def write_unigram_file(path, vocab, probs) -> None:
-    lines = [f"UNIGRAM {len(vocab)}\n"]
-    lines += [f"{word} {p:.12g}\n" for word, p in zip(vocab.words, probs.tolist())]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("".join(lines))
+        fh.write(f"UNIGRAM {len(vocab)}\n")
+        write_lines(fh, "{} {:.12g}\n", vocab.words, probs)
 
 
 def load_unigram_file(path):
@@ -289,6 +287,8 @@ def cmd_adapt(args):
             jobs.append((p, out + ".lambda", out + ".unigram" if args.out_unigram else None))
         manifest = os.path.join(args.out_lambda, "manifest.json")
         if args.jobs > 1 and len(jobs) > 1:
+            from concurrent.futures import ProcessPoolExecutor  # a --jobs 1 run needs none
+
             with ProcessPoolExecutor(max_workers=args.jobs, initializer=_init_worker,
                                      initargs=(tm, cm, cfg)) as pool:
                 entries = list(pool.map(_adapt_in_worker, jobs))

@@ -22,7 +22,6 @@ bitwise what ``float()`` returns.
 
 from __future__ import annotations
 
-import io
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -502,9 +501,23 @@ def parse_conversation(text: str, vocab: Vocabulary, closed: bool = False) -> Co
     The text is read as its UTF-8 bytes by the reader of a CNET file, so a
     line ends at "\\n", "\\r\\n" or "\\r" in both.  It reads a block of whole
     lines at a time, in bulk, and a block that fails a check line by line
-    for its error, so the first error in the file is the one reported.
+    for its error, so the first error in the file is the one reported.  The
+    text is encoded a slice at a time, as the blocks need it.
     """
-    return _read(blocks(io.BytesIO(text.encode("utf-8"))), vocab, closed)
+    return _read(blocks(_Encoded(text)), vocab, closed)
+
+
+class _Encoded:
+    """``text`` as a file of its UTF-8 bytes, encoded a slice at a time."""
+
+    def __init__(self, text: str):
+        self.text, self.at = text, 0
+
+    def read(self, size: int) -> bytes:
+        """The bytes of the next ``size`` characters."""
+        piece = self.text[self.at : self.at + size]
+        self.at += size
+        return piece.encode("utf-8")
 
 
 def _read(file_blocks, vocab: Vocabulary, closed: bool) -> Conversation:

@@ -19,7 +19,9 @@ reads them, and a block the cast cannot take goes through ``float()``
 itself.
 
 ``read_text`` reads a whole text file of any kind, and ``utf8_error``
-reports one that does not decode as UTF-8.
+reports one that does not decode as UTF-8.  ``write_lines`` writes the
+model files and the adapted unigram WRITE_LINES lines at a time, so no
+writer holds a string for every line.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ from .errors import ParseError
 
 # bytes read at a time; a block holds the whole lines they complete
 BLOCK_BYTES = 1 << 18
+# lines formatted and written at a time
+WRITE_LINES = 1 << 11
 _BREAK = re.compile(rb"\r\n?|\n")
 # a header count: an optional "-" (a negative count has its own message) and
 # ASCII digits; int() and \d also take other scripts' digits, and int() "+" and "_"
@@ -72,6 +76,16 @@ def utf8_error(path) -> ParseError:
             f"not valid UTF-8: {exc.reason} (byte 0x{raw[exc.start]:02x})", lineno
         )
     return ParseError("not valid UTF-8")  # the file changed since it failed to decode
+
+
+def write_lines(fh, fmt: str, *columns) -> None:
+    """Write the line ``fmt.format(*row)`` for each row of ``columns``,
+    sequences of one length, to the text file ``fh``, WRITE_LINES rows at a
+    time; a numpy column is read as Python numbers, a slice at a time."""
+    for lo in range(0, len(columns[0]), WRITE_LINES):
+        part = [c[lo : lo + WRITE_LINES] for c in columns]
+        part = [c.tolist() if isinstance(c, np.ndarray) else c for c in part]
+        fh.write("".join(map(fmt.format, *part)))
 
 
 def read_blocks(fh):

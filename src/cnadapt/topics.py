@@ -21,22 +21,23 @@ import numpy as np
 
 from .corpus import UNK_WORD, Vocabulary
 from .errors import ParseError, TrainingError, ValidationError
-from .modelfile import COUNT, WordKeys, read_blocks
+from .modelfile import COUNT, WordKeys, read_blocks, write_lines
 
 PROB_FLOOR = 1e-10
 ROW_SUM_TOL = 1e-9
 
 
 def floor_and_normalize(rows: np.ndarray) -> np.ndarray:
-    """Clamp probabilities to PROB_FLOOR and renormalize each row.
+    """Clamp the probabilities of the float64 array ``rows`` to PROB_FLOOR
+    and renormalize each row, in place; returns ``rows``.
 
     The final clamp keeps every entry at or above the floor even after the
     division; it perturbs row sums by at most V^2 * floor^2, far inside the
     row-sum tolerance for any realistic vocabulary.
     """
-    rows = np.maximum(np.asarray(rows, dtype=np.float64), PROB_FLOOR)
-    rows = rows / rows.sum(axis=-1, keepdims=True)
-    return np.maximum(rows, PROB_FLOOR)
+    np.maximum(rows, PROB_FLOOR, out=rows)
+    rows /= rows.sum(axis=-1, keepdims=True)
+    return np.maximum(rows, PROB_FLOOR, out=rows)
 
 
 class TopicModel:
@@ -51,7 +52,7 @@ class TopicModel:
             )
         if len(set(labels)) != len(labels):
             raise ValidationError("duplicate topic labels")
-        if np.any(probs < PROB_FLOOR * (1 - 1e-12)):
+        if probs.min(initial=np.inf) < PROB_FLOOR * (1 - 1e-12):
             raise ValidationError("topic probabilities below floor")
         sums = probs.sum(axis=1)
         if np.any(np.abs(sums - 1.0) > ROW_SUM_TOL):
@@ -137,11 +138,9 @@ def save_topic_model(tm: TopicModel, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"TOPICS {tm.num_topics} {len(tm.vocab)}\n")
         words = tm.vocab.words
-        for t, label in enumerate(tm.labels):
+        for label, row in zip(tm.labels, tm.probs):
             fh.write(f"TOPIC {label}\n")
-            row = tm.probs[t]
-            for wid, word in enumerate(words):
-                fh.write(f"{word} {row[wid]:.12g}\n")
+            write_lines(fh, "{} {:.12g}\n", words, row)
 
 
 def load_topic_model(path) -> TopicModel:
@@ -150,11 +149,13 @@ def load_topic_model(path) -> TopicModel:
     The lines are read in blocks of bytes (see ``modelfile``).  The words
     of the first topic are decoded into the vocabulary; a later topic's
     words are compared with them as byte keys, line for line.  A block that
-    fails a check is read again line by line for the error to report.
+    fails a check is read again line by line for the error to report.  The
+    rows are floored and normalized where they were read, so the model
+    holds the one T x V array the load made.
     """
     labels, vocab, rows = _read_rows(path)
     sums = rows.sum(axis=1)
-    if np.any(rows < 0) or np.any(np.abs(sums - 1.0) > 1e-6):
+    if rows.min(initial=0.0) < 0 or np.any(np.abs(sums - 1.0) > 1e-6):
         raise ValidationError(f"topic rows do not sum to 1: {sums}")
     return TopicModel(labels, vocab, floor_and_normalize(rows))
 

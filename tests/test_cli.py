@@ -11,7 +11,7 @@ from cnadapt import adapt, cli, synth, topics
 from cnadapt.cli import main
 from cnadapt.corpus import Vocabulary
 from cnadapt.errors import EstimationError
-from helpers import load_truth_lambda
+from helpers import load_truth_lambda, traced_peak
 
 
 def run(argv, capsys):
@@ -378,6 +378,19 @@ class TestAdapt:
         )
         assert path.read_bytes() == expected.encode("utf-8")
 
+    def test_unigram_streamed(self, tmp_path):
+        """The lines are written a few thousand at a time: at 50,000 words
+        the writer's scratch stays under 1 MB, where a list of every line
+        and their joined copy took 6.6 MB."""
+        V = 50000
+        vocab = Vocabulary(f"w{i:05d}" for i in range(V))
+        probs = np.random.default_rng(8).dirichlet(np.ones(V))
+        path = tmp_path / "u.unigram"
+        _, scratch = traced_peak(cli.write_unigram_file, path, vocab, probs)
+        assert scratch < 1e6
+        assert path.read_text().splitlines()[1:] == [
+            f"{w} {p:.12g}" for w, p in zip(vocab.words, probs.tolist())]
+
     def test_unigram_written_and_normalized(self, synth_run, tmp_path, capsys):
         out = tmp_path / "c.lambda"
         uni = tmp_path / "c.unigram"
@@ -437,6 +450,18 @@ class TestChannelDroppedEntries:
         assert self.fit(small_run, tmp_path, None, "self-tf")["channel_dropped_entries"] is None
 
 
+def run_probe(probe, argv=(), drop=()):
+    """Run the Python source ``probe`` with ``argv`` in a fresh interpreter
+    that imports cnadapt from this checkout, without the environment
+    variables ``drop``; returns the finished process."""
+    src = os.path.dirname(os.path.abspath(cli.__file__)).rpartition(os.sep)[0]
+    env = {k: v for k, v in os.environ.items() if k not in drop}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
 @pytest.mark.parametrize("variant", adapt.VARIANTS)
 def test_adapt_imports_no_numpy_ma(small_run, tmp_path, variant):
     """A fresh ``cnadapt adapt`` process never imports numpy.ma, which the
@@ -447,11 +472,34 @@ def test_adapt_imports_no_numpy_ma(small_run, tmp_path, variant):
             str(tmp_path / "c.lambda"), "--variant", variant]
     if variant.startswith("conf-"):
         argv += ["--channel", str(small_run / "channel.model")]
-    src = os.path.dirname(os.path.abspath(cli.__file__)).rpartition(os.sep)[0]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
-    proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True,
-                          text=True, env=env, timeout=120)
+    proc = run_probe(probe, argv)
+    assert proc.stdout.split()[-2:] == ["0", "False"], proc.stderr
+
+
+def test_one_blas_thread_by_default():
+    """Imported where no thread count is set, cnadapt sets one BLAS and
+    OpenMP thread before numpy loads, so the process runs one thread; a
+    count the user set is kept."""
+    probe = ("import os\nimport cnadapt.cli\n"
+             "status = open('/proc/self/status').read().split('Threads:')[1].split()[0]\n"
+             "print(status, os.environ['OPENBLAS_NUM_THREADS'], os.environ['OMP_NUM_THREADS'])\n")
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    proc = run_probe(probe, drop=names)
+    assert proc.stdout.split() == ["1", "1", "1"], proc.stderr
+    user = run_probe("import os\nos.environ['OMP_NUM_THREADS'] = '3'\n"
+                     "import cnadapt\nprint(os.environ.get('OPENBLAS_NUM_THREADS'), "
+                     "os.environ['OMP_NUM_THREADS'])\n", drop=names)
+    assert user.stdout.split() == ["None", "3"], user.stderr
+
+
+def test_jobs_1_imports_no_process_pool(small_run, tmp_path):
+    """A directory-mode ``--jobs 1`` run never imports the process pool."""
+    probe = ("import sys\nfrom cnadapt.cli import main\ncode = main(sys.argv[1:])\n"
+             "print(code, 'concurrent.futures.process' in sys.modules)\n")
+    argv = ["adapt", str(small_run), str(small_run / "topics.model"), str(tmp_path / "out"),
+            "--variant", "conf-1best", "--channel", str(small_run / "channel.model"),
+            "--jobs", "1"]
+    proc = run_probe(probe, argv)
     assert proc.stdout.split()[-2:] == ["0", "False"], proc.stderr
 
 

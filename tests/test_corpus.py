@@ -696,8 +696,7 @@ class TestParseMemory:
     @pytest.mark.parametrize("nbins", [1000, 4000])
     def test_scratch_memory_is_bounded(self, tmp_path, nbins):
         """A CNET of width-40 bins (1.85 MB at 4000 bins) parses within a
-        fixed 8 MB of what it keeps, from its text (which it encodes, a copy
-        of the text) and from its file."""
+        fixed 8 MB of what it keeps, from its text and from its file."""
         conv, tm, _ = wide_instance(5, nbins)
         text = serialize_conversation(conv, tm.vocab)
         path = tmp_path / "c.cnet"
@@ -706,6 +705,20 @@ class TestParseMemory:
             parsed, scratch = traced_peak(parse, source, tm.vocab, True)
             assert parsed.words.size == 40 * nbins
             assert scratch < 8e6
+
+    @pytest.mark.parametrize("nbins", [1000, 4000])
+    def test_text_encoded_a_slice_at_a_time(self, tmp_path, nbins):
+        """A text is encoded a block's worth at a time, so its parse takes
+        no more scratch than the parse of its file, give or take a block:
+        at 4000 bins 3.27 MB each, where encoding the whole text first took
+        5.11 MB."""
+        conv, tm, _ = wide_instance(5, nbins)
+        text = serialize_conversation(conv, tm.vocab)
+        path = tmp_path / "c.cnet"
+        path.write_text(text, encoding="utf-8")
+        _, from_text = traced_peak(parse_conversation, text, tm.vocab, True)
+        _, from_file = traced_peak(load_conversation, path, tm.vocab, True)
+        assert from_text <= from_file + modelfile.BLOCK_BYTES
 
 
 class TestPinnedParse:

@@ -1,14 +1,19 @@
 """The byte reader the model loaders share: numbers against float(), word
-keys against dict lookups, and the memory a load needs."""
+keys against dict lookups, and the memory a load needs; and the line writer
+the model files and the unigram share."""
 
+import io
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cnadapt.channel import load_channel
-from cnadapt.modelfile import Block, WordKeys
+from cnadapt import modelfile
+from cnadapt.channel import ChannelModel, load_channel, save_channel
+from cnadapt.corpus import Vocabulary
+from cnadapt.modelfile import Block, WordKeys, write_lines
 from cnadapt.topics import load_topic_model, save_topic_model
 from helpers import EDGE_WORDS, make_topic_model, traced_peak
 
@@ -132,11 +137,14 @@ class TestWordKeys:
 
 
 class TestLoadMemory:
-    """The loaders read a file a block at a time, so the scratch memory of a
-    load of many blocks stays within a fixed bound above what it keeps.
-    These loads measured 5.3 and 8.5 MB; with blocks of 1 MB instead of
-    256 KB they took 20 and 28 MB, and with one block of the whole file 79
-    and 75 MB."""
+    """The loaders read a file a block at a time and keep one copy of each
+    array they return, so the scratch memory of a load of many blocks
+    stays within a fixed bound above what it keeps.  These four loads
+    measured 3.6, 6.6, 3.6 and 8.1 MB; with blocks of 1 MB instead of
+    256 KB they took 13, 20, 13 and 19 MB.  When the topic rows were
+    copied twice to be floored and normalized, and the channel made a sort
+    key and a divided copy of its probabilities, the last two took 12.8
+    and 12.1 MB."""
 
     def test_topic_model(self, tmp_path):
         """10 topics over 20,000 words: 200,010 lines, 4.9 MB."""
@@ -160,3 +168,48 @@ class TestLoadMemory:
         cm, scratch = traced_peak(load_channel, path, tm.vocab)
         assert cm.obs.size == len(lines) == 199966
         assert scratch < 12e6
+
+    def test_topic_model_held_once(self, tmp_path):
+        """40 topics over 20,000 words: 6.4 MB of rows, many blocks' worth.
+        The rows are floored and normalized where they were read, so no
+        second T x V array is made."""
+        path = tmp_path / "m.topics"
+        save_topic_model(make_topic_model(np.random.default_rng(6), 40, 20000), path)
+        tm, scratch = traced_peak(load_topic_model, path)
+        assert tm.probs.shape == (40, 20000)
+        assert scratch < tm.probs.nbytes
+
+    def test_channel_held_once(self, tmp_path):
+        """10 entries for each of 50,000 words, as save_channel writes them:
+        the sizes of the directory benchmark's channel.  The entries are
+        checked for order without a key array and divided by their row
+        totals in place, so the load's scratch stays below the arrays it
+        keeps."""
+        V, k = 50000, 10
+        rng = np.random.default_rng(7)
+        spoken = np.repeat(np.arange(V), k)
+        obs = np.sort((spoken.reshape(V, k) + rng.choice(V, k, replace=False)) % V)
+        probs = rng.random((V, k))
+        probs /= probs.sum(axis=1, keepdims=True)
+        vocab = Vocabulary(f"w{i:05d}" for i in range(V))
+        path = tmp_path / "ch.model"
+        save_channel(ChannelModel(spoken, obs.ravel(), probs.ravel(), V), vocab, path)
+        cm, scratch = traced_peak(load_channel, path, vocab)
+        kept = cm.ptr.nbytes + cm.obs.nbytes + cm.probs.nbytes
+        assert np.array_equal(cm.obs, obs.ravel())
+        assert scratch < kept
+
+
+class TestWriteLines:
+    @pytest.mark.parametrize("rows", [1, 3, 7, modelfile.WRITE_LINES])
+    def test_rows_at_a_time_do_not_matter(self, rows):
+        """Every row is written once, in order, as ``fmt.format`` of its
+        Python values, whatever the number of rows written at a time."""
+        words = ("a", "café", "日本", "b", "c", "d", "e")
+        probs = np.array([1 / 3, 0.1, 1.0, 0.0, 1e-300, 5e-324, 123456789.125])
+        names = np.array(words[::-1], dtype=object)
+        fh = io.StringIO()
+        with mock.patch.object(modelfile, "WRITE_LINES", rows):
+            write_lines(fh, "{} {} {:.12g}\n", words, names, probs)
+        assert fh.getvalue() == "".join(
+            f"{w} {v} {p:.12g}\n" for w, v, p in zip(words, words[::-1], probs))

@@ -83,6 +83,18 @@ class TestTraining:
         assert np.allclose(tm1.probs, tm2.probs)
 
 
+class TestFloorAndNormalize:
+    def test_in_place(self):
+        """The rows are floored and normalized where they are, bitwise as a
+        clamp, a division by the row sums and a second clamp compute them."""
+        rows = np.random.default_rng(9).dirichlet(np.full(300, 0.05), size=4)
+        rows[0, :3] = [0.0, 1e-12, 0.5]
+        expect = np.maximum(rows, PROB_FLOOR)
+        expect = np.maximum(expect / expect.sum(axis=1, keepdims=True), PROB_FLOOR)
+        assert floor_and_normalize(rows) is rows
+        assert rows.tobytes() == expect.tobytes()
+
+
 class TestMixture:
     def make_tm(self):
         vocab = Vocabulary(["a", "b"])

@@ -199,9 +199,12 @@ class _ConfKernel:
 
     * ``R`` (T, slots): ``R[t, b]`` sums, over the cells a of b's bin,
       p(word of b | word of a) * p(word of a | topic t), so ``lam @ R`` is
-      each observed word's channel probability under the mixture;
+      each observed word's channel probability under the mixture; a dead
+      slot, whose word no cell of its bin emits, holds p(word of b | topic t)
+      instead, as if its word had emitted itself;
+    * ``live``: no slot is dead, else ``stats`` gives a log-likelihood of -inf;
     * ``w`` (slots,): each slot's evidence, its posterior for ``conf-tf``
-      and 1 for ``conf-1best``, always positive; ``seen`` (slots,): its word;
+      and 1 for ``conf-1best``, always positive;
     * ``S`` (T, bins): per-bin sums of the topic rows of the bin's words;
     * ``binw`` (bins,): evidence mass of each bin;
     * ``lookup``: ``"table"`` or ``"search"``, how the channel pairs were
@@ -267,32 +270,28 @@ class _ConfKernel:
             lo = hi
         self.S = S
         self.lookup = lookup.__name__
-        self.probs = tm.probs
         if use_tf:
-            self.w, self.seen = post, words
+            self.w, seen = post, words
             self.binw = np.add.reduceat(post, first)
         else:
-            self.w, self.seen = np.ones(width.size), words[first]
+            self.w, seen = np.ones(width.size), words[first]
             self.binw = self.w
+        dead = np.flatnonzero(~R.any(axis=0))
+        R[:, dead] = tm.probs[:, seen[dead]]
+        self.live = dead.size == 0
 
     def stats(self, lam: np.ndarray):
         """Return (N, D, log-likelihood) at ``lam``.
 
         N[t] is the reference-posterior-weighted topic-t mass, D[t] the
         bin-level topic-t mass ratio; both feed the multiplicative update.
-        An observed word that gets zero channel mass from every bin word
-        falls back to a point-mass reference posterior on itself.
+        Floating-point errors follow the caller's numpy error state, which
+        ``fit`` sets once for its whole EM.
         """
         den = lam @ self.R
-        reached = den > 0.0
-        with np.errstate(divide="ignore"):
-            N = lam * (self.R @ np.divide(self.w, den, out=np.zeros_like(den), where=reached))
-            if not reached.all():
-                dead = np.flatnonzero(~reached)
-                Q = self.probs[:, self.seen[dead]]
-                N += lam * (Q @ (self.w[dead] / (lam @ Q)))
-            binq = lam @ self.S
-            ll = float(self.w @ np.log(den) - self.binw @ np.log(binq))
+        N = lam * (self.R @ (self.w / den))
+        binq = lam @ self.S
+        ll = float(self.w @ np.log(den) - self.binw @ np.log(binq)) if self.live else -np.inf
         return N, self.S @ (self.binw / binq), ll
 
 
@@ -309,8 +308,7 @@ def loglik_conf(
 def _penalized(ll: float, lam: np.ndarray, m: float) -> float:
     if m == 0.0:
         return float(ll)
-    with np.errstate(divide="ignore"):
-        return float(ll + m * np.log(lam).sum())
+    return float(ll + m * np.log(lam).sum())
 
 
 def _step_converged(prev: float, cur: float, rel_tol: float) -> bool:
@@ -356,23 +354,17 @@ def _conf_update(
     """Unnormalized multiplicative update from ``lam``.
 
     ``log(u) - log(lam)`` is the softmax-space step at which the update
-    maximizes the surrogate; the new weights are ``u / u.sum()``.
+    maximizes the surrogate; the new weights are ``u / u.sum()``.  D > 0
+    (S > 0 and binw > 0), so only N can make ``u`` non-finite.
     """
     T = N.shape[0]
     if m == 0.0:
         u = N / D
     elif m < 0.0:
-        u = (N + m * (1.0 - T * lam)) / D
-        _check_finite(u, "update numerator", iteration)
-        u = np.maximum(u, 0.0)
+        # np.maximum keeps inf and NaN for the check below
+        u = np.maximum((N + m * (1.0 - T * lam)) / D, 0.0)
     else:
-        denom = D + m * T
-        if np.any(denom <= 0.0):
-            raise EstimationError(
-                f"MAP update denominator non-positive at iteration {iteration}; "
-                f"reduce map_strength {m}"
-            )
-        u = (N + m) / denom
+        u = (N + m) / (D + m * T)
     _check_finite(u, "update", iteration)
     if u.sum() <= 0.0:
         raise EstimationError(
@@ -483,6 +475,8 @@ def fit(
 
     The variant picks the per-iteration statistics and the update; MAP
     when cfg.map_strength is nonzero.  conf-* variants need the channel ``cm``.
+    EM runs with numpy's floating-point errors ignored, set once per fit: an
+    overflow or a zero divisor ends in one ``EstimationError``, not a warning.
     """
     m = cfg.map_strength
     start = time.perf_counter()
@@ -509,7 +503,8 @@ def fit(
 
     build_s = time.perf_counter() - start
     T = tm.num_topics
-    result = _run_em(np.full(T, 1.0 / T), stats, update, m, cfg.max_iters, cfg.rel_tol)
+    with np.errstate(all="ignore"):
+        result = _run_em(np.full(T, 1.0 / T), stats, update, m, cfg.max_iters, cfg.rel_tol)
     result.build_s, result.lookup = build_s, lookup
     return result
 

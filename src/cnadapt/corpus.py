@@ -54,6 +54,7 @@ class Vocabulary:
     def __init__(self, words=()):
         self._words = []
         self._index = {}
+        self._tuple = ()
         for w in words:
             self.add(w)
 
@@ -64,6 +65,7 @@ class Vocabulary:
             wid = len(self._words)
             self._words.append(word)
             self._index[word] = wid
+            self._tuple = None
         return wid
 
     @property
@@ -87,7 +89,10 @@ class Vocabulary:
 
     @property
     def words(self):
-        return tuple(self._words)
+        """Every word in id order, as a tuple built once per vocabulary state."""
+        if self._tuple is None:
+            self._tuple = tuple(self._words)
+        return self._tuple
 
 
 class Bin:

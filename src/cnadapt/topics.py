@@ -98,39 +98,26 @@ def train_topic_model(labeled_corpus, vocab: Vocabulary) -> TopicModel:
     renormalized so every word keeps nonzero probability.
     """
     vocab.add(UNK_WORD)
-    labels = []
-    counts = {}
+    topic = {}
+    tids, wids = [], []
     for label, tokens in labeled_corpus:
-        if label not in counts:
-            labels.append(label)
-            counts[label] = {}
-        c = counts[label]
-        for tok in tokens:
-            wid = vocab.add(tok)
-            c[wid] = c.get(wid, 0) + 1
+        ids = [vocab.add(tok) for tok in tokens]
+        wids += ids
+        tids += [topic.setdefault(label, len(topic))] * len(ids)
+    labels = list(topic)
     if not labels:
         raise TrainingError("no topics in training corpus")
-    for label in labels:
-        if not counts[label]:
-            raise TrainingError(f"topic {label!r} has no tokens")
-
-    V = len(vocab)
-    rows = np.empty((len(labels), V), dtype=np.float64)
-    for t, label in enumerate(labels):
-        c = counts[label]
-        n_tokens = sum(c.values())
-        n_seen = len(c)
-        n_unseen = V - n_seen
-        row = np.zeros(V)
-        if n_unseen > 0:
-            denom = n_tokens + n_seen
-            row[:] = (n_seen / denom) / n_unseen
-            for wid, cnt in c.items():
-                row[wid] = cnt / denom
-        else:
-            for wid, cnt in c.items():
-                row[wid] = cnt / n_tokens
-        rows[t] = row
+    T, V = len(labels), len(vocab)
+    keys = np.array(tids, dtype=np.int64) * V + np.array(wids, dtype=np.int64)
+    counts = np.bincount(keys, minlength=T * V).reshape(T, V)
+    n_tokens = counts.sum(axis=1)
+    if not n_tokens.all():
+        raise TrainingError(f"topic {labels[int(n_tokens.argmin())]!r} has no tokens")
+    n_seen = np.count_nonzero(counts, axis=1)
+    n_unseen = V - n_seen
+    denom = np.where(n_unseen > 0, n_tokens + n_seen, n_tokens)[:, None]
+    unseen = (n_seen[:, None] / denom) / np.maximum(n_unseen, 1)[:, None]
+    rows = np.where(counts > 0, counts / denom, unseen)
     return TopicModel(labels, vocab, floor_and_normalize(rows))
 
 

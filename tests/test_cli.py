@@ -148,6 +148,19 @@ class TestChannel:
         assert stdout == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("option, message", [
+        (["--rel-floor", "2"], "rel_floor 2.0 outside [0, 1]"),
+        (["--max-words", "0"], "max_words 0 < 1"),
+    ], ids=["rel-floor", "max-words"])
+    def test_bad_pruning_option_exit_2(self, tmp_path, capsys, option, message):
+        d = write_cnets(tmp_path / "cnets")
+        out = tmp_path / "ch.model"
+        code, stdout, err = run(["channel", str(d / "*.cnet"), str(out), *option], capsys)
+        assert code == 2
+        assert err == f"error: {message}\n"
+        assert stdout == ""
+        assert not out.exists()
+
     def test_rerun_determinism(self, tmp_path, capsys):
         d = write_cnets(tmp_path / "cnets")
         o1, o2 = tmp_path / "ch1", tmp_path / "ch2"
@@ -718,6 +731,16 @@ class TestAdaptInputText:
         assert stdout == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cnet"]
 
+    def test_duplicate_topic_labels(self, small_run, tmp_path, capsys):
+        model = tmp_path / "t.model"
+        model.write_text("TOPICS 2 2\nTOPIC t\na 0.7\nb 0.3\nTOPIC t\na 0.2\nb 0.8\n")
+        code, stdout, err = self.adapt(capsys, small_run, tmp_path / "c.lambda",
+                                       topic_model=model)
+        assert code == 2
+        assert err == f"error: {model}: duplicate topic labels\n"
+        assert stdout == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.model"]
+
     @pytest.mark.parametrize("kind", ["cnet", "topic_model", "channel"])
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r", "\u2028"])
     def test_not_utf8(self, small_run, tmp_path, capsys, kind, newline):
@@ -785,6 +808,55 @@ class TestAdaptOptions:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert loads == []
         assert os.listdir(tmp_path) == []
+
+
+class TestAdaptEdgeChannels:
+    """Two topics over words a and b, and channels with a word no bin word
+    can emit or with entries small enough to overflow or underflow the
+    conf-* statistics, run in a fresh process: each ends in its weights or
+    in one error line, and numpy prints no warning."""
+
+    TOPICS = "TOPICS 2 2\nTOPIC t1\na 0.7\nb 0.3\nTOPIC t2\na 0.2\nb 0.8\n"
+    PROBE = "import sys\nfrom cnadapt.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+
+    def adapt(self, tmp_path, variant, channel, bins):
+        (tmp_path / "t.model").write_text(self.TOPICS)
+        rows = channel.split("/")
+        (tmp_path / "c.model").write_text(f"CHANNEL {len(rows)}\n" + "\n".join(rows) + "\n")
+        (tmp_path / "c.cnet").write_text(f"CONV c\nNET u {len(bins)}\n"
+                                         + "".join(f"BIN {b}\n" for b in bins))
+        return run_probe(self.PROBE, [
+            "adapt", str(tmp_path / "c.cnet"), str(tmp_path / "t.model"),
+            str(tmp_path / "c.lambda"), "--variant", variant,
+            "--channel", str(tmp_path / "c.model")])
+
+    @pytest.mark.parametrize("variant", ["conf-1best", "conf-tf"])
+    def test_overflow_is_one_error_line(self, tmp_path, variant):
+        # p(a | a) = 1e-320 puts a subnormal in R, and w / den overflows
+        proc = self.adapt(tmp_path, variant, "a a 1e-320/a b 1/b b 1", ["a:1", "b:0.6 a:0.4"])
+        assert proc.returncode == 1
+        assert proc.stderr == "error: non-finite update at iteration 1: [inf inf]\n"
+        assert not (tmp_path / "c.lambda").exists()
+
+    @pytest.mark.parametrize("variant", ["conf-1best", "conf-tf"])
+    def test_dead_bin_keeps_uniform_weights(self, tmp_path, variant):
+        # no word emits a, so the objective is -inf at every point
+        proc = self.adapt(tmp_path, variant, "a b 1/b b 1", ["a:1"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert (tmp_path / "c.lambda").read_text() == "LAMBDA c 2\nt1 0.5\nt2 0.5\n"
+        diag = json.loads((tmp_path / "c.lambda.diag.json").read_text())
+        assert diag["loglik_trace"] == [-math.inf, -math.inf]
+
+    @pytest.mark.parametrize("variant", ["conf-1best", "conf-tf"])
+    def test_partial_underflow_is_one_error_line(self, tmp_path, variant):
+        # 5e-324 * p(a | t) rounds to 5e-324 in t1 and to 0 in t2, and
+        # half of it rounds to 0: the mixture gives a probability 0 that
+        # no dead slot stands for
+        proc = self.adapt(tmp_path, variant, "a a 5e-324/a b 1/b b 1", ["a:1", "b:0.6 a:0.4"])
+        assert proc.returncode == 1
+        assert proc.stderr == "error: non-finite update at iteration 1: [inf nan]\n"
+        assert not (tmp_path / "c.lambda").exists()
 
 
 class TestAdaptOutputsTogether:

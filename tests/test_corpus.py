@@ -109,6 +109,15 @@ class TestVocabulary:
         assert len(vocab) == 2
         assert vocab.add("z") == 2
 
+    def test_words_built_once_per_state(self):
+        vocab = Vocabulary(["x", "y"])
+        words = vocab.words
+        assert words == ("x", "y") and vocab.words is words
+        vocab.add("x")
+        assert vocab.words is words
+        vocab.add("z")
+        assert vocab.words == ("x", "y", "z") and words == ("x", "y")
+
 
 class TestBin:
     def test_canonical_order_and_one_best(self):

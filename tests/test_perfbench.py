@@ -2,8 +2,10 @@
 
 ``perfbench/gen.py`` builds its inputs through the library's object form
 (``prune_ragged``), and ``perfbench/checker.py`` checks ``cnadapt adapt``'s
-outputs from their definitions.  Running both on one small input set here
-makes a library change that breaks the benchmark fail the test suite.
+outputs from their definitions, and ``perfbench/worker.py``'s tracer wraps
+the layer functions at the names ``cnadapt.cli`` calls them by.  Running
+them on one small input set here makes a library change that breaks the
+benchmark fail the test suite.
 
 ``a3-fit`` (50 words) looks its channel pairs up in the dense table and
 ``wide-ragged`` (about 1,700 distinct words per conversation) by binary
@@ -16,10 +18,12 @@ references.
 import importlib
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 
+from cnadapt import adapt, cli, topics
 from cnadapt.channel import load_channel
 from cnadapt.cli import main
 from cnadapt.corpus import Vocabulary
@@ -49,6 +53,32 @@ def test_fit_passes_checker(tmp_path, monkeypatch, workload, lookup, variant):
     lat = checker.Lattice(str(cnet), model)
     truth = json.loads((seed_dir / "truth" / f"{lat.cid}.json").read_text())
     checker.check_fit(lat, model, variant, str(out), str(unigram), truth)
+
+
+def test_tracer_records_every_layer(tmp_path, monkeypatch):
+    """A directory-mode ``cnadapt adapt --out-unigram`` run under the
+    worker's tracer records a span of finite length in every layer the
+    tracer wraps and in ``adapt.eval``: a layer with no span would put a
+    NaN median into a traced run's result line."""
+    monkeypatch.syspath_prepend(PERFBENCH)
+    gen, worker, workloads = map(importlib.import_module, ("gen", "worker", "workloads"))
+    models, seed_dir = tmp_path / "models", tmp_path / "seed1"
+    assert gen.main(["a3-fit", "1", str(models), str(seed_dir)]) == 0
+    cnets = tmp_path / "d0"
+    cnets.mkdir()
+    shutil.copy(seed_dir / "c0.cnet", cnets)
+    tracer = worker.Tracer(cli, adapt, topics)
+    with tracer.active(0):
+        assert main([
+            "adapt", str(cnets), str(models / "topics.model"), str(tmp_path / "fits"),
+            "--variant", "conf-tf", "--channel", str(models / "channel.model"),
+            "--tol", workloads.TOL, "--max-iters", workloads.MAX_ITERS, "--out-unigram",
+        ]) == 0
+    layers = [name for _, _, name in tracer.targets] + ["adapt.eval"]
+    assert len(layers) == 7
+    for name in layers:
+        seconds = [s["end"] - s["start"] for s in tracer.spans if s["name"] == name]
+        assert seconds and np.isfinite(seconds).all(), name
 
 
 def test_model_pair_matches_line_by_line_reference(tmp_path, monkeypatch):

@@ -69,6 +69,28 @@ class TestTraining:
             assert np.allclose(tm.probs.sum(axis=1), 1.0, atol=1e-9)
             assert np.all(tm.probs >= PROB_FLOOR)
 
+    def test_rows_equal_per_word_reference(self):
+        """Bitwise the rows of ``oracles.witten_bell``, word by word, over
+        pooled labels, words first seen in training and topics with no
+        unseen word."""
+        rng = np.random.default_rng(5)
+        for _ in range(60):
+            vocab = Vocabulary(f"w{i}" for i in range(int(rng.integers(0, 6))))
+            corpus = [(f"t{rng.integers(0, 4)}",
+                       [f"w{i}" for i in rng.integers(0, 12, int(rng.integers(1, 40)))])
+                      for _ in range(int(rng.integers(1, 7)))]
+            if rng.random() < 0.3:
+                corpus.append(("all", [f"w{i}" for i in range(12)] + [UNK_WORD]))
+            tm = train_topic_model(corpus, vocab)
+            counts = {}
+            for label, tokens in corpus:
+                c = counts.setdefault(label, {})
+                for tok in tokens:
+                    c[vocab.get(tok)] = c.get(vocab.get(tok), 0) + 1
+            assert tm.labels == list(counts)
+            want = np.array([oracles.witten_bell(c, len(vocab)) for c in counts.values()])
+            assert tm.probs.tobytes() == floor_and_normalize(want).tobytes()
+
     def test_empty_topic_fails(self):
         with pytest.raises(TrainingError):
             train_topic_model([("t", [])], Vocabulary())

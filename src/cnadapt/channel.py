@@ -9,9 +9,9 @@ normalizing per conditioning word.
 ``load_channel`` reads its file as bytes, a block of whole lines at a time
 (see ``modelfile``): each block's distinct words are looked up once among
 the vocabulary's sorted byte keys, only a word outside it is decoded, and
-the probabilities are cast from their bytes to float64 by numpy, bitwise
-what ``float()`` returns, with ``float()`` itself for a block the cast
-cannot take.
+each distinct probability of a block is cast once from its bytes to
+float64 by numpy, bitwise what ``float()`` returns, with ``float()``
+itself for a block the cast cannot take.
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ def estimate_channel(
             raise ValidationError(f"expected Conversation, got {type(conv)!r}")
         width = pruned_widths(conv, rel_floor, max_words)
         first = conv.bin_ptr[:-1]
-        for K in np.unique(width).tolist():
+        for K in np.flatnonzero(np.bincount(width)).tolist():
             blocks.append(conv.words[first[width == K, None] + np.arange(K)])
     if not blocks:
         raise ValidationError("no bins seen; cannot estimate a channel")

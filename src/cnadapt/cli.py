@@ -226,14 +226,22 @@ def _adapt_one(tm, cm, cfg, cnet_path, out_lambda, out_unigram):
 
 def _adapt_guarded(tm, cm, cfg, job):
     """``_adapt_one`` for directory mode: a conversation's input or compute
-    error becomes its manifest entry, so the others still run and nothing
-    but plain data crosses a process pool."""
+    error, or running out of memory, becomes its manifest entry, so the
+    others still run and nothing but plain data crosses a process pool."""
     try:
         return _adapt_one(tm, cm, cfg, *job)
     except (InputError, OSError) as exc:
         return {"cnet": job[0], "error": str(exc), "exit_code": 2}
     except ComputeError as exc:
         return {"cnet": job[0], "error": str(exc), "exit_code": 1}
+    except MemoryError as exc:
+        return {"cnet": job[0], "error": _out_of_memory(exc), "exit_code": 1}
+
+
+def _out_of_memory(exc: MemoryError) -> str:
+    """The message of ``exc``, which numpy fills with the size it could not
+    allocate."""
+    return f"out of memory: {exc}" if str(exc) else "out of memory"
 
 
 # set in pool workers only, by the pool's initializer
@@ -484,6 +492,9 @@ def main(argv=None) -> int:
         return 2
     except ComputeError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: {_out_of_memory(exc)}", file=sys.stderr)
         return 1
     return exit_code
 

@@ -13,10 +13,11 @@ is made.
 
 A block is cut into tokens with numpy: no Python object is made per
 token.  Words are compared as byte keys (``WordKeys``), so only the words
-a loader keeps are decoded.  Numbers are read by ``Block.floats``: numpy
-casts the tokens' bytes to float64 in one call, bitwise as ``float()``
-reads them, and a block the cast cannot take goes through ``float()``
-itself.
+a loader keeps are decoded.  Numbers are read by ``Block.floats``: the
+tokens' bytes are hashed in one pass, numpy casts one token of each
+distinct number from bytes to float64, bitwise as ``float()`` reads it,
+and the other tokens take its value; a block the cast cannot take goes
+through ``float()`` itself.
 
 ``read_text`` reads a whole text file of any kind, and ``utf8_error``
 reports one that does not decode as UTF-8.  ``write_lines`` writes the
@@ -51,6 +52,12 @@ _PAD = b" " * PAD
 # _HIGH[s]: a little-endian uint64 with 0xFF, which no UTF-8 text holds, in
 # every byte from the s-th on
 _HIGH = np.array([(2**64 - 1) >> (8 * s) << (8 * s) for s in range(8)] + [0], dtype="<u8")
+# _FIRST[PAD + k]: a little-endian uint64 mask of its first k bytes: none for
+# k <= 0, all for k >= 8
+_FIRST = np.array([~_HIGH[min(max(k, 0), 8)] for k in range(-PAD, PAD + 1)], dtype="<u8")
+# odd multipliers that mix a number token's words into its hash
+_MIX = np.array([0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9,
+                 0xD6E8FEB86659FD93], dtype=np.uint64)
 
 
 def read_text(path) -> str:
@@ -331,25 +338,65 @@ class Block:
         """The numbers the tokens spell as ``float()`` reads them, or None
         when some token is no number.
 
-        Each token's bytes, NUL-padded to the widest, are cast to float64
-        at once; numpy's cast reads bytes as ``float()`` reads a str.  A
-        block with a NUL byte (which ``float()`` rejects but the padded
-        cast would drop), a token wider than PAD (whose window would pass
-        the padding) and a block the cast rejects (such as one with digits
+        Each distinct token is cast once.  A token is read as NUL-padded
+        little-endian uint64 words, one per 8 of its bytes, and a token
+        equal to the one that holds its hash slot takes that token's
+        number (``_same_words``).  The rest, viewed as bytes, go through
+        numpy's bytes-to-float64 cast, which reads bytes as ``float()``
+        reads a str, so every number is exact whatever the hash.  A block
+        with a NUL byte (which ``float()`` rejects but the padded cast
+        would drop), a token wider than PAD (whose words would pass the
+        padding) and a block the cast rejects (such as one with digits
         outside ASCII, which only a str reads) go through ``float()``.
         """
         s = self.starts[tokens]
         size = self.ends[tokens] - s
         width = int(size.max(initial=1))
         if width <= PAD and b"\0" not in self.raw:
-            rows = np.lib.stride_tricks.sliding_window_view(self.buf, width)[s]
-            rows *= np.arange(width) < size[:, None]  # NULs past each token
-            try:  # a number past the float range reads as inf, as float() reads it
-                with np.errstate(over="ignore"):
-                    return rows.view(f"S{width}").ravel().astype(np.float64)
-            except ValueError:
-                pass
+            words = [self.u64[s + j] & _FIRST[PAD - j :][size] for j in range(0, width, 8)]
+            same = _same_words(words)
+            cast = np.flatnonzero(same == np.arange(same.size))
+            rows = np.stack([w[cast] for w in words], axis=1)
+            got = _cast(rows.view(f"S{8 * len(words)}").ravel())
+            if got is not None:
+                out = np.empty(same.size)
+                out[cast] = got
+                return out[same]
         try:
             return np.array(self.text(tokens), dtype=np.float64)
         except ValueError:
             return None
+
+
+def _same_words(words) -> np.ndarray:
+    """``same[i]``: a token whose ``words`` (arrays of uint64, one entry per
+    token) all equal token i's, with ``same[same[i]] == same[i]``; each
+    token is hashed once, and a token whose slot another token holds with
+    other words stands for itself."""
+    n = words[0].size
+    mixed = np.zeros(n, dtype=np.uint64)
+    for w, mix in zip(words, _MIX):
+        mixed ^= w * mix
+    # its top bit_length(n) + 1 bits pick a slot: 2 to 4 slots per token
+    mixed >>= 63 - n.bit_length()
+    slot = mixed.view(np.int64)
+    table = np.empty(2 << n.bit_length(), dtype=np.int64)
+    every = np.arange(n)
+    table[slot] = every
+    same = table[slot]
+    differ = np.zeros(n, dtype=bool)
+    for w in words:
+        differ |= w[same] != w
+    np.copyto(same, every, where=differ)
+    return same
+
+
+def _cast(strings):
+    """The numpy bytes ``strings`` as float64, as ``float()`` reads them, or
+    None when one is no number; a number past the float range reads as
+    inf, as ``float()`` reads it."""
+    try:
+        with np.errstate(over="ignore"):
+            return strings.astype(np.float64)
+    except ValueError:
+        return None

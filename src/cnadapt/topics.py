@@ -8,9 +8,9 @@ the confusion-aware estimators take their multiplicative steps, onto it.
 ``load_topic_model`` reads its file as bytes, a block of whole lines at a
 time (see ``modelfile``): the first topic's words are decoded into the
 vocabulary, a later topic's words are compared with them as byte keys, and
-the probabilities are cast from their bytes to float64 by numpy, bitwise
-what ``float()`` returns, with ``float()`` itself for a block the cast
-cannot take.
+each distinct probability of a block is cast once from its bytes to
+float64 by numpy, bitwise what ``float()`` returns, with ``float()``
+itself for a block the cast cannot take.
 """
 
 from __future__ import annotations

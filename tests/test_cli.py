@@ -516,6 +516,87 @@ def test_jobs_1_imports_no_process_pool(small_run, tmp_path):
     assert proc.stdout.split()[-2:] == ["0", "False"], proc.stderr
 
 
+def test_channel_imports_no_numpy_ma(small_run, tmp_path):
+    """A fresh ``cnadapt channel`` process never imports numpy.ma either."""
+    probe = ("import sys\nfrom cnadapt.cli import main\n"
+             "code = main(sys.argv[1:])\nprint(code, 'numpy.ma' in sys.modules)\n")
+    proc = run_probe(probe, ["channel", str(small_run / "*.cnet"), str(tmp_path / "ch.model")])
+    assert proc.stdout.split()[-2:] == ["0", "False"], proc.stderr
+
+
+class TestOutOfMemory:
+    """A process that runs out of address space ends in one error line and
+    exit 1, and writes no partial output.  Each case runs one child whose
+    address space is capped CAP_MB above what it holds once cnadapt is
+    imported; the cap limits that child only."""
+
+    CAP_MB = 32
+    PROBE = ("import resource, sys\nfrom cnadapt.cli import main\n"
+             "held = int(open('/proc/self/statm').read().split()[0]) * resource.getpagesize()\n"
+             "cap = held + int(sys.argv[1]) * 2**20\n"
+             "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n"
+             "sys.exit(main(sys.argv[2:]))\n")
+    WORDS = [f"w{i}" for i in range(200)]
+
+    def cnet(self, path, bins):
+        """A conversation of ``bins`` bins, each holding every word at one
+        posterior."""
+        cells = " ".join(f"{w}:0.005" for w in self.WORDS)
+        path.write_text(f"CONV {path.stem}\nNET u1 {bins}\n" + f"BIN {cells}\n" * bins)
+
+    def run(self, argv):
+        proc = run_probe(self.PROBE, [str(self.CAP_MB), *argv])
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.count("\n") == 1, proc.stderr
+        return proc
+
+    @pytest.mark.parametrize("exc, line", [
+        (MemoryError(), "error: out of memory\n"),
+        (MemoryError("no room"), "error: out of memory: no room\n"),
+    ])
+    def test_message(self, monkeypatch, capsys, exc, line):
+        def fail(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_channel", fail)
+        assert run(["channel", "*.cnet", "ch.model"], capsys) == (1, "", line)
+
+    def test_channel(self, tmp_path):
+        # 250 bins of 200 kept cells make 10M pairs, 80 MB in each array that
+        # holds them
+        self.cnet(tmp_path / "c.cnet", 250)
+        proc = self.run(["channel", str(tmp_path / "c.cnet"), str(tmp_path / "ch.model"),
+                         "--max-words", "200"])
+        assert proc.stderr.startswith("error: out of memory"), proc.stderr
+        assert sorted(os.listdir(tmp_path)) == ["c.cnet"]
+
+    def test_adapt_directory(self, tmp_path):
+        """A conversation too large to fit becomes its manifest entry with
+        exit code 1, and the conversation after it is still adapted."""
+        words = self.WORDS
+        (tmp_path / "t.model").write_text(
+            f"TOPICS 2 {len(words)}\n" + "".join(
+                f"TOPIC {t}\n" + "".join(f"{w} {1 / len(words)!r}\n" for w in words)
+                for t in ("t1", "t2")))
+        (tmp_path / "c.model").write_text(
+            f"CHANNEL {len(words)}\n" + "".join(f"{w} {w} 1\n" for w in words))
+        cnets = tmp_path / "cnets"
+        cnets.mkdir()
+        # a million cells, which take about 75 MB to read and fit
+        self.cnet(cnets / "a.cnet", 5000)
+        self.cnet(cnets / "b.cnet", 3)
+        out = tmp_path / "out"
+        proc = self.run(["adapt", str(cnets), str(tmp_path / "t.model"), str(out),
+                         "--variant", "conf-1best", "--channel", str(tmp_path / "c.model")])
+        assert proc.stderr.startswith(f"error: {cnets / 'a.cnet'}: out of memory"), proc.stderr
+        assert sorted(os.listdir(out)) == ["b.lambda", "b.lambda.diag.json", "manifest.json"]
+        entries = json.loads((out / "manifest.json").read_text())["conversations"]
+        assert entries[0]["error"].startswith("out of memory")
+        assert entries[0]["exit_code"] == 1
+        assert entries[1]["cid"] == "b" and "error" not in entries[1]
+
+
 def rename_one_cell(src, dst, word="zzzoov"):
     """Copy a CNET, renaming the second cell of its first multi-cell bin."""
     lines = src.read_text().splitlines()

@@ -1,6 +1,7 @@
-"""The byte reader the model loaders share: numbers against float(), word
-keys against dict lookups, and the memory a load needs; and the line writer
-the model files and the unigram share."""
+"""The byte reader the model loaders share: numbers against float(), in
+blocks of few tokens and of many repeats, word keys against dict lookups,
+and the memory a load needs; and the line writer the model files and the
+unigram share."""
 
 import io
 from unittest import mock
@@ -107,6 +108,102 @@ class TestFloats:
         want = np.array([float(t) for t in tokens])
         assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
         assert calls == []
+
+
+def read_as_float(tokens):
+    """The numbers of ``tokens``, one per line after a word, as
+    ``Block.floats`` reads them."""
+    return block_of(f"w {t}" for t in tokens).floats(np.arange(1, 2 * len(tokens), 2))
+
+
+def assert_bitwise(got, tokens):
+    want = np.array([float(t) for t in tokens])
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+# tokens of 24, 25 and 33 bytes: three and four words of eight bytes, and one
+# wider than PAD
+LONG_NUMBERS = ["0." + "0" * 21 + "5", "0." + "0" * 22 + "5", "0." + "0" * 30 + "5"]
+
+
+class TestRepeatedFloats:
+    """Blocks of many tokens, most of them repeats, as the model files hold:
+    each distinct token is cast once and every token is read bitwise as
+    ``float()`` reads it."""
+
+    @given(st.lists(NUMBERS, min_size=1, max_size=40), st.integers(200, 5000),
+           st.integers(0, 2**32 - 1))
+    @example(EDGE_NUMBERS, 3000, 0)
+    @example(LONG_NUMBERS + ["0.5", "0.25"], 1000, 1)
+    @settings(max_examples=60, deadline=None)
+    def test_repeats_read_bitwise(self, pool, n, seed):
+        good = []
+        for t in pool:
+            try:
+                float(t)
+                good.append(t)
+            except ValueError:
+                pass
+        if good:
+            tokens = [good[i] for i in np.random.default_rng(seed).choice(len(good), n)]
+            assert_bitwise(read_as_float(tokens), tokens)
+
+    @pytest.mark.parametrize("distinct", [
+        ["{:.12g}".format(v) for v in (np.arange(1, 20001) / 20011).tolist()],
+        # all alike in their first word, then in their first two
+        ["{:.12g}".format(0.5 + k * 1e-11) for k in range(1, 20001)],
+        [f"1.00000000000000e{s}{k}" for s in "+-" for k in range(1, 309)],
+    ], ids=["12g", "word-0-alike", "words-0-1-alike"])
+    def test_distinct_tokens_collide(self, distinct):
+        """Thousands of distinct numbers and their repeats: slots are shared
+        by tokens of other bytes, which each stand for themselves."""
+        assert len(set(distinct)) == len(distinct)
+        rng = np.random.default_rng(11)
+        tokens = distinct + [distinct[i] for i in rng.choice(len(distinct), 5000)]
+        rng.shuffle(tokens)
+        assert_bitwise(read_as_float(tokens), tokens)
+
+    @pytest.mark.parametrize("bad", ["1e", "0x10", "nan(1)", "1.2.3"])
+    def test_repeated_bad_token(self, bad):
+        """A bad token repeated among good ones makes the block None,
+        whichever of its copies holds a slot."""
+        tokens = ["0.5", "0.25", bad] * 400 + [bad, "0.125"]
+        assert read_as_float(tokens) is None
+
+    def test_repeated_nul(self):
+        """A NUL byte, which ``float()`` rejects, makes the block None."""
+        assert read_as_float(["0.5", "0.5\x00", "0.25", "1e-10"] * 500) is None
+
+    def test_repeated_digits_outside_ascii(self):
+        """Digits outside ASCII, which only a str reads, are read as
+        ``float()`` reads them."""
+        tokens = ["0.5", "١", "0.25", "1e-10"] * 500
+        assert_bitwise(read_as_float(tokens), tokens)
+
+    @pytest.mark.parametrize("token", LONG_NUMBERS)
+    def test_long_tokens(self, token):
+        tokens = [token, "0.5", token, "0.125", "1"] * 300
+        assert_bitwise(read_as_float(tokens), tokens)
+
+    def test_channel_casts_each_distinct_probability_once(self, tmp_path):
+        """A 20,000-entry channel whose probabilities take three values casts
+        at most three tokens per block."""
+        words = [f"w{i:05d}" for i in range(12000)]
+        lines, w = [], 0
+        while len(lines) < 20000:
+            k = (1, 2, 4)[w % 3]
+            lines += [f"{words[w]} {words[(w + j) % len(words)]} {1 / k}" for j in range(k)]
+            w += 1
+        path = tmp_path / "ch.model"
+        path.write_text(f"CHANNEL {len(lines)}\n" + "\n".join(lines) + "\n")
+        sizes = []
+        cast = modelfile._cast
+        with mock.patch.object(modelfile, "_cast",
+                               side_effect=lambda s: sizes.append(s.size) or cast(s)):
+            cm = load_channel(path, Vocabulary(words))
+        assert len(sizes) > 1 and max(sizes) <= 3, sizes
+        assert sorted(set(cm.probs.tolist())) == [0.25, 0.5, 1.0]
+        assert cm.probs.size == len(lines)
 
 
 class TestWordKeys:

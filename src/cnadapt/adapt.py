@@ -314,7 +314,8 @@ def _penalized(ll: float, lam: np.ndarray, m: float) -> float:
 def _step_converged(prev: float, cur: float, rel_tol: float) -> bool:
     if cur == prev:
         return True
-    return abs(cur - prev) <= rel_tol * max(1.0, abs(prev))
+    # from a non-finite objective every step is a change: inf <= rel_tol * inf
+    return bool(np.isfinite(prev)) and abs(cur - prev) <= rel_tol * max(1.0, abs(prev))
 
 
 def _check_finite(arr, what: str, iteration: int):

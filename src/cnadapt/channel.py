@@ -24,7 +24,7 @@ import numpy as np
 
 from .corpus import Conversation, Vocabulary, _offsets, pruned_widths
 from .errors import ParseError, ValidationError
-from .modelfile import WordKeys, read_blocks, write_lines
+from .modelfile import Table, WordKeys, read_blocks, write_lines
 
 
 class ChannelModel:
@@ -136,8 +136,7 @@ def load_channel(path, vocab: Vocabulary) -> ChannelModel:
     The lines are read in blocks of bytes (see ``modelfile``).  A block's
     words are matched as byte keys: its distinct words are numbered, then
     looked up among ``vocab``'s sorted keys, and only a word ``vocab`` lacks
-    is decoded.  A block that fails a check is read again line by line for
-    the error to report.
+    is decoded.  The first bad line of a file names its error.
     """
     known = len(vocab)
     ws, vs, ps, names = _read_entries(path, vocab)
@@ -203,48 +202,25 @@ def _read_entries(path, vocab: Vocabulary):
         vs = np.empty(nrows, dtype=np.int64)
         ps = np.empty(nrows, dtype=np.float64)
         for block in blocks:
-            got = _read_channel_block(block, index, outside, len(vocab))
-            if got is None:
-                raise _first_channel_error(block.lines(), block.line)
             at = slice(block.line - 2, block.line - 2 + block.size)
-            ps[at], ws[at], vs[at] = got
+            ps[at], ws[at], vs[at] = _read_channel_block(block, index, outside, len(vocab))
     return ws, vs, ps, list(outside)
 
 
 def _read_channel_block(block, index, outside, known):
-    """(probabilities, spoken ids, observed ids) of a block's entries, or
-    None if any line is bad.  A word outside ``index`` gets the next id in
-    ``outside``, in the order the words first appear."""
-    if not block.fields(3):
-        return None
-    n = block.size
-    p = block.floats(np.arange(2, 3 * n, 3))
-    if p is None or not (p > 0.0).all():  # also for NaN
-        return None
+    """(probabilities, spoken ids, observed ids) of a block's entries; a
+    word outside ``index`` gets the next id in ``outside``, in the order
+    the words first appear."""
+    t = Table(block, 3, lambda i: "<w> <v> <prob>")
+    t.reject(t.records[t.numbers <= 0.0], lambda i: ValidationError(
+        f"line {t.line + i}: non-positive probability {t.field(i)}"))
+    t.check()
     # the spoken and observed word of each line, one after the other
+    n = block.size
     tokens = np.arange(3 * n).reshape(n, 3)[:, :2].ravel()
     ids = block.words(tokens).find(index)
     missing = np.flatnonzero(ids < 0)
     if missing.size:
         names = block.text(tokens[missing])
         ids[missing] = [outside.setdefault(w, known + len(outside)) for w in names]
-    return p, ids[0::2], ids[1::2]
-
-
-def _first_channel_error(chunk, line):
-    """The error of the first bad line of ``chunk``, read line by line."""
-    for no, text in enumerate(chunk, start=line):
-        text = text.rstrip("\n")
-        parts = text.split()
-        if len(parts) != 3:
-            return ParseError(f"expected '<w> <v> <prob>', got {text!r}", no)
-        ptok = parts[2]
-        try:
-            p = float(ptok)
-        except ValueError:
-            return ParseError(f"bad probability {ptok!r}", no)
-        if p != p:
-            return ValidationError(f"line {no}: probability {ptok} is not a number")
-        if p <= 0.0:
-            return ValidationError(f"line {no}: non-positive probability {ptok}")
-    raise AssertionError(f"no bad line among lines {line}-{no}")
+    return t.numbers, ids[0::2], ids[1::2]

@@ -23,7 +23,7 @@ from . import __version__, adapt, metrics, synth, topics
 from .channel import estimate_channel, load_channel, save_channel
 from .corpus import Vocabulary, load_conversation, save_conversation
 from .errors import ComputeError, InputError, ParseError
-from .modelfile import COUNT, read_text, write_lines
+from .modelfile import COUNT, read_blocks, read_text, write_lines
 
 DEFAULT_REL_FLOOR = 0.05
 DEFAULT_MAX_WORDS = 10
@@ -62,34 +62,29 @@ def write_unigram_file(path, vocab, probs) -> None:
 
 
 def load_unigram_file(path):
-    lines = read_text(path).removesuffix("\n").split("\n")
-    if not lines[0].startswith("UNIGRAM "):
-        raise InputError("expected 'UNIGRAM <V>' header")
-    fields = lines[0].split()
-    if len(fields) != 2 or not COUNT.fullmatch(fields[1]):
-        raise InputError(f"bad header {lines[0]!r}")
-    count = int(fields[1])
-    if len(lines) - 1 != count:
-        raise InputError(f"header declares {count} words, found {len(lines) - 1}")
-    vocab = Vocabulary()
-    probs = np.empty(count)
-    for i, line in enumerate(lines[1:]):
-        parts = line.split()
-        if len(parts) != 2:
-            raise InputError(f"bad line {line!r}")
-        if vocab.add(parts[0]) != i:
-            raise InputError(f"duplicate word {parts[0]!r}")
-        try:
-            probs[i] = float(parts[1])
-        except ValueError:
-            raise InputError(f"bad probability {parts[1]!r}") from None
-        if probs[i] != probs[i]:
-            raise InputError(f"probability {parts[1]} is not a number")
-        if probs[i] < 0:
-            raise ParseError(f"negative probability {parts[1]}", i + 2)
+    """The vocabulary and probabilities of a unigram file, read as one topic
+    row whose TOPIC line is absent (``topics.read_rows``)."""
+    with open(path, "rb") as fh:
+        nlines, header, blocks = read_blocks(fh)
+        if not header.startswith("UNIGRAM "):
+            raise InputError("expected 'UNIGRAM <V>' header")
+        fields = header.split()
+        if len(fields) != 2 or not COUNT.fullmatch(fields[1]):
+            raise InputError(f"bad header {header!r}")
+        count = int(fields[1])
+        if nlines - 1 != count:
+            raise InputError(f"header declares {count} words, found {nlines - 1}")
+        _, vocab, rows = topics.read_rows(blocks, 1, count, 1, _nonnegative)
+    probs = rows[0]
     if abs(probs.sum() - 1.0) > 1e-6:
         raise InputError("probabilities do not sum to 1")
     return vocab, probs
+
+
+def _nonnegative(t):
+    """The unigram's own rule: no probability is negative."""
+    t.reject(t.records[t.numbers < 0], lambda i: ParseError(
+        f"negative probability {t.field(i)}", t.line + i))
 
 
 def _named(path, fn, *args):

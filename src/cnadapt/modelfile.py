@@ -1,15 +1,16 @@
 """Block reading of the line-oriented files, as bytes.
 
-A CNET, the topic model and the channel file are read as bytes,
-BLOCK_BYTES at a time, in ``Block``s of whole lines, so no reader holds
-the whole file.  In every file cnadapt reads, a line ends at "\n", "\r\n"
-or "\r", the breaks text mode turns into "\n"; the other breaks are
-whitespace inside a line.  The model files hold a header line, then one
-record of a fixed number of whitespace-separated fields per line:
+A CNET, the topic model, the channel file and the unigram are read as
+bytes, BLOCK_BYTES at a time, in ``Block``s of whole lines, so no reader
+holds the whole file.  In every file cnadapt reads, a line ends at "\n",
+"\r\n" or "\r", the breaks text mode turns into "\n"; the other breaks
+are whitespace inside a line.  The model files hold a header line, then
+one record of a fixed number of whitespace-separated fields per line:
 ``read_blocks`` counts the lines and checks that the file is UTF-8 in one
-pass, then hands the lines after the header over in blocks.  A CNET is
-read by ``blocks`` from line 1, in one pass: each block is checked as it
-is made.
+pass, then hands the lines after the header over in blocks, and a
+``Table`` reads each block as its fields and numbers and finds the first
+line whose field count or number is bad.  A CNET is read by ``blocks``
+from line 1, in one pass: each block is checked as it is made.
 
 A block is cut into tokens with numpy: no Python object is made per
 token.  Words are compared as byte keys (``WordKeys``), so only the words
@@ -33,7 +34,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 
 # bytes read at a time; a block holds the whole lines they complete
 BLOCK_BYTES = 1 << 18
@@ -252,17 +253,16 @@ class WordKeys:
                 ids[order if cells is None else cells[order]] = found[np.cumsum(new) - 1]
         return ids
 
-    def equal(self, other, at) -> bool:
+    def equal(self, other, at) -> np.ndarray:
         """Whether each of these words equals word ``at[i]`` of ``other``."""
-        if not np.array_equal(self.size, other.size[at]):
-            return False
+        same = self.size == other.size[at]
         for b, (cells, keys) in self.groups.items():
-            want = at if cells is None else at[cells]
-            if other.slot is not None:
-                want = other.slot[want]
-            if not np.array_equal(keys, other.groups[b][1][want]):
-                return False
-        return True
+            if b in other.groups:  # else no word of ``other`` is as wide
+                cells = slice(None) if cells is None else cells
+                want = at[cells] if other.slot is None else other.slot[at[cells]]
+                # a word of another width picks some key of this one: its size differs
+                same[cells] &= keys == other.groups[b][1].take(want, mode="clip")
+        return same
 
 
 class Block:
@@ -366,6 +366,75 @@ class Block:
             return np.array(self.text(tokens), dtype=np.float64)
         except ValueError:
             return None
+
+
+class Table:
+    """A block read as lines of ``k`` fields, the last a number on each
+    line that ``record`` (a boolean per line) picks, or on every line.
+
+    ``n`` counts the lines before the first with another number of fields;
+    field j of line i < n is token k * i + j.  ``records`` are the picked
+    lines below n, ``numbers`` their last fields as ``float()`` reads them,
+    NaN for one that is no number, and ``shape(i)`` the form of line i.
+    A format notes what its own rules reject with ``reject``; ``check``,
+    the one line walker of the model files, adds the first line whose
+    number or field count is bad and raises the first line's error.  On
+    one line, the rule noted first wins.
+    """
+
+    def __init__(self, block, k: int, shape, record=None):
+        self.block, self.line, self.k, self.shape = block, block.line, k, shape
+        self.bad = None
+        n = block.size
+        if not block.fields(k):
+            # each line's field count: its tokens, each after the breaks before it
+            count = np.bincount(np.searchsorted(block.breaks, block.starts), minlength=n)
+            n = int(np.flatnonzero(count != k)[0])
+        self.n = n
+        self.records = np.arange(n) if record is None else np.flatnonzero(record[:n])
+        tokens = k * self.records + k - 1
+        numbers = block.floats(tokens)
+        if numbers is None:  # None, for a token that is no number, becomes NaN
+            numbers = np.array([_number(t) for t in block.text(tokens)], dtype=np.float64)
+        self.numbers = numbers
+
+    def field(self, i: int, j: int = -1) -> str:
+        """The text of field j (the number by default) of line i < n."""
+        return self.block.text([self.k * i + j % self.k])[0]
+
+    def expected(self, i: int) -> ParseError:
+        """The error of line i for not having its form."""
+        return ParseError(f"expected '{self.shape(i)}', got {self.block.lines()[i]!r}",
+                          self.line + i)
+
+    def reject(self, lines, error) -> None:
+        """Note the first of ``lines``, ascending lines of the block, as
+        rejected; ``error(i)`` makes the error of line i."""
+        if len(lines) and (self.bad is None or lines[0] < self.bad[0]):
+            self.bad = int(lines[0]), error
+
+    def check(self) -> None:
+        """Raise the error of the first line rejected, if any."""
+        self.reject(self.records[np.isnan(self.numbers)], self._bad_number)
+        if self.n < self.block.size:
+            self.reject([self.n], self.expected)
+        if self.bad:
+            i, error = self.bad
+            raise error(i)
+
+    def _bad_number(self, i: int):
+        token, no = self.field(i), self.line + i
+        if _number(token) is None:
+            return ParseError(f"bad probability {token!r}", no)
+        return ValidationError(f"line {no}: probability {token} is not a number")
+
+
+def _number(token: str):
+    """``float(token)``, or None when ``token`` is no number."""
+    try:
+        return float(token)
+    except ValueError:
+        return None
 
 
 def _same_words(words) -> np.ndarray:

@@ -122,7 +122,7 @@ def _conversation(cid, observed, spoken, cohorts) -> Conversation:
     # numbers pairwise, so summing the padding too would change the last bit
     width = size[observed]
     total = np.empty(observed.size)
-    for k in np.unique(width).tolist():
+    for k in np.flatnonzero(np.bincount(width)).tolist():
         total[width == k] = s[width == k, :k].sum(axis=1)
     s /= total[:, None]
     # the observed word must be the bin's 1-best: swap posteriors if needed

@@ -6,11 +6,11 @@ simplex weight vector; ``mu_to_lambda`` maps softmax parameters, in which
 the confusion-aware estimators take their multiplicative steps, onto it.
 
 ``load_topic_model`` reads its file as bytes, a block of whole lines at a
-time (see ``modelfile``): the first topic's words are decoded into the
-vocabulary, a later topic's words are compared with them as byte keys, and
-each distinct probability of a block is cast once from its bytes to
-float64 by numpy, bitwise what ``float()`` returns, with ``float()``
-itself for a block the cast cannot take.
+time (see ``modelfile``), through ``read_rows``, which also reads the
+adapted unigram as one topic row: the first topic's words are decoded into
+the vocabulary, a later topic's words are compared with them as byte keys,
+and each distinct probability of a block is cast once from its bytes to
+float64 by numpy, bitwise what ``float()`` returns.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from .corpus import UNK_WORD, Vocabulary
 from .errors import ParseError, TrainingError, ValidationError
-from .modelfile import COUNT, WordKeys, read_blocks, write_lines
+from .modelfile import COUNT, Table, WordKeys, read_blocks, write_lines
 
 PROB_FLOOR = 1e-10
 ROW_SUM_TOL = 1e-9
@@ -133,22 +133,9 @@ def save_topic_model(tm: TopicModel, path) -> None:
 def load_topic_model(path) -> TopicModel:
     """Read a topic model file, validating block structure and row sums.
 
-    The lines are read in blocks of bytes (see ``modelfile``).  The words
-    of the first topic are decoded into the vocabulary; a later topic's
-    words are compared with them as byte keys, line for line.  A block that
-    fails a check is read again line by line for the error to report.  The
-    rows are floored and normalized where they were read, so the model
-    holds the one T x V array the load made.
+    The rows are read by ``read_rows`` and floored and normalized where
+    they were read, so the model holds the one T x V array the load made.
     """
-    labels, vocab, rows = _read_rows(path)
-    sums = rows.sum(axis=1)
-    if rows.min(initial=0.0) < 0 or np.any(np.abs(sums - 1.0) > 1e-6):
-        raise ValidationError(f"topic rows do not sum to 1: {sums}")
-    return TopicModel(labels, vocab, floor_and_normalize(rows))
-
-
-def _read_rows(path):
-    """(labels, vocabulary, rows) of a topic model file, the rows as read."""
     with open(path, "rb") as fh:
         nlines, header, blocks = read_blocks(fh)
         if not nlines:
@@ -164,88 +151,58 @@ def _read_rows(path):
             raise ParseError(f"expected {expect} lines, found {nlines}", nlines)
         if T < 0 or V < 0:
             raise ParseError(f"bad counts in header {header!r}", 1)
+        labels, vocab, rows = read_rows(blocks, T, V, 2)
+    sums = rows.sum(axis=1)
+    if rows.min(initial=0.0) < 0 or np.any(np.abs(sums - 1.0) > 1e-6):
+        raise ValidationError(f"topic rows do not sum to 1: {sums}")
+    return TopicModel(labels, vocab, floor_and_normalize(rows))
 
-        vocab = Vocabulary()
-        labels = []
-        rows = np.empty((T, V), dtype=np.float64)
-        keys = None  # the first topic's words as byte keys, once it is complete
-        for block in blocks:
-            keys = _read_topic_block(block, vocab, labels, rows, keys)
-            if keys is False:
-                raise _first_topic_error(
-                    block.lines(), block.line, vocab, labels[-1] if labels else None, V
-                )
+
+def read_rows(blocks, T: int, V: int, first: int, rule=None):
+    """(labels, vocabulary, rows as read) of T topics over V words from the
+    ``Block``s after a header.  A topic is its line ``TOPIC <label>``, then
+    a line ``<word> <prob>`` for each word; the first TOPIC line is file
+    line ``first``, and the unigram, one row without it, counts its header
+    line as that line.  ``rule(table)`` adds a caller's rule to each block.
+    """
+    vocab, labels = Vocabulary(), []
+    rows = np.empty((T, V), dtype=np.float64)
+    keys = None  # the first topic's words as byte keys, once it is complete
+    for block in blocks:
+        keys = _read_topic_block(block, first, vocab, labels, rows, keys, rule)
     return labels, vocab, rows
 
 
-def _read_topic_block(block, vocab, labels, rows, keys):
-    """Parse a block of the lines after the header.
-
-    The words of the first topic are interned into ``vocab``; ``labels``
-    grows only when every line of the block is good.  ``keys`` holds the
-    first topic's words as ``WordKeys`` once that topic is complete, and is
-    None before.  Returns ``keys`` as it stands after the block, or False
-    if any line is bad.
-    """
-    if not block.fields(2):
-        return False
+def _read_topic_block(block, first, vocab, labels, rows, keys, rule):
+    """Store a block's rows and labels once its ``Table`` checks out;
+    returns ``keys`` as it stands after the block.  The topic rules run on
+    arrays: the label lines, the first topic's words, interned into
+    ``vocab`` without repeats, and each later topic's words, compared with
+    ``keys`` as byte keys, line for line."""
     V = rows.shape[1]
-    line = block.line - 2 + np.arange(block.size)  # counted from the first TOPIC line
+    line = block.line - first + np.arange(block.size)  # counted from the first TOPIC line
     topic, r = np.divmod(line, V + 1)
-    head = np.flatnonzero(r == 0)
-    tags = block.text(2 * head)
-    if tags.count("TOPIC") != len(tags):
-        return False
-    entry = np.flatnonzero(r)
-    probs = block.floats(2 * entry + 1)
-    if probs is None or np.isnan(probs).any():
-        return False
-    first = entry[topic[entry] == 0]
-    # the first topic's words and the labels, decoded together
-    names = block.text(np.concatenate((2 * first, 2 * head + 1)))
-    if first.size:
-        size = len(vocab)
-        for word in names[: first.size]:
-            vocab.add(word)
-        if len(vocab) != size + first.size:
-            return False
-        if len(vocab) == V:
-            keys = WordKeys.of_words(vocab.words)
+    t = Table(block, 2, lambda i: "<word> <prob>" if r[i] else "TOPIC <label>", r != 0)
+    head, entry = np.flatnonzero(r[: t.n] == 0), t.records
+    words = entry[topic[entry] == 0]
     later = entry[topic[entry] > 0]
-    if later.size and not block.words(2 * later).equal(keys, r[later] - 1):
-        return False
-    rows.reshape(-1)[line[entry] - topic[entry] - 1] = probs
-    labels += names[first.size :]
+    # the first topic's words, the labels and their tags, decoded together
+    names = block.text(np.concatenate((2 * words, 2 * head + 1, 2 * head)))
+    new = names[words.size : words.size + head.size]
+    t.reject(head[[tag != "TOPIC" for tag in names[words.size + head.size :]]], t.expected)
+    ids = np.fromiter(map(vocab.add, names[: words.size]), np.int64, words.size)
+    t.reject(words[ids != r[words] - 1],
+             lambda i: ParseError(f"duplicate word {t.field(i, 0)!r}", t.line + i))
+    if keys is None and len(vocab) == V:
+        keys = WordKeys.of_words(vocab.words)
+    if later.size and keys is not None:
+        every = labels + new
+        t.reject(later[~block.words(2 * later).equal(keys, r[later] - 1)],
+                 lambda i: ParseError(f"word {t.field(i, 0)!r} out of order in topic "
+                                      f"{every[topic[i]]!r}", t.line + i))
+    if rule:
+        rule(t)
+    t.check()
+    rows.reshape(-1)[line[entry] - topic[entry] - 1] = t.numbers
+    labels += new
     return keys
-
-
-def _first_topic_error(chunk, line, vocab, label, V):
-    """The error of the first bad line of ``chunk``, read line by line.
-
-    ``label`` is the topic open before the chunk; words of the first topic
-    that ``_read_topic_block`` interned keep their ids, so they read as good.
-    """
-    for no, text in enumerate(chunk, start=line):
-        text = text.rstrip("\n")
-        parts = text.split()
-        t, r = divmod(no - 2, V + 1)
-        if r == 0:
-            if len(parts) != 2 or parts[0] != "TOPIC":
-                return ParseError(f"expected 'TOPIC <label>', got {text!r}", no)
-            label = parts[1]
-            continue
-        if len(parts) != 2:
-            return ParseError(f"expected '<word> <prob>', got {text!r}", no)
-        word, ptok = parts
-        if t == 0:
-            if vocab.add(word) != r - 1:
-                return ParseError(f"duplicate word {word!r}", no)
-        elif vocab.get(word) != r - 1:
-            return ParseError(f"word {word!r} out of order in topic {label!r}", no)
-        try:
-            p = float(ptok)
-        except ValueError:
-            return ParseError(f"bad probability {ptok!r}", no)
-        if p != p:
-            return ValidationError(f"line {no}: probability {ptok} is not a number")
-    raise AssertionError(f"no bad line among lines {line}-{no}")

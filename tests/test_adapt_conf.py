@@ -488,6 +488,28 @@ class TestEmDriver:
             plain_evaluations += len(trace)
         assert evaluations < plain_evaluations / 2
 
+    def test_step_from_minus_inf_is_no_convergence(self):
+        """A step from an objective of -inf to a finite one is a change, not
+        convergence (inf <= rel_tol * inf): the fit goes on, and stops only
+        once two finite points agree."""
+        calls = []
+
+        def stats(lam):
+            calls.append(lam)
+            return None, -np.inf if len(calls) == 1 else -1.0
+
+        def update(acc, lam, it):
+            return lam.copy()
+
+        lam0 = np.full(2, 0.5)
+        one = _run_em(lam0, stats, update, 0.0, 1, 1e-6)
+        assert one.loglik_trace == [-np.inf, -1.0]
+        assert (one.iterations, one.converged) == (1, False)
+        calls.clear()
+        res = _run_em(lam0, stats, update, 0.0, 100, 1e-6)
+        assert res.loglik_trace == [-np.inf, -1.0, -1.0, -1.0]
+        assert (res.iterations, res.converged) == (3, True)
+
     @pytest.mark.parametrize("use_tf", [False, True])
     def test_rejected_extrapolation_falls_back_to_plain_em(self, use_tf):
         conv, tm, cm = make_instance(15, T=3, V=20, M=60)

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from cnadapt import adapt, cli, synth, topics
+from cnadapt import adapt, cli, modelfile, synth, topics
 from cnadapt.cli import main
 from cnadapt.corpus import Vocabulary
 from cnadapt.errors import EstimationError
@@ -521,6 +521,15 @@ def test_channel_imports_no_numpy_ma(small_run, tmp_path):
     probe = ("import sys\nfrom cnadapt.cli import main\n"
              "code = main(sys.argv[1:])\nprint(code, 'numpy.ma' in sys.modules)\n")
     proc = run_probe(probe, ["channel", str(small_run / "*.cnet"), str(tmp_path / "ch.model")])
+    assert proc.stdout.split()[-2:] == ["0", "False"], proc.stderr
+
+
+def test_synth_imports_no_numpy_ma(tmp_path):
+    """A fresh ``cnadapt synth`` process never imports numpy.ma either."""
+    probe = ("import sys\nfrom cnadapt.cli import main\n"
+             "code = main(sys.argv[1:])\nprint(code, 'numpy.ma' in sys.modules)\n")
+    spec = synth_spec(tmp_path / "spec.json", bins=120, conversations=2)
+    proc = run_probe(probe, ["synth", str(spec), str(tmp_path / "data")])
     assert proc.stdout.split()[-2:] == ["0", "False"], proc.stderr
 
 
@@ -1126,7 +1135,7 @@ class TestPpl:
         ref.write_text("a b\n")
         code, out, err = run(["ppl", str(uni), str(ref)], capsys)
         assert code == 2
-        assert err == f"error: {uni}: probability nan is not a number\n"
+        assert err == f"error: {uni}: line 2: probability nan is not a number\n"
         assert out == ""
 
     @pytest.mark.parametrize("header", ["UNIGRAM \u0662", "UNIGRAM +2", "UNIGRAM \uff12"],
@@ -1145,13 +1154,24 @@ class TestPpl:
     @pytest.mark.parametrize(
         "body, message",
         [
-            ("UNIGRAM 2\na 0.5 x\nb 0.5\n", "bad line 'a 0.5 x'"),
-            ("UNIGRAM 2\na 0.5\na 0.5\n", "duplicate word 'a'"),
-            ("UNIGRAM 2\na zz\nb 0.5\n", "bad probability 'zz'"),
+            ("UNIGRAM 2\na 0.5 x\nb 0.5\n", "line 2: expected '<word> <prob>', got 'a 0.5 x'"),
+            ("UNIGRAM 2\na 0.5\na 0.5\n", "line 3: duplicate word 'a'"),
+            ("UNIGRAM 2\na zz\nb 0.5\n", "line 2: bad probability 'zz'"),
             ("UNIGRAM 2\na 1.5\nb -0.5\n", "line 3: negative probability -0.5"),
             ("UNIGRAM 2 junk\na 0.5\nb 0.5\n", "bad header 'UNIGRAM 2 junk'"),
+            ("UNIGRAMS 2\na 0.5\nb 0.5\n", "expected 'UNIGRAM <V>' header"),
+            ("", "expected 'UNIGRAM <V>' header"),
+            ("UNIGRAM 3\na 0.5\nb 0.5\n", "header declares 3 words, found 2"),
+            ("UNIGRAM 2\na 0.5\nb 0.5\n\n", "header declares 2 words, found 3"),
+            ("UNIGRAM 2\na 0.5\nb 0.25\n", "probabilities do not sum to 1"),
+            # the first bad line wins, and on one line the word is checked first
+            ("UNIGRAM 3\na 0.5\na x\nb\n", "line 3: duplicate word 'a'"),
+            ("UNIGRAM 3\na -1\nb x\nc\n", "line 2: negative probability -1"),
+            ("UNIGRAM 3\na 1\nb nan\nc -1\n", "line 3: probability nan is not a number"),
         ],
-        ids=["bad-line", "duplicate", "bad-probability", "negative", "header-extra"],
+        ids=["bad-line", "duplicate", "bad-probability", "negative", "header-extra",
+             "header-word", "empty", "fewer-words", "more-words", "sum",
+             "duplicate-first", "negative-first", "nan-first"],
     )
     def test_bad_unigram_exit_2(self, tmp_path, capsys, body, message):
         uni = tmp_path / "u.unigram"
@@ -1162,6 +1182,53 @@ class TestPpl:
         assert code == 2
         assert err == f"error: {uni}: {message}\n"
         assert out == ""
+
+    @pytest.mark.parametrize("line, text, message", [
+        (19000, "w18998 x", "bad probability 'x'"),
+        (19000, "w18998 -0.5", "negative probability -0.5"),
+        (19001, "w00007 0.00005", "duplicate word 'w00007'"),
+        (19002, "w19000", "expected '<word> <prob>', got 'w19000'"),
+    ], ids=["bad-probability", "negative", "duplicate", "bad-line"])
+    def test_bad_line_past_the_first_block(self, tmp_path, capsys, line, text, message):
+        # 20,000 lines of 16 bytes: the bad line is past the first block
+        lines = [f"w{i:05d} 0.00005" for i in range(20000)]
+        lines[line - 2] = text
+        uni = tmp_path / "u.unigram"
+        uni.write_text("UNIGRAM 20000\n" + "\n".join(lines) + "\n")
+        assert uni.stat().st_size > 1.1 * modelfile.BLOCK_BYTES
+        ref = tmp_path / "ref.txt"
+        ref.write_text("w00000\n")
+        code, out, err = run(["ppl", str(uni), str(ref)], capsys)
+        assert code == 2
+        assert err == f"error: {uni}: line {line}: {message}\n"
+        assert out == ""
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_other_line_ends(self, tmp_path, capsys, newline):
+        uni, ref = self.write_uniform(tmp_path)
+        _, want, _ = run(["ppl", str(uni), str(ref)], capsys)
+        uni.write_bytes(uni.read_bytes().replace(b"\n", newline.encode()))
+        code, out, _ = run(["ppl", str(uni), str(ref)], capsys)
+        assert (code, out) == (0, want)
+        uni.write_bytes(b"UNIGRAM 2\na 0.5\na 0.5\n".replace(b"\n", newline.encode()))
+        code, out, err = run(["ppl", str(uni), str(ref)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {uni}: line 3: duplicate word 'a'\n"
+
+    def test_round_trip_at_50000_words(self, tmp_path):
+        """What ``write_unigram_file`` writes, ``load_unigram_file`` reads
+        back: the words in their order and each probability as ``float()``
+        reads its 12 written digits, bitwise."""
+        rng = np.random.default_rng(11)
+        probs = rng.random(50000) ** 4
+        probs /= probs.sum()
+        vocab = Vocabulary(f"w{i}" for i in rng.permutation(50000))
+        path = tmp_path / "u.unigram"
+        cli.write_unigram_file(path, vocab, probs)
+        got_vocab, got = cli.load_unigram_file(path)
+        assert got_vocab.words == vocab.words
+        want = np.array([float(f"{p:.12g}") for p in probs.tolist()])
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("kind", ["unigram", "ref"])
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r", "\u2028"])

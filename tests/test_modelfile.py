@@ -230,7 +230,8 @@ class TestWordKeys:
         if swap is not None:
             words[swap] = data.draw(EDGE_WORDS.filter(lambda w: w != words[swap]))
         keys = block_of([" ".join(words)]).words(np.arange(len(words)))
-        assert keys.equal(WordKeys.of_words(vocab), np.array(at)) is (swap is None)
+        same = keys.equal(WordKeys.of_words(vocab), np.array(at))
+        assert same.tolist() == [i != swap for i in range(len(at))]
 
 
 class TestLoadMemory:

@@ -253,6 +253,8 @@ def _adapt_in_worker(job):
 
 
 def cmd_adapt(args):
+    if args.jobs < 1:
+        raise InputError(f"--jobs {args.jobs} < 1")
     if args.variant in ("conf-1best", "conf-tf") and not args.channel:
         raise InputError(f"variant {args.variant} requires --channel")
     if args.channel and not os.path.isfile(args.channel):
@@ -268,7 +270,7 @@ def cmd_adapt(args):
     cfg = adapt.EstimatorConfig(**cfg_kwargs)
     directory = os.path.isdir(args.cnet)
     if directory:
-        paths = sorted(globmod.glob(os.path.join(args.cnet, "*.cnet")))
+        paths = sorted(globmod.glob(os.path.join(globmod.escape(args.cnet), "*.cnet")))
         if not paths:
             raise InputError(f"no .cnet files under {args.cnet!r}")
     elif args.out_unigram is True:
@@ -292,8 +294,9 @@ def cmd_adapt(args):
         if args.jobs > 1 and len(jobs) > 1:
             from concurrent.futures import ProcessPoolExecutor  # a --jobs 1 run needs none
 
-            with ProcessPoolExecutor(max_workers=args.jobs, initializer=_init_worker,
-                                     initargs=(tm, cm, cfg)) as pool:
+            # the pool forks all its workers up front, so fork no more than there is work
+            with ProcessPoolExecutor(max_workers=min(args.jobs, len(jobs)),
+                                     initializer=_init_worker, initargs=(tm, cm, cfg)) as pool:
                 entries = list(pool.map(_adapt_in_worker, jobs))
         else:
             entries = [_adapt_guarded(tm, cm, cfg, job) for job in jobs]

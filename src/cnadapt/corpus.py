@@ -13,18 +13,18 @@ parser fills them a block of lines at a time.  ``Bin`` and
 A CNET, from a file or a string alike, is read as bytes in ``modelfile``'s
 ``Block``s of whole lines, as the model files are.  In each block only the
 CONV and NET lines are decoded; the BIN lines are read in bulk, with numpy,
-and a block that breaks a rule of the format is read again line by line,
-only to name its first bad line.  The bulk reader reads a posterior as the
-integer n of its digits, the fraction padded with zeros to 9 digits, over
-10**9: n <= 10**9 < 2**53 and 10**9 are exact doubles, so the quotient is
-bitwise what ``float()`` returns.
+and the bulk reader itself names the first line that breaks a rule of the
+format (see ``_read_block``).  It reads a posterior as the integer n of its
+digits, the fraction padded with zeros to 9 digits, over 10**9: n <= 10**9
+< 2**53 and 10**9 are exact doubles, so the quotient is bitwise what
+``float()`` returns.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import repeat
 
 import numpy as np
@@ -259,22 +259,6 @@ def pruned_widths(conv: Conversation, rel_floor: float = 0.05, max_words: int = 
     return np.minimum(kept, max_words)
 
 
-def _parse_posterior(token: str, lineno: int) -> float:
-    m = _POSTERIOR.fullmatch(token)
-    if m is None:
-        raise ParseError(f"bad posterior {token!r}", lineno)
-    frac = m.group(1)
-    if frac is not None and len(frac) > MAX_FRACTION_DIGITS:
-        raise ParseError(
-            f"posterior {token!r} has more than {MAX_FRACTION_DIGITS} fraction digits",
-            lineno,
-        )
-    value = float(token)
-    if value > 1.0:
-        raise ValidationError(f"line {lineno}: posterior {token} outside [0, 1]")
-    return value
-
-
 def _head(parts, line, no, header):
     """(id, bin count) of the CONV line, when not ``header``, or of a NET
     line (the CONV line counts 0 bins), or raise its error."""
@@ -292,61 +276,42 @@ def _head(parts, line, no, header):
     return parts[1], nbins
 
 
-def _first_bad_line(block, header, left, intern, unk):
-    """Raise the error of the first bad line of ``block``, checking every
-    rule of the format one line at a time.
+def _misplaced(block, at, header, in_net):
+    """The error of line ``at`` of ``block``: no BIN line of cells while its
+    NET awaits one (``in_net``), or else a line ``_head`` rejects and raises."""
+    text, no = block.lines()[at], block.line + at
+    if in_net:
+        return ParseError(f"expected 'BIN <word>:<posterior> ...', got {text!r}", no)
+    _head(text.split(), text, no, header)
 
-    ``header`` tells whether the CONV line came before the block, and
-    ``left`` how many BIN lines the last NET line still awaits.  A word
-    ``intern`` maps to None becomes ``unk``; when that is None too the cell
-    is dropped.  Cells meeting at ``unk`` in a bin with such a word merge,
-    their posteriors summed in file order and capped at 1.
-    """
-    for no, line in enumerate(block.lines(), start=block.line):
-        parts = line.split()
-        if not parts:
-            continue
-        if not (header and left):
-            _, left = _head(parts, line, no, header)
-            header = True
-            continue
-        left -= 1
-        if parts[0] != "BIN" or len(parts) < 2:
-            raise ParseError(f"expected 'BIN <word>:<posterior> ...', got {line!r}", no)
-        cells = []
-        oov = False
-        for cell in parts[1:]:
-            word, sep, ptok = cell.rpartition(":")
-            if not sep or not word:
-                raise ParseError(f"bad cell {cell!r}", no)
-            post = _parse_posterior(ptok, no)
-            wid = intern(word)
-            if wid is None:
-                oov = True
-                wid = unk
-            if wid is not None:
-                cells.append((wid, post))
-        if oov and unk is not None:
-            merged = sum(post for wid, post in cells if wid == unk)
-            cells = [c for c in cells if c[0] != unk] + [(unk, min(merged, 1.0))]
-        if cells:
-            try:
-                Bin(cells)
-            except ValidationError as exc:
-                raise ValidationError(f"line {no}: {exc}") from None
-    raise AssertionError(f"no bad line among lines {block.line}-{block.line + block.size - 1}")
+
+def _cell_error(cell, no):
+    """The error of ``cell``, a cell of line ``no`` with no word and ':'
+    before its posterior or with a bad posterior."""
+    word, sep, token = cell.rpartition(":")
+    if not sep or not word:
+        return ParseError(f"bad cell {cell!r}", no)
+    match = _POSTERIOR.fullmatch(token)
+    if match is None:
+        return ParseError(f"bad posterior {token!r}", no)
+    if len(match.group(1) or "") > MAX_FRACTION_DIGITS:
+        return ParseError(
+            f"posterior {token!r} has more than {MAX_FRACTION_DIGITS} fraction digits", no
+        )
+    return ValidationError(f"line {no}: posterior {token} outside [0, 1]")
 
 
 def _posteriors(buf, colon, end):
-    """The values of the posteriors [colon + 1, end) of a block's cells, or
-    None when one is not digits, then optionally '.' and 1 to
-    MAX_FRACTION_DIGITS digits, or is above 1.
+    """The values of the posteriors [colon + 1, end), of one byte or more,
+    of a block's cells, and whether each is digits, then optionally '.' and
+    1 to MAX_FRACTION_DIGITS digits, and at most 1.
 
     With its fraction padded with zeros to MAX_FRACTION_DIGITS digits, a
     posterior is n / 10**MAX_FRACTION_DIGITS for an integer n <= 10**9 <
     2**53.  Both are exact doubles, so their IEEE quotient is the double
     nearest the decimal: bitwise what float() returns.
     """
+    rejected = []  # cells a check before the value rejects
     # the '.', at end when there is none, is nearly always right after one
     # digit; when a posterior of two bytes or more has none there, look for it
     dot = np.where(buf[colon + 2] == ord("."), colon + 2, end)
@@ -355,47 +320,52 @@ def _posteriors(buf, colon, end):
         owner = np.searchsorted(colon, dots) - 1
         inside = (owner >= 0) & (dots < end[owner])
         dots, owner = dots[inside], owner[inside]
-        if (np.diff(owner) == 0).any():
-            return None
+        rejected.append(owner[1:][np.diff(owner) == 0])  # a second '.'
         dot = end.copy()
         dot[owner] = dots
     frac = end - dot - 1  # -1 without a '.'
     if (frac == 0).any() or (frac > MAX_FRACTION_DIGITS).any():
-        return None
+        rejected.append((frac == 0) | (frac > MAX_FRACTION_DIGITS))
+        frac = np.minimum(frac, MAX_FRACTION_DIGITS)
     # a whole part of several digits is zeros and then its last digit, or above 1
     long = np.flatnonzero(dot - colon > 2)
-    if long.size and (buf[ragged(colon[long] + 1, dot[long] - 1)] != ord("0")).any():
-        return None
+    if long.size:
+        nonzero = buf[ragged(colon[long] + 1, dot[long] - 1)] != ord("0")
+        rejected.append(np.repeat(long, dot[long] - colon[long] - 2)[nonzero])
     digits = np.lib.stride_tricks.sliding_window_view(buf, MAX_FRACTION_DIGITS)[dot + 1]
     digits -= ord("0")
     digits *= _FRACTION[frac + 1]
     if (digits > 9).any():
-        return None
+        rejected.append((digits > 9).any(axis=1))
     # a last whole digit that is no digit (the ':' when there is none) reads
-    # as 10 or more, so the posterior reads as above 1
+    # as 10 or more, so the posterior reads as above 1, as one rejected does
     num = (buf[dot - 1] - ord("0")).astype(np.int64)
     for column in digits.T:
         num *= 10
         num += column
-    if (num > 10**MAX_FRACTION_DIGITS).any():
-        return None
-    return num / float(10**MAX_FRACTION_DIGITS)
+    for cells in rejected:
+        num[cells] = 10**MAX_FRACTION_DIGITS + 1
+    return num / float(10**MAX_FRACTION_DIGITS), num <= 10**MAX_FRACTION_DIGITS
 
 
 def _read_block(block, heads, left, vocab: Vocabulary, closed: bool, unk):
     """Read ``block`` in bulk: (left, (widths, words, posts, outside words)
-    of its BIN lines) as they stand after it, or None when some line breaks
-    a rule of the format.
+    of its BIN lines) as they stand after it, or raise the error of its
+    first line that breaks a rule of the format.
 
     ``heads`` holds the (id, bin count) of the CONV line and of each NET
     line read so far, and grows by the block's; ``left`` is how many BIN
     lines the last NET line still awaits.  Only the lines whose first token
-    is not "BIN" are decoded, and walked in Python with ``_head``.  In a BIN
-    line, every cell must hold a ':', with a word before the last one and a
-    posterior after it (see ``_posteriors``).  Each distinct word is looked
-    up in ``vocab`` once; in open mode the words it lacks are interned in
-    the order they first occur.  The cells are sorted only when some bin is
-    not in canonical order.
+    is not "BIN" are decoded, and walked in Python with ``_head``.  Each
+    distinct word is looked up in ``vocab`` once; in open mode the words it
+    lacks are interned in the order they first occur.  The cells are
+    sorted only when some bin is not in canonical order.
+
+    The rules run in the order a reader of one line meets them: the line's
+    kind; each cell in turn, its last ':' and then its posterior; the bin
+    in canonical order, a word met twice or a zero, then its sum.  Each
+    runs on the whole block, and only when it fails is the first line it
+    rejects found; the later rules run on the lines before that one.
     """
     starts, ends, buf = block.starts, block.ends, block.buf
     # line i holds tokens bound[i] to bound[i + 1]; a break is whitespace
@@ -403,47 +373,59 @@ def _read_block(block, heads, left, vocab: Vocabulary, closed: bool, unk):
     count = np.diff(bound)
     lines = np.flatnonzero(count)
     tag = starts[bound[lines]]
-    is_bin = (ends[bound[lines]] - tag == 3) & (
+    # a BIN line of cells: the lone token "BIN" is a line of the wrong kind
+    is_bin = (count[lines] > 1) & (ends[bound[lines]] - tag == 3) & (
         np.lib.stride_tricks.sliding_window_view(buf, 3)[tag] == _BIN
     ).all(axis=1)
     other = np.flatnonzero(~is_bin)
     lo, hi = bound[lines[other]], bound[lines[other] + 1]
+    error = None  # makes the error of the first bad line found so far
     done = 0  # the nonblank lines walked
     for o, a, b in zip(other.tolist(), starts[lo].tolist(), ends[hi - 1].tolist()):
-        line = block.data[a:b].decode("utf-8")
         if o - done != left:
-            return None
+            break
+        line = block.data[a:b].decode("utf-8")
         try:
             heads.append(_head(line.split(), line, None, bool(heads)))
         except InputError:
-            return None
+            break
         left, done = heads[-1][1], o + 1
+    else:
+        o = lines.size
+    # the first nonblank line of the wrong kind or that _head rejects
+    wrong = min(o, done + left)
+    if wrong < lines.size:
+        error = partial(_misplaced, block, int(lines[wrong]), bool(heads), wrong < done + left)
     left -= lines.size - done
-    width = count[lines[is_bin]] - 1
-    if left < 0 or not (width > 0).all():
-        return None
-    nb = width.size
-    if not nb:
-        return left, None
+    bins = lines[:wrong][is_bin[:wrong]]
+    width = count[bins] - 1
+    stop = bound[bins[-1] + 1] if bins.size else 0
     cell = np.ones(starts.size, dtype=bool)
     cell[bound[lines]] = False
     cell[ragged(lo, hi)] = False
-    cs, ce = starts[cell], ends[cell]
+    cs, ce = starts[:stop][cell[:stop]], ends[:stop][cell[:stop]]
+    bad = cs.size  # the first bad cell
     colon = np.flatnonzero(buf == ord(":"))
-    if colon.size != cs.size:
-        # some word or id holds ':' or some cell none: take each cell's last ':'
-        if not colon.size:
-            return None
-        colon = colon[np.searchsorted(colon, ce) - 1]
     # the i-th ':' inside cell i, with bytes on either side
-    if not ((cs < colon) & (colon + 1 < ce)).all():
-        return None
+    if colon.size != cs.size or not ((cs < colon) & (colon + 1 < ce)).all():
+        # some word or id holds ':' or some cell none: each cell's last ':' (or -1)
+        colon = np.r_[-1, colon][np.searchsorted(colon, ce)]
+        good = (cs < colon) & (colon + 1 < ce)
+        if not good.all():
+            bad = int(np.argmin(good))
     # every row read past the block's end ends within 10 bytes of it, inside
     # the padding
-    posts = _posteriors(buf, colon, ce)
-    if posts is None:
-        return None
-
+    posts, ok = _posteriors(buf, colon[:bad], ce[:bad])
+    if not ok.all():
+        bad = int(np.argmin(ok))
+    if bad < cs.size:  # keep the bins before the bad cell's line
+        ptr = _offsets(width)
+        nb = int(np.searchsorted(ptr, bad, side="right")) - 1
+        cell_text = block.data[cs[bad] : ce[bad]].decode("utf-8")
+        error = partial(_cell_error, cell_text, block.line + int(bins[nb]))
+        bins, width, n = bins[:nb], width[:nb], ptr[nb]
+        cs, colon, posts = cs[:n], colon[:n], posts[:n]
+    nb = width.size
     word, first = WordKeys(buf, block.u64, cs, colon - cs).distinct()
     names = [
         block.data[a:b].decode("utf-8")
@@ -475,8 +457,6 @@ def _read_block(block, heads, left, vocab: Vocabulary, closed: bool, unk):
             keep[at[~head]] = False
         ids, posts, bin_of = ids[keep], posts[keep], bin_of[keep]
         width = np.bincount(bin_of, minlength=nb)
-    if not (posts > 0.0).all():
-        return None
     later = posts[1:]
     unsorted = (bin_of[1:] == bin_of[:-1]) & (
         (posts[:-1] < later) | ((posts[:-1] == later) & (ids[:-1] > ids[1:]))
@@ -484,14 +464,35 @@ def _read_block(block, heads, left, vocab: Vocabulary, closed: bool, unk):
     if unsorted.any():
         order = np.lexsort((ids, -posts, bin_of))
         ids, posts = ids[order], posts[order]
-    key = np.sort(bin_of * len(vocab) + ids)
-    if (key[1:] == key[:-1]).any():
-        return None  # a word twice in a bin
+    key = bin_of * len(vocab) + ids
+    ordered = np.sort(key)
     # bincount adds each bin's posteriors in canonical order, as Bin does
     total = np.bincount(bin_of, weights=posts, minlength=nb)
-    if (total > 1.0 + POSTERIOR_SUM_SLACK).any():
-        return None
+    if (ordered[1:] == ordered[:-1]).any() or not (posts > 0.0).all() or (
+            total > 1.0 + POSTERIOR_SUM_SLACK).any():
+        _bad_bin(block.line + bins, key, ids, posts, bin_of, total)
+    if error is not None:
+        raise error()
     return left, (width, ids, posts, outside.size)
+
+
+def _bad_bin(line, key, ids, posts, bin_of, total):
+    """Raise the error of the first bad bin, ``line`` holding the line of
+    each bin and ``key`` the (bin, word) key of each cell, in canonical
+    order: its first cell whose word came before or whose posterior is 0,
+    else its sum above 1."""
+    order = np.argsort(key, kind="stable")
+    again = np.zeros(key.size, dtype=bool)
+    again[order[1:][key[order[1:]] == key[order[:-1]]]] = True
+    bad = np.flatnonzero(again | ~(posts > 0.0))
+    over = np.flatnonzero(total > 1.0 + POSTERIOR_SUM_SLACK)
+    b = min(bin_of[bad[:1]].tolist() + over[:1].tolist())
+    no, i = int(line[b]), bad[0] if bad.size else None
+    if i is not None and bin_of[i] == b:
+        if again[i]:
+            raise ValidationError(f"line {no}: duplicate word id {int(ids[i])} in bin")
+        raise ValidationError(f"line {no}: posterior {float(posts[i])!r} outside (0, 1]")
+    raise ValidationError(f"line {no}: bin posteriors sum to {float(total[b])!r} > 1")
 
 
 def parse_conversation(text: str, vocab: Vocabulary, closed: bool = False) -> Conversation:
@@ -505,9 +506,8 @@ def parse_conversation(text: str, vocab: Vocabulary, closed: bool = False) -> Co
 
     The text is read as its UTF-8 bytes by the reader of a CNET file, so a
     line ends at "\\n", "\\r\\n" or "\\r" in both.  It reads a block of whole
-    lines at a time, in bulk, and a block that fails a check line by line
-    for its error, so the first error in the file is the one reported.  The
-    text is encoded a slice at a time, as the blocks need it.
+    lines at a time, in bulk, and raises the error of the first bad line in
+    the file.  The text is encoded a slice at a time, as the blocks need it.
     """
     return _read(blocks(_Encoded(text)), vocab, closed)
 
@@ -531,13 +531,8 @@ def _read(file_blocks, vocab: Vocabulary, closed: bool) -> Conversation:
     unk = vocab.get(UNK_WORD) if closed else None
     heads, left, parts = [], 0, []
     for block in file_blocks:
-        before = bool(heads), left
-        got = _read_block(block, heads, left, vocab, closed, unk)
-        if got is None:  # a line breaks a rule: find it
-            _first_bad_line(block, *before, vocab.get if closed else vocab.add, unk)
-        left, bins = got
-        if bins is not None:
-            parts.append(bins)
+        left, bins = _read_block(block, heads, left, vocab, closed, unk)
+        parts.append(bins)
     if not heads:
         raise ParseError("empty input", 1)
     (cid, _), *nets = heads

@@ -746,6 +746,53 @@ class TestAdaptDirectory:
         }
         assert entries[1]["cid"] == "synth001"
 
+    def test_workers_capped_at_the_conversations(self, small_run, tmp_path, capsys,
+                                                 monkeypatch):
+        """The pool forks every worker it is asked for before its first task,
+        so ``--jobs 64`` over two conversations asks for two.  A stand-in
+        pool records the count and runs the work in this process."""
+        import concurrent.futures
+
+        asked = []
+
+        class InProcessPool:
+            def __init__(self, max_workers, initializer, initargs):
+                asked.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(cli, "_worker_models", None)
+        code, _, err = self.adapt(capsys, small_run, small_run, tmp_path / "fit64", jobs=64)
+        assert code == 0, err
+        assert asked == [2]
+        code, _, err = self.adapt(capsys, small_run, small_run, tmp_path / "fit1")
+        assert code == 0, err
+        assert asked == [2]
+        assert read_nonmanifest(tmp_path / "fit64") == read_nonmanifest(tmp_path / "fit1")
+
+    def test_directory_name_is_no_glob(self, small_run, tmp_path, capsys):
+        """A directory named like a glob pattern is read as its own name."""
+        d = tmp_path / "run[1]"
+        d.mkdir()
+        for name in ("synth000", "synth001"):
+            (d / f"{name}.cnet").write_text((small_run / f"{name}.cnet").read_text())
+        out = tmp_path / "fit"
+        code, _, err = self.adapt(capsys, small_run, d, out)
+        assert code == 0, err
+        assert set(read_nonmanifest(out)) == {
+            f"{name}{ext}" for name in ("synth000", "synth001")
+            for ext in (".lambda", ".lambda.diag.json", ".unigram")
+        }
+
     def test_conversation_not_utf8(self, small_run, tmp_path, capsys):
         d = tmp_path / "cnets"
         d.mkdir()
@@ -898,6 +945,21 @@ class TestAdaptOptions:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert loads == []
         assert os.listdir(tmp_path) == []
+
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exit_2_before_output(self, small_run, tmp_path, capsys, jobs):
+        out = tmp_path / "fit"
+        code, stdout, err = run(
+            ["adapt", str(small_run), str(small_run / "topics.model"), str(out),
+             "--variant", "conf-tf", "--channel", str(small_run / "channel.model"),
+             "--jobs", jobs],
+            capsys,
+        )
+        assert code == 2
+        assert err == f"error: --jobs {jobs} < 1\n"
+        assert stdout == ""
+        assert not out.exists()
 
 
 class TestAdaptEdgeChannels:

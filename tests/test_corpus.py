@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cnadapt import corpus, modelfile
+from cnadapt import modelfile
 from cnadapt.corpus import (
     Bin,
     ConfusionNetwork,
@@ -128,6 +128,19 @@ class TestBin:
     def test_tie_break_is_word_id(self):
         b = Bin([(9, 0.5), (4, 0.5)])
         assert b.one_best() == (4, 0.5)
+
+    @pytest.mark.parametrize("make,args,message", [
+        (Bin, [[]], "empty bin"),
+        (Bin, [[(2, 0.5), (1, 0.0)]], "posterior 0.0 outside (0, 1]"),
+        (Bin, [[(1, 1.5)]], "posterior 1.5 outside (0, 1]"),
+        (Bin, [[(1, 0.5), (1, 0.25)]], "duplicate word id 1 in bin"),
+        (Bin, [[(1, 0.7), (2, 0.7)]], "bin posteriors sum to 1.4 > 1"),
+        (ConfusionNetwork, ["u", ()], "utterance 'u' has no bins"),
+    ], ids=["empty", "zero", "above-one", "duplicate", "sum", "no-bins"])
+    def test_object_form_checks(self, make, args, message):
+        with pytest.raises(ValidationError) as info:
+            make(*args)
+        assert str(info.value) == message
 
 
 class TestPrune:
@@ -364,6 +377,23 @@ PARSE_ERRORS = [
      "line {no}: bin posteriors sum to 1.4 > 1", 3, ValidationError, None),
     ("bin-sum-past-slack", ["CONV c", "NET u 1", "BIN a:0.7 b:0.3001"],
      "line {no}: bin posteriors sum to 1.0001 > 1", 2, ValidationError, None),
+    # on one line: the cells in turn, each its ':' then its posterior; then
+    # the bin in canonical order, a word met twice or a zero, then the sum
+    ("posterior-before-later-cell", ["CONV c", "NET u 1", "BIN a:x b0.5"],
+     "line {no}: bad posterior 'x'", 2, ParseError, None),
+    ("cell-before-later-posterior", ["CONV c", "NET u 1", "BIN a0.5 b:x"],
+     "line {no}: bad cell 'a0.5'", 2, ParseError, None),
+    ("fraction-digits-before-later-posterior", ["CONV c", "NET u 1", "BIN a:0.1234567891 b:x"],
+     "line {no}: posterior '0.1234567891' has more than 9 fraction digits", 2,
+     ParseError, None),
+    ("above-one-before-later-fraction-digits", ["CONV c", "NET u 1", "BIN a:1.5 b:0.1234567891"],
+     "line {no}: posterior 1.5 outside [0, 1]", 2, ValidationError, None),
+    ("duplicate-before-zero", ["CONV c", "NET u 1", "BIN a:0.5 b:0 a:0.4"],
+     "line {no}: duplicate word id 0 in bin", 2, ValidationError, None),
+    ("zero-before-duplicate", ["CONV c", "NET u 1", "BIN a:0 a:0"],
+     "line {no}: posterior 0.0 outside (0, 1]", 2, ValidationError, None),
+    ("zero-before-sum", ["CONV c", "NET u 1", "BIN a:0.7 b:0.7 c:0"],
+     "line {no}: posterior 0.0 outside (0, 1]", 2, ValidationError, None),
     ("no-utterances", ["CONV c"], "line 1: conversation has no utterances", None,
      ParseError, None),
     ("no-word-in-vocabulary", ["CONV c", "NET u 1", "BIN zz:1"],
@@ -607,33 +637,24 @@ class TestParseMatchesReference:
     # whose posteriors the byte scans for ':' and '.' read
     @example("CONV c:1.5\nNET u:0.5 2\nBIN a:1\nBIN b:00.5 a.b:0.25\nNET v.1:2 1\nBIN a:01\n",
              "open", modelfile.BLOCK_BYTES)
+    # a line of the wrong kind is quoted as written, trailing space and all
+    @example("CONV c\nNET u0 1\nBINX a:0.25 \n", "open", modelfile.BLOCK_BYTES)
     @settings(max_examples=300, deadline=None)
     def test_arrays_and_errors(self, text, mode, block):
         closed = mode != "open"
         base = CLOSED_WORDS + (["<unk>"] if mode == "closed-unk" else []) if closed else ["a"]
         ref_vocab, vocab = Vocabulary(base), Vocabulary(base)
         want, want_error = outcome(reference_parse, text, ref_vocab, closed)
-        by_line = []  # the blocks read line by line
-
-        def spy(lines, *args):
-            by_line.append(lines)
-            return read_by_line(lines, *args)
-
-        read_by_line = corpus._first_bad_line
-        with mock.patch.object(modelfile, "BLOCK_BYTES", block), mock.patch.object(
-            corpus, "_first_bad_line", spy
-        ):
+        with mock.patch.object(modelfile, "BLOCK_BYTES", block):
             conv, error = outcome(parse_conversation, text, vocab, closed)
         assert error == want_error
         if error:
             return
-        # with no error in the file, no block is read line by line
-        assert not by_line
         assert_matches_reference(conv, vocab, want, ref_vocab)
 
     def test_long_closed_file_in_bulk(self):
         """A closed-vocabulary file of more than two blocks, with words outside
-        ASCII and outside words merging at <unk>, needs no line-by-line pass."""
+        ASCII and outside words merging at <unk>."""
         rng = np.random.default_rng(12)
         words = ["a", "b", "café", "<unk>", "日本", "zz", "w.1"]
         posteriors = ["0.25", "0.1", "0.05", "0.123456789", "0000000000.2", "0.2"]
@@ -647,8 +668,7 @@ class TestParseMatchesReference:
         base = ["a", "b", "café", "<unk>"]
         ref_vocab, vocab = Vocabulary(base), Vocabulary(base)
         want = reference_parse(text, ref_vocab, True)
-        with mock.patch.object(corpus, "_first_bad_line", side_effect=AssertionError), \
-                mock.patch.object(modelfile, "BLOCK_BYTES", len(text) // 4):
+        with mock.patch.object(modelfile, "BLOCK_BYTES", len(text) // 4):
             conv = parse_conversation(text, vocab, closed=True)
         assert conv.oov_cells > 1000
         assert_matches_reference(conv, vocab, want, ref_vocab)
@@ -656,7 +676,7 @@ class TestParseMatchesReference:
     @pytest.mark.parametrize("mode", ["open", "closed-unk"])
     def test_wide_space_and_colon_words_in_bulk(self, mode):
         """Whitespace outside ASCII between and around cells, and words
-        holding ':', need no line-by-line pass either."""
+        holding ':'."""
         rng = np.random.default_rng(13)
         words = ["a", "a:b", "x:", "q:q:1", ":c", "café", "zz", "<unk>"]
         seps = [" ", "\xa0", "\u3000", "\t\u3000", "\x85", "\u2028 "]
@@ -673,14 +693,12 @@ class TestParseMatchesReference:
         base = ["a", "a:b", ":c", "<unk>"] if closed else []
         ref_vocab, vocab = Vocabulary(base), Vocabulary(base)
         want = reference_parse(text, ref_vocab, closed)
-        with mock.patch.object(corpus, "_first_bad_line", side_effect=AssertionError), \
-                mock.patch.object(modelfile, "BLOCK_BYTES", len(text) // 2):
+        with mock.patch.object(modelfile, "BLOCK_BYTES", len(text) // 2):
             conv = parse_conversation(text, vocab, closed)
         assert_matches_reference(conv, vocab, want, ref_vocab)
 
     def test_bulk_path_reads_canonical_files(self):
-        """A file as save_conversation writes it never needs the line-by-line
-        path, which the reference shares."""
+        """A file as save_conversation writes it reads back to the same text."""
         vocab = Vocabulary(f"w{i}" for i in range(20))
         rng = np.random.default_rng(3)
         nets = []
@@ -693,8 +711,7 @@ class TestParseMatchesReference:
                 bins.append(Bin([(int(w), float(p)) for w, p in zip(wids, post)]))
             nets.append(ConfusionNetwork(f"u{u}", tuple(bins)))
         text = serialize_conversation(Conversation("c", nets), vocab)
-        with mock.patch.object(corpus, "_first_bad_line", side_effect=AssertionError):
-            conv = parse_conversation(text, vocab, closed=True)
+        conv = parse_conversation(text, vocab, closed=True)
         assert serialize_conversation(conv, vocab) == text
 
 

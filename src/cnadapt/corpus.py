@@ -17,7 +17,11 @@ and the bulk reader itself names the first line that breaks a rule of the
 format (see ``_read_block``).  It reads a posterior as the integer n of its
 digits, the fraction padded with zeros to 9 digits, over 10**9: n <= 10**9
 < 2**53 and 10**9 are exact doubles, so the quotient is bitwise what
-``float()`` returns.
+``float()`` returns.  The fixed-width parts of a line are read as the
+block's little-endian 8-byte words: the ``BIN`` tag in one masked compare,
+and the first 8 fraction digits of a posterior as one word.  A block's
+words are numbered, in the order they first occur, by the hash pass that
+also finds the distinct numbers of a model file (``WordKeys.distinct``).
 """
 
 from __future__ import annotations
@@ -30,18 +34,17 @@ from itertools import repeat
 import numpy as np
 
 from .errors import InputError, ParseError, ValidationError
-from .modelfile import COUNT, WordKeys, blocks, ragged, utf8_error
+from .modelfile import _FIRST, COUNT, PAD, WordKeys, blocks, ragged, utf8_error
 
 POSTERIOR_SUM_SLACK = 1e-6
 MAX_FRACTION_DIGITS = 9
 UNK_WORD = "<unk>"
 
 _POSTERIOR = re.compile(r"[0-9]+(?:\.([0-9]+))?")
-# The bulk reader's tables.
-_BIN = np.frombuffer(b"BIN", dtype=np.uint8)
-# _FRACTION[k + 1, j]: whether digit j after a '.' is in a fraction of k
-# digits (k = -1: the posterior has no '.')
-_FRACTION = np.arange(MAX_FRACTION_DIGITS) < np.arange(-1, MAX_FRACTION_DIGITS + 1)[:, None]
+# The bulk reader's little-endian uint64 constants: a line's first 3 bytes
+# and "BIN"; and per byte "0", 0x7F, 0x80 - 10 and 0x80
+_TAG, _BIN = 0xFFFFFF, int.from_bytes(b"BIN", "little")
+_ZEROS, _LOW7, _TEN, _BIT7 = (0x0101010101010101 * b for b in (0x30, 0x7F, 0x76, 0x80))
 
 
 class Vocabulary:
@@ -301,28 +304,60 @@ def _cell_error(cell, no):
     return ValidationError(f"line {no}: posterior {token} outside [0, 1]")
 
 
-def _posteriors(buf, colon, end):
+def _dots(buf, colon, end):
+    """Where the '.' of each posterior [colon + 1, end) is, end for one
+    without, from a scan of every '.' of ``buf``; and the cells with a
+    second '.'."""
+    dots = np.flatnonzero(buf == ord("."))
+    owner = np.searchsorted(colon, dots) - 1
+    inside = (owner >= 0) & (dots < end[owner])
+    dots, owner = dots[inside], owner[inside]
+    dot = end.copy()
+    dot[owner] = dots
+    return dot, owner[1:][np.diff(owner) == 0]
+
+
+def _eight_digits(u64, at, count):
+    """The numbers that the first ``count`` bytes (all 8 for 8 or more) of
+    the little-endian words ``u64[at]`` spell as decimal digits, padded with
+    zeros to 8 digits, and a mask that is nonzero where one of those bytes
+    is no ASCII digit."""
+    digits = u64[at] ^ _ZEROS  # a digit d reads d
+    within = _FIRST[PAD + count]
+    # bit 7 of a byte is set when it is 0x80 or more, or its low 7 bits
+    # read 10 or more; no sum carries into the next byte
+    bad = ((digits & _LOW7) + _TEN | digits) & within & _BIT7
+    digits &= within
+    # pairs of digits, then fours, then all eight: each lane of ``bits``
+    # bits becomes ``scale`` times itself plus the next lane
+    for bits, scale, lanes in ((8, 10, 0x00FF00FF00FF00FF), (16, 100, 0x0000FFFF0000FFFF),
+                               (32, 10**4, 0xFFFFFFFF)):
+        digits *= (scale << bits) + 1
+        digits >>= bits
+        digits &= lanes
+    return digits.view(np.int64), bad
+
+
+def _posteriors(buf, u64, colon, end):
     """The values of the posteriors [colon + 1, end), of one byte or more,
-    of a block's cells, and whether each is digits, then optionally '.' and
-    1 to MAX_FRACTION_DIGITS digits, and at most 1.
+    of a block's cells (``buf`` as uint8 and as its ``unaligned_u64``), and
+    whether each is digits, then optionally '.' and 1 to MAX_FRACTION_DIGITS
+    digits, and at most 1.
 
     With its fraction padded with zeros to MAX_FRACTION_DIGITS digits, a
     posterior is n / 10**MAX_FRACTION_DIGITS for an integer n <= 10**9 <
     2**53.  Both are exact doubles, so their IEEE quotient is the double
-    nearest the decimal: bitwise what float() returns.
+    nearest the decimal: bitwise what float() returns.  The first 8
+    fraction digits are read as one word (``_eight_digits``), the 9th and
+    the last whole digit alone.
     """
     rejected = []  # cells a check before the value rejects
     # the '.', at end when there is none, is nearly always right after one
     # digit; when a posterior of two bytes or more has none there, look for it
     dot = np.where(buf[colon + 2] == ord("."), colon + 2, end)
     if ((dot == end) & (end - colon > 2)).any():
-        dots = np.flatnonzero(buf == ord("."))
-        owner = np.searchsorted(colon, dots) - 1
-        inside = (owner >= 0) & (dots < end[owner])
-        dots, owner = dots[inside], owner[inside]
-        rejected.append(owner[1:][np.diff(owner) == 0])  # a second '.'
-        dot = end.copy()
-        dot[owner] = dots
+        dot, again = _dots(buf, colon, end)
+        rejected.append(again)
     frac = end - dot - 1  # -1 without a '.'
     if (frac == 0).any() or (frac > MAX_FRACTION_DIGITS).any():
         rejected.append((frac == 0) | (frac > MAX_FRACTION_DIGITS))
@@ -332,17 +367,18 @@ def _posteriors(buf, colon, end):
     if long.size:
         nonzero = buf[ragged(colon[long] + 1, dot[long] - 1)] != ord("0")
         rejected.append(np.repeat(long, dot[long] - colon[long] - 2)[nonzero])
-    digits = np.lib.stride_tricks.sliding_window_view(buf, MAX_FRACTION_DIGITS)[dot + 1]
-    digits -= ord("0")
-    digits *= _FRACTION[frac + 1]
-    if (digits > 9).any():
-        rejected.append((digits > 9).any(axis=1))
+    num, bad = _eight_digits(u64, dot + 1, frac)
+    if bad.any():
+        rejected.append(bad != 0)
+    ninth = buf[dot + MAX_FRACTION_DIGITS] - ord("0")
+    ninth *= frac == MAX_FRACTION_DIGITS
+    if (ninth > 9).any():
+        rejected.append(ninth > 9)
+    num *= 10
+    num += ninth
     # a last whole digit that is no digit (the ':' when there is none) reads
     # as 10 or more, so the posterior reads as above 1, as one rejected does
-    num = (buf[dot - 1] - ord("0")).astype(np.int64)
-    for column in digits.T:
-        num *= 10
-        num += column
+    num += (buf[dot - 1] - ord("0")) * np.int64(10**MAX_FRACTION_DIGITS)
     for cells in rejected:
         num[cells] = 10**MAX_FRACTION_DIGITS + 1
     return num / float(10**MAX_FRACTION_DIGITS), num <= 10**MAX_FRACTION_DIGITS
@@ -375,8 +411,7 @@ def _read_block(block, heads, left, vocab: Vocabulary, closed: bool, unk):
     tag = starts[bound[lines]]
     # a BIN line of cells: the lone token "BIN" is a line of the wrong kind
     is_bin = (count[lines] > 1) & (ends[bound[lines]] - tag == 3) & (
-        np.lib.stride_tricks.sliding_window_view(buf, 3)[tag] == _BIN
-    ).all(axis=1)
+        (block.u64[tag] & _TAG) == _BIN)
     other = np.flatnonzero(~is_bin)
     lo, hi = bound[lines[other]], bound[lines[other] + 1]
     error = None  # makes the error of the first bad line found so far
@@ -413,9 +448,9 @@ def _read_block(block, heads, left, vocab: Vocabulary, closed: bool, unk):
         good = (cs < colon) & (colon + 1 < ce)
         if not good.all():
             bad = int(np.argmin(good))
-    # every row read past the block's end ends within 10 bytes of it, inside
-    # the padding
-    posts, ok = _posteriors(buf, colon[:bad], ce[:bad])
+    # every read past a cell's end ends within 10 bytes of it, inside the
+    # padding at the block's end
+    posts, ok = _posteriors(buf, block.u64, colon[:bad], ce[:bad])
     if not ok.all():
         bad = int(np.argmin(ok))
     if bad < cs.size:  # keep the bins before the bad cell's line
@@ -433,8 +468,7 @@ def _read_block(block, heads, left, vocab: Vocabulary, closed: bool, unk):
     ]
     known = vocab.ids(names)
     if not closed:
-        new = np.flatnonzero(known < 0)
-        for d in new[np.argsort(first[new])].tolist():
+        for d in np.flatnonzero(known < 0).tolist():
             known[d] = vocab.add(names[d])
     ids = known[word]
     bin_of = np.repeat(np.arange(nb), width)

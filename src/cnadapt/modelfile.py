@@ -18,7 +18,10 @@ a loader keeps are decoded.  Numbers are read by ``Block.floats``: the
 tokens' bytes are hashed in one pass, numpy casts one token of each
 distinct number from bytes to float64, bitwise as ``float()`` reads it,
 and the other tokens take its value; a block the cast cannot take goes
-through ``float()`` itself.
+through ``float()`` itself.  The same hash pass (``_same_words``, where
+the first token of a slot holds it) numbers a CNET block's distinct
+words (``WordKeys.distinct``), matching the words that share a slot
+exactly.
 
 ``read_text`` reads a whole text file of any kind, and ``utf8_error``
 reports one that does not decode as UTF-8.  ``write_lines`` writes the
@@ -208,29 +211,26 @@ class WordKeys:
         start = PAD + np.cumsum(size + 1) - size - 1
         return cls(np.frombuffer(data, dtype=np.uint8), unaligned_u64(data), start, size)
 
-    def _runs(self):
-        """Per group: (b, cells, the group's words in key order, where a new
-        key starts in that order, the distinct keys)."""
-        for b, (cells, keys) in self.groups.items():
-            order = keys.argsort()
-            keys = keys[order]
-            new = np.empty(keys.size, dtype=bool)
-            new[:1] = True
-            np.not_equal(keys[1:], keys[:-1], out=new[1:])
-            yield b, cells, order, new, keys[new]
-
     def distinct(self):
-        """Number the distinct words: (word, first), where word i is
-        distinct word ``word[i]``, first seen as word ``first[d]``."""
-        word = np.empty(self.size.size, dtype=np.int64)
-        firsts = [np.zeros(0, dtype=np.int64)]
-        for _, cells, order, new, _ in self._runs():
-            first = np.minimum.reduceat(order, np.flatnonzero(new)) if order.size else order
-            if cells is not None:
-                order, first = cells[order], cells[first]
-            word[order] = np.cumsum(new) - 1 + sum(map(len, firsts))
-            firsts.append(first)
-        return word, np.concatenate(firsts)
+        """Number the distinct words in the order they first occur: (word,
+        first), where word i is distinct word ``word[i]``, first seen as
+        word ``first[d]``.  Each width's keys are hashed once
+        (``_same_words``), and words of different widths differ; the words
+        whose hash slot another word holds are matched in a stable sort."""
+        same = np.empty(self.size.size, dtype=np.int64)
+        for b, (cells, keys) in self.groups.items():
+            got, hit = _same_words(list(keys.view("<u8").reshape(-1, b).T))
+            if hit.size:  # words whose slot another word holds, matched exactly
+                hit = hit[keys[hit].argsort(kind="stable")]
+                new = np.ones(hit.size, dtype=bool)
+                new[1:] = keys[hit[1:]] != keys[hit[:-1]]
+                got[hit] = hit[new][np.cumsum(new) - 1]
+            if cells is None:
+                same = got
+            else:
+                same[cells] = cells[got]
+        first = same == np.arange(same.size)
+        return (np.cumsum(first) - 1)[same], np.flatnonzero(first)
 
     def index(self):
         """These words sorted, for ``find``: (sorted keys, word) per width."""
@@ -245,9 +245,15 @@ class WordKeys:
         """Which word of ``index`` (from ``index()``) each of these words
         is, -1 for one it lacks; each distinct word is looked up once."""
         ids = np.full(self.size.size, -1, dtype=np.int64)
-        for b, cells, order, new, distinct in self._runs():
+        for b, (cells, keys) in self.groups.items():
             if b in index:
+                order = keys.argsort()
+                keys = keys[order]
+                new = np.empty(keys.size, dtype=bool)
+                new[:1] = True
+                np.not_equal(keys[1:], keys[:-1], out=new[1:])
                 known, word = index[b]
+                distinct = keys[new]
                 pos = np.minimum(np.searchsorted(known, distinct), known.size - 1)
                 found = np.where(known[pos] == distinct, word[pos], -1)
                 ids[order if cells is None else cells[order]] = found[np.cumsum(new) - 1]
@@ -354,7 +360,7 @@ class Block:
         width = int(size.max(initial=1))
         if width <= PAD and b"\0" not in self.raw:
             words = [self.u64[s + j] & _FIRST[PAD - j :][size] for j in range(0, width, 8)]
-            same = _same_words(words)
+            same, _ = _same_words(words)
             cast = np.flatnonzero(same == np.arange(same.size))
             rows = np.stack([w[cast] for w in words], axis=1)
             got = _cast(rows.view(f"S{8 * len(words)}").ravel())
@@ -437,11 +443,13 @@ def _number(token: str):
         return None
 
 
-def _same_words(words) -> np.ndarray:
+def _same_words(words):
     """``same[i]``: a token whose ``words`` (arrays of uint64, one entry per
-    token) all equal token i's, with ``same[same[i]] == same[i]``; each
-    token is hashed once, and a token whose slot another token holds with
-    other words stands for itself."""
+    token) all equal token i's, with ``same[same[i]] == same[i]``; and
+    ``hit``, the tokens whose slot a token with other words holds, each of
+    which stands for itself.  Each token is hashed once (its first four
+    words), and the first token of a slot holds it, so every other token
+    stands for the first token with its words."""
     n = words[0].size
     mixed = np.zeros(n, dtype=np.uint64)
     for w, mix in zip(words, _MIX):
@@ -450,14 +458,15 @@ def _same_words(words) -> np.ndarray:
     mixed >>= 63 - n.bit_length()
     slot = mixed.view(np.int64)
     table = np.empty(2 << n.bit_length(), dtype=np.int64)
-    every = np.arange(n)
-    table[slot] = every
+    table[slot[::-1]] = np.arange(n - 1, -1, -1)  # the first token writes last
     same = table[slot]
+    del mixed, slot, table  # the largest scratch, freed before the next pass
     differ = np.zeros(n, dtype=bool)
     for w in words:
         differ |= w[same] != w
-    np.copyto(same, every, where=differ)
-    return same
+    hit = np.flatnonzero(differ)
+    same[hit] = hit
+    return same, hit
 
 
 def _cast(strings):

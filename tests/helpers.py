@@ -1,6 +1,8 @@
-"""Shared builders for randomized test instances, and the evaluators of
-the estimators' derivation that the tests check them against."""
+"""Shared builders for randomized test instances, the evaluators of the
+estimators' derivation that the tests check them against, and the
+line-by-line references of the CNET and model-file readers."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 from cnadapt.adapt import _ConfKernel, _conf_update, _self_stats
 from cnadapt.channel import ChannelModel
 from cnadapt.corpus import Bin, ConfusionNetwork, Conversation, Vocabulary
-from cnadapt.errors import ValidationError
+from cnadapt.errors import ParseError, ValidationError
 from cnadapt.modelfile import read_text
 from cnadapt.topics import TopicModel, floor_and_normalize, mu_to_lambda
 
@@ -185,6 +187,110 @@ def reference_load_topic_model(text):
         rows.append([float(p) for _, p in block[1:]])
     assert all(w == words[0] for w in words)
     return labels, words[0] if words else (), floor_and_normalize(np.array(rows).reshape(T, V))
+
+
+def reference_parse(text, vocab, closed):
+    """Line-by-line CNET parser: every cell read on its own and every bin
+    checked as a ``Bin``.  Returns the conversation id, the (uid, cells of
+    each bin) of every utterance and the outside-word count."""
+    lines = enumerate(re.split("\r\n?|\n", text), start=1)
+
+    def next_line():
+        for no, ln in lines:
+            if ln.strip():
+                return no, ln
+        return None, None
+
+    no, header = next_line()
+    if header is None:
+        raise ParseError("empty input", 1)
+    parts = header.split()
+    if len(parts) != 2 or parts[0] != "CONV":
+        raise ParseError(f"expected 'CONV <id>', got {header!r}", no)
+    cid = parts[1]
+    intern = vocab.get if closed else vocab.add
+    unk = vocab.get("<unk>") if closed else None
+    oov_cells = 0
+    networks = []
+    while True:
+        no, line = next_line()
+        if line is None:
+            break
+        parts = line.split()
+        if parts[0] != "NET" or len(parts) != 3:
+            raise ParseError(f"expected 'NET <id> <bin-count>', got {line!r}", no)
+        uid = parts[1]
+        nbins = int(parts[2])
+        bins = []
+        for _ in range(nbins):
+            no, bline = next_line()
+            if bline is None:
+                raise ParseError(f"unexpected end of input inside NET {uid!r}", no)
+            bparts = bline.split()
+            if bparts[0] != "BIN" or len(bparts) < 2:
+                raise ParseError(f"expected 'BIN <word>:<posterior> ...', got {bline!r}", no)
+            cells = []
+            bin_oov = 0
+            for cell in bparts[1:]:
+                word, sep, ptok = cell.rpartition(":")
+                if not sep or not word:
+                    raise ParseError(f"bad cell {cell!r}", no)
+                whole, dot, frac = ptok.partition(".")
+                if not (whole.isascii() and whole.isdigit()) or (
+                    dot and not (frac.isascii() and frac.isdigit())
+                ):
+                    raise ParseError(f"bad posterior {ptok!r}", no)
+                if len(frac) > 9:
+                    raise ParseError(
+                        f"posterior {ptok!r} has more than 9 fraction digits", no
+                    )
+                post = float(ptok)
+                if post > 1.0:
+                    raise ValidationError(f"line {no}: posterior {ptok} outside [0, 1]")
+                wid = intern(word)
+                if wid is None:
+                    bin_oov += 1
+                    wid = unk
+                if wid is not None:
+                    cells.append((wid, post))
+            oov_cells += bin_oov
+            if bin_oov and unk is not None:
+                merged = {}
+                for wid, post in cells:
+                    if wid == unk:
+                        merged[wid] = merged.get(wid, 0.0) + post
+                cells = [c for c in cells if c[0] != unk]
+                cells += [(wid, min(post, 1.0)) for wid, post in merged.items()]
+            if not cells:
+                continue
+            try:
+                bins.append(Bin(cells).cells)
+            except ValidationError as exc:
+                raise ValidationError(f"line {no}: {exc}") from None
+        if bins:
+            networks.append((uid, bins))
+    if not networks:
+        if oov_cells:
+            raise ValidationError(f"conversation {cid!r} has no word in the vocabulary")
+        raise ParseError("conversation has no utterances", 1)
+    return cid, networks, oov_cells
+
+
+def assert_matches_reference(conv, vocab, want, ref_vocab):
+    """``conv`` and ``vocab`` after a parse are what ``reference_parse`` gave."""
+    cid, networks, oov_cells = want
+    bins = [cells for _, net in networks for cells in net]
+    assert (conv.cid, conv.uids, conv.oov_cells) == (
+        cid, tuple(uid for uid, _ in networks), oov_cells
+    )
+    assert vocab.words == ref_vocab.words
+    assert np.array_equal(np.diff(conv.utt_ptr), [len(net) for _, net in networks])
+    assert np.array_equal(np.diff(conv.bin_ptr), [len(cells) for cells in bins])
+    assert conv.words.dtype == np.int64 and conv.posts.dtype == np.float64
+    assert np.array_equal(conv.words, [w for cells in bins for w, _ in cells])
+    # bitwise: each posterior is the double float() reads
+    want_posts = np.array([p for cells in bins for _, p in cells], dtype=np.float64)
+    assert conv.posts.tobytes() == want_posts.tobytes()
 
 
 # words of 7, 8, 9, 16 and 17 bytes, around the 8-byte blocks the loaders

@@ -965,13 +965,14 @@ class TestAdaptOptions:
 class TestAdaptEdgeChannels:
     """Two topics over words a and b, and channels with a word no bin word
     can emit or with entries small enough to overflow or underflow the
-    conf-* statistics, run in a fresh process: each ends in its weights or
+    conf-* statistics, or a map strength whose product with the topic
+    count overflows, run in a fresh process: each ends in its weights or
     in one error line, and numpy prints no warning."""
 
     TOPICS = "TOPICS 2 2\nTOPIC t1\na 0.7\nb 0.3\nTOPIC t2\na 0.2\nb 0.8\n"
     PROBE = "import sys\nfrom cnadapt.cli import main\nsys.exit(main(sys.argv[1:]))\n"
 
-    def adapt(self, tmp_path, variant, channel, bins):
+    def adapt(self, tmp_path, variant, channel, bins, *options):
         (tmp_path / "t.model").write_text(self.TOPICS)
         rows = channel.split("/")
         (tmp_path / "c.model").write_text(f"CHANNEL {len(rows)}\n" + "\n".join(rows) + "\n")
@@ -980,7 +981,21 @@ class TestAdaptEdgeChannels:
         return run_probe(self.PROBE, [
             "adapt", str(tmp_path / "c.cnet"), str(tmp_path / "t.model"),
             str(tmp_path / "c.lambda"), "--variant", variant,
-            "--channel", str(tmp_path / "c.model")])
+            "--channel", str(tmp_path / "c.model"), *options])
+
+    @pytest.mark.parametrize("variant, message", [
+        ("self-1best", "all topics clamped to zero"),
+        ("self-tf", "all topics clamped to zero"),
+        ("conf-1best", "degenerate update at iteration 1"),
+        ("conf-tf", "degenerate update at iteration 1"),
+    ])
+    def test_map_strength_overflow_is_one_error_line(self, tmp_path, variant, message):
+        # T * m overflows to inf, so every weight of the MAP update divides to 0
+        proc = self.adapt(tmp_path, variant, "a a 0.9/a b 0.1/b b 1", ["a:1", "b:0.6 a:0.4"],
+                          "--map-strength=1e308")
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {message}; map_strength 1e+308 is too strong\n"
+        assert not (tmp_path / "c.lambda").exists()
 
     @pytest.mark.parametrize("variant", ["conf-1best", "conf-tf"])
     def test_overflow_is_one_error_line(self, tmp_path, variant):

@@ -1,5 +1,4 @@
 import hashlib
-import re
 from unittest import mock
 
 import numpy as np
@@ -7,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cnadapt import modelfile
+from cnadapt import corpus, modelfile
 from cnadapt.corpus import (
     Bin,
     ConfusionNetwork,
@@ -22,7 +21,13 @@ from cnadapt.corpus import (
 )
 from cnadapt.errors import ParseError, ValidationError
 from cnadapt.synth import SynthSpec, sample_conversation
-from helpers import iter_bins, traced_peak, wide_instance
+from helpers import (
+    assert_matches_reference,
+    iter_bins,
+    reference_parse,
+    traced_peak,
+    wide_instance,
+)
 
 
 def make_bin(vocab, cells):
@@ -447,93 +452,6 @@ class TestParseErrors:
         assert str(info.value) == want
 
 
-def reference_parse(text, vocab, closed):
-    """Line-by-line CNET parser: every cell read on its own and every bin
-    checked as a ``Bin``.  Returns the conversation id, the (uid, cells of
-    each bin) of every utterance and the outside-word count."""
-    lines = enumerate(re.split("\r\n?|\n", text), start=1)
-
-    def next_line():
-        for no, ln in lines:
-            if ln.strip():
-                return no, ln
-        return None, None
-
-    no, header = next_line()
-    if header is None:
-        raise ParseError("empty input", 1)
-    parts = header.split()
-    if len(parts) != 2 or parts[0] != "CONV":
-        raise ParseError(f"expected 'CONV <id>', got {header!r}", no)
-    cid = parts[1]
-    intern = vocab.get if closed else vocab.add
-    unk = vocab.get("<unk>") if closed else None
-    oov_cells = 0
-    networks = []
-    while True:
-        no, line = next_line()
-        if line is None:
-            break
-        parts = line.split()
-        if parts[0] != "NET" or len(parts) != 3:
-            raise ParseError(f"expected 'NET <id> <bin-count>', got {line!r}", no)
-        uid = parts[1]
-        nbins = int(parts[2])
-        bins = []
-        for _ in range(nbins):
-            no, bline = next_line()
-            if bline is None:
-                raise ParseError(f"unexpected end of input inside NET {uid!r}", no)
-            bparts = bline.split()
-            if bparts[0] != "BIN" or len(bparts) < 2:
-                raise ParseError(f"expected 'BIN <word>:<posterior> ...', got {bline!r}", no)
-            cells = []
-            bin_oov = 0
-            for cell in bparts[1:]:
-                word, sep, ptok = cell.rpartition(":")
-                if not sep or not word:
-                    raise ParseError(f"bad cell {cell!r}", no)
-                whole, dot, frac = ptok.partition(".")
-                if not (whole.isascii() and whole.isdigit()) or (
-                    dot and not (frac.isascii() and frac.isdigit())
-                ):
-                    raise ParseError(f"bad posterior {ptok!r}", no)
-                if len(frac) > 9:
-                    raise ParseError(
-                        f"posterior {ptok!r} has more than 9 fraction digits", no
-                    )
-                post = float(ptok)
-                if post > 1.0:
-                    raise ValidationError(f"line {no}: posterior {ptok} outside [0, 1]")
-                wid = intern(word)
-                if wid is None:
-                    bin_oov += 1
-                    wid = unk
-                if wid is not None:
-                    cells.append((wid, post))
-            oov_cells += bin_oov
-            if bin_oov and unk is not None:
-                merged = {}
-                for wid, post in cells:
-                    if wid == unk:
-                        merged[wid] = merged.get(wid, 0.0) + post
-                cells = [c for c in cells if c[0] != unk]
-                cells += [(wid, min(post, 1.0)) for wid, post in merged.items()]
-            if not cells:
-                continue
-            try:
-                bins.append(Bin(cells).cells)
-            except ValidationError as exc:
-                raise ValidationError(f"line {no}: {exc}") from None
-        if bins:
-            networks.append((uid, bins))
-    if not networks:
-        if oov_cells:
-            raise ValidationError(f"conversation {cid!r} has no word in the vocabulary")
-        raise ParseError("conversation has no utterances", 1)
-    return cid, networks, oov_cells
-
-
 def outcome(parse, *args):
     try:
         return parse(*args), None
@@ -592,21 +510,6 @@ def cnet_texts(draw):
             trail = draw(st.sampled_from(["", "", "", " ", "\r", "\x1c", " \xa0"]))
             out += blanks() + [lead + line + trail]
     return "\n".join(out + blanks()) + "\n"
-
-
-def assert_matches_reference(conv, vocab, want, ref_vocab):
-    """``conv`` and ``vocab`` after a parse are what ``reference_parse`` gave."""
-    cid, networks, oov_cells = want
-    bins = [cells for _, net in networks for cells in net]
-    assert (conv.cid, conv.uids, conv.oov_cells) == (
-        cid, tuple(uid for uid, _ in networks), oov_cells
-    )
-    assert vocab.words == ref_vocab.words
-    assert np.array_equal(np.diff(conv.utt_ptr), [len(net) for _, net in networks])
-    assert np.array_equal(np.diff(conv.bin_ptr), [len(cells) for cells in bins])
-    assert conv.words.dtype == np.int64 and conv.posts.dtype == np.float64
-    assert np.array_equal(conv.words, [w for cells in bins for w, _ in cells])
-    assert np.array_equal(conv.posts, [p for cells in bins for _, p in cells])
 
 
 class TestParseMatchesReference:
@@ -713,6 +616,114 @@ class TestParseMatchesReference:
         text = serialize_conversation(Conversation("c", nets), vocab)
         conv = parse_conversation(text, vocab, closed=True)
         assert serialize_conversation(conv, vocab) == text
+
+
+# bytes that are no digit, next to digits: '/' and ':' on either side of
+# '0'..'9', '.', the UTF-8 bytes 0x80 to 0xFF of the characters up to U+00FF
+# and of wider ones, and Arabic-Indic digits, which str.isdigit() takes
+POSTERIOR_ODD = ["/", ":", "."] + [
+    chr(c) for c in range(0x80, 0x100) if not chr(c).isspace()
+] + ["\u0660", "\u0665", "\u0669", "日", "\U0001f600"]
+
+
+@st.composite
+def posterior_tokens(draw):
+    """A posterior around the 8-byte fraction read: whole parts the format
+    takes and some it rejects, 0 to 12 fraction digits, and in one token
+    of four one or two bytes that are no digit."""
+    whole = draw(st.sampled_from(["0"] * 5 + ["1", "00", "01", "10", ""]))
+    size = draw(st.sampled_from(list(range(1, 10)) * 3 + [0, 10, 11, 12]))
+    token = whole + draw(st.sampled_from([".", ".", ".", ""])) + draw(
+        st.text(alphabet="0123456789", min_size=size, max_size=size))
+    if draw(st.integers(0, 3)) == 0:
+        for at, odd in draw(st.lists(st.tuples(st.integers(0, 14), st.sampled_from(POSTERIOR_ODD)),
+                                     min_size=1, max_size=2)):
+            token = token[:at] + odd + token[at:]
+    return token
+
+
+# posteriors the format takes: 1 to 9 fraction digits below 1, and 1 with
+# or without fraction zeros, each with a whole part of one digit or two
+VALID_POSTERIORS = st.one_of(
+    st.tuples(st.sampled_from(["0", "00"]), st.text(alphabet="0123456789", min_size=1, max_size=9)
+              ).filter(lambda t: t[1].strip("0")).map(".".join),
+    st.tuples(st.sampled_from(["1", "01"]), st.integers(0, 9)).map(
+        lambda t: t[0] + ("." + "0" * t[1] if t[1] else "")),
+)
+
+
+class TestPosteriorRead:
+    """The first 8 fraction digits of a posterior are read as one
+    little-endian word, wherever the posterior sits in a block."""
+
+    @given(st.binary(min_size=8, max_size=8), st.integers(-1, 9))
+    @settings(max_examples=500, deadline=None)
+    @example(b"9" * 8, 8)
+    @example(b"12\xff\xff\xff\xff\xff\xff", 2)  # the bytes past the digits could carry
+    @example(b"/:09\x80\xb0\xb9\xff", 8)
+    def test_eight_digits(self, raw, count):
+        data = b" " + raw + b" " * 8
+        value, bad = corpus._eight_digits(modelfile.unaligned_u64(data), np.array([1]),
+                                          np.array([count]))
+        digits = raw[: max(min(count, 8), 0)]
+        if all(48 <= b <= 57 for b in digits):
+            assert (int(value[0]), int(bad[0])) == (int(digits.ljust(8, b"0")), 0)
+        else:
+            assert bad[0] != 0
+
+    @given(st.one_of(*(st.lists(st.tuples(tokens, st.integers(0, 3)), min_size=1, max_size=6)
+                       for tokens in (VALID_POSTERIORS, posterior_tokens()))),
+           st.sampled_from([16, 48, modelfile.BLOCK_BYTES]), st.booleans())
+    @example([("0.12345678", 0), ("1", 2), ("0.123456789", 1)], modelfile.BLOCK_BYTES, False)
+    @example([("0.5", 0), ("01.5", 0), ("0.1\u0660", 1)], 16, True)
+    @settings(max_examples=400, deadline=None)
+    def test_values_and_errors(self, cases, block, newline):
+        """Each token is a bin of its own, after bins of cells that read
+        alone; the last token is the file's last cell, right before the
+        block's padding when the file has no line break after it.  A valid
+        token reads bitwise as float() reads it, and the first bad one
+        raises the error of the line-by-line parse."""
+        bins = []
+        for i, (token, before) in enumerate(cases):
+            bins += [f"x{i}:0.125 y:0.25"] * before + [f"w{i}:{token}"]
+        text = f"CONV c\nNET u {len(bins)}\n" + "\n".join("BIN " + b for b in bins)
+        text += "\n" if newline else ""
+        ref_vocab, vocab = Vocabulary(), Vocabulary()
+        want, want_error = outcome(reference_parse, text, ref_vocab, False)
+        with mock.patch.object(modelfile, "BLOCK_BYTES", block):
+            conv, error = outcome(parse_conversation, text, vocab, False)
+        assert error == want_error
+        if error is None:
+            assert_matches_reference(conv, vocab, want, ref_vocab)
+
+    def test_both_reads_reached(self):
+        """A posterior whose '.' follows its first byte, or of one byte, is
+        read without looking for its '.'; any other layout looks for it in
+        a scan of the block.  Both read the fraction a word at a time."""
+        with mock.patch.object(corpus, "_dots", wraps=corpus._dots) as dots, \
+                mock.patch.object(corpus, "_eight_digits", wraps=corpus._eight_digits) as eight:
+            conv = parse_conversation("CONV c\nNET u 3\nBIN a:0.5\nBIN b:1\nBIN a:0.25\n",
+                                      Vocabulary())
+            assert (dots.call_count, eight.call_count) == (0, 1)
+            assert conv.posts.tolist() == [0.5, 1.0, 0.25]
+            conv = parse_conversation("CONV c\nNET u 1\nBIN a:00.5 b:0.125\n", Vocabulary())
+            assert (dots.call_count, eight.call_count) == (1, 2)
+            assert conv.posts.tolist() == [0.5, 0.125]
+
+    @given(cnet_texts(), st.sampled_from([1, 48, modelfile.BLOCK_BYTES]))
+    @settings(max_examples=100, deadline=None)
+    def test_open_vocabulary_when_every_word_shares_a_slot(self, text, block):
+        """With every word hashed to one slot, the words are matched
+        exactly: open mode interns the words in the order they first occur,
+        as the line-by-line parse does."""
+        ref_vocab, vocab = Vocabulary(["a"]), Vocabulary(["a"])
+        want, want_error = outcome(reference_parse, text, ref_vocab, False)
+        with mock.patch.object(modelfile, "BLOCK_BYTES", block), \
+                mock.patch.object(modelfile, "_MIX", np.zeros(4, dtype=np.uint64)):
+            conv, error = outcome(parse_conversation, text, vocab, False)
+        assert error == want_error
+        if error is None:
+            assert_matches_reference(conv, vocab, want, ref_vocab)
 
 
 class TestParseMemory:

@@ -221,6 +221,19 @@ class TestWordKeys:
         assert len(first) == len(set(words))
         assert block.text(np.arange(len(words))) == words
 
+    @given(st.lists(EDGE_WORDS, min_size=1, max_size=40), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_distinct_in_first_occurrence_order(self, words, one_slot):
+        """One number per distinct word, numbered in the order the words
+        first occur, also when every word is hashed to one slot and all
+        but the first word's are matched exactly."""
+        keys = block_of([" ".join(words)]).words(np.arange(len(words)))
+        mix = np.zeros(4, dtype=np.uint64) if one_slot else modelfile._MIX
+        with mock.patch.object(modelfile, "_MIX", mix):
+            word, first = keys.distinct()
+        assert [words[i] for i in first] == list(dict.fromkeys(words))
+        assert [words[i] for i in first[word]] == words
+
     @given(st.lists(EDGE_WORDS, min_size=1, max_size=20, unique=True), st.data())
     @settings(max_examples=100, deadline=None)
     def test_equal_compares_word_for_word(self, vocab, data):

@@ -26,9 +26,14 @@ import pytest
 from cnadapt import adapt, cli, topics
 from cnadapt.channel import load_channel
 from cnadapt.cli import main
-from cnadapt.corpus import Vocabulary
+from cnadapt.corpus import Vocabulary, load_conversation
 from cnadapt.topics import load_topic_model
-from helpers import reference_load_channel, reference_load_topic_model
+from helpers import (
+    assert_matches_reference,
+    reference_load_channel,
+    reference_load_topic_model,
+    reference_parse,
+)
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -105,3 +110,22 @@ def test_model_pair_matches_line_by_line_reference(tmp_path, monkeypatch):
     want = np.array([rows[w][v] for w in spoken for v in sorted(rows[w])])
     assert cm.probs.tobytes() == want.tobytes()
     assert cm.dropped == 0
+
+
+@pytest.mark.parametrize("workload", ["a3-fit", "wide-ragged"])
+def test_cnet_matches_line_by_line_reference(tmp_path, monkeypatch, workload):
+    """A conversation of the benchmark's own shape loads bitwise as the
+    line-by-line reference parses it, in open mode and closed to the
+    model's words: ``a3-fit`` has 10 cells per bin and 9 fraction digits
+    per posterior, ``wide-ragged`` bins pruned to 1 to 40 cells."""
+    monkeypatch.syspath_prepend(PERFBENCH)
+    gen = importlib.import_module("gen")
+    models, seed_dir = tmp_path / "models", tmp_path / "seed1"
+    assert gen.main([workload, "1", str(models), str(seed_dir)]) == 0
+    cnet = seed_dir / "c0.cnet"
+    text = cnet.read_text(encoding="utf-8")
+    words = load_topic_model(models / "topics.model").vocab.words
+    for closed, base in ((False, ()), (True, words)):
+        ref_vocab, vocab = Vocabulary(base), Vocabulary(base)
+        want = reference_parse(text, ref_vocab, closed)
+        assert_matches_reference(load_conversation(cnet, vocab, closed), vocab, want, ref_vocab)

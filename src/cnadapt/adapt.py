@@ -19,7 +19,8 @@ The conf-* workspace (see ``_ConfKernel``) contracts the channel with the
 topic rows once per conversation, so each iteration's accumulators are two
 flat matrix-vector products over the observed slots plus the per-bin
 normalizer; the reductions run in a fixed order, so repeated runs on one
-platform reproduce identical traces.
+platform reproduce identical traces.  Both variants take their observed
+slots by one rule and share one update, ``_conf_update``.
 
 The driver, ``_run_em``, accelerates every variant's EM update with
 safeguarded SQUAREM (Varadhan & Roland, Scand. J. Statist. 2008).  Each
@@ -178,8 +179,8 @@ def _slots(first, width, lo, hi, pad):
 class _ConfKernel:
     """Per-conversation arrays of the conf-* EM and its per-iteration statistics.
 
-    A bin's observed slots are its cells under ``conf-tf`` (J = its width)
-    and its 1-best cell under ``conf-1best`` (J = 1).  The build groups bins
+    A bin's observed slots are its first J cells (``_slots``): all of them
+    under ``conf-tf``, its 1-best under ``conf-1best`` (J = 1).  The build groups bins
     into width classes (1, 2, 3-4, 5-8, ..., the last one ending at the
     widest bin) and pads each bin to its class width K with zero topic rows.
     It walks each class in blocks of m bins, sized so that no array of a
@@ -242,10 +243,8 @@ class _ConfKernel:
                     said = row[_slots(first[bb], width[bb], a, min(a + ka, K), pad)]
                     rows = topics.take(said, axis=0)
                     for c in range(0, J, kc):
-                        if use_tf:
-                            out = seen = _slots(first[bb], width[bb], c, min(c + kc, J), pad)
-                        else:
-                            seen, out = first[bb, None], bb[:, None]
+                        seen = _slots(first[bb], width[bb], c, min(c + kc, J), pad)
+                        out = seen if use_tf else bb[:, None]
                         chan = lookup((said * U)[:, :, None] + observed[seen][:, None, :])
                         # (m, kc, ka) @ (m, ka, T): the columns of R of these slots,
                         # summed over the spoken ranges of a bin split into several
@@ -352,16 +351,14 @@ def _self_update(c: np.ndarray, m: float, iteration: int) -> np.ndarray:
 def _conf_update(
     N: np.ndarray, D: np.ndarray, lam: np.ndarray, m: float, iteration: int
 ) -> np.ndarray:
-    """Unnormalized multiplicative update from ``lam``.
+    """Unnormalized multiplicative update from ``lam``; at m = 0, ``N / D``.
 
     ``log(u) - log(lam)`` is the softmax-space step at which the update
     maximizes the surrogate; the new weights are ``u / u.sum()``.  D > 0
     (S > 0 and binw > 0), so only N can make ``u`` non-finite.
     """
     T = N.shape[0]
-    if m == 0.0:
-        u = N / D
-    elif m < 0.0:
+    if m < 0.0:
         # np.maximum keeps inf and NaN for the check below
         u = np.maximum((N + m * (1.0 - T * lam)) / D, 0.0)
     else:

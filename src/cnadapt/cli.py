@@ -30,29 +30,16 @@ DEFAULT_MAX_WORDS = 10
 DEFAULT_THRESHOLDS = (1, 2, 3, 4, 5)
 
 
-def _write_manifest(path, subcommand, info, wall_time):
-    doc = {
-        "subcommand": subcommand,
-        "version": __version__,
-        "wall_time_s": round(wall_time, 6),
-        **info,
-    }
-    with _written_together([path]) as (tmp,), open(
-        tmp, "w", encoding="utf-8", newline="\n"
-    ) as fh:
+def _write_json(path, doc) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _format_weight(x: float) -> str:
-    return f"{x:.12g}"
 
 
 def write_lambda_file(path, cid, labels, lam) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"LAMBDA {cid} {len(labels)}\n")
-        for label, w in zip(labels, lam):
-            fh.write(f"{label} {_format_weight(w)}\n")
+        write_lines(fh, "{} {:.12g}\n", labels, lam)
 
 
 def write_unigram_file(path, vocab, probs) -> None:
@@ -195,9 +182,7 @@ def _adapt_one(tm, cm, cfg, cnet_path, out_lambda, out_unigram):
     outputs = [out_lambda, out_lambda + ".diag.json"] + ([out_unigram] if out_unigram else [])
     with _written_together(outputs) as temps:
         write_lambda_file(temps[0], conv.cid, tm.labels, result.weights.lam)
-        with open(temps[1], "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(diag, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(temps[1], diag)
         if out_unigram:
             unigram = adapt.adapted_unigram(tm, result.weights)
             write_unigram_file(temps[2], tm.vocab, unigram)
@@ -273,6 +258,8 @@ def cmd_adapt(args):
         paths = sorted(globmod.glob(os.path.join(globmod.escape(args.cnet), "*.cnet")))
         if not paths:
             raise InputError(f"no .cnet files under {args.cnet!r}")
+        if isinstance(args.out_unigram, str):
+            raise InputError("--out-unigram takes no path when adapting a directory")
     elif args.out_unigram is True:
         raise InputError("--out-unigram requires a path when adapting a single file")
 
@@ -457,7 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="most iterations; one iteration is one accepted point, and an "
                         "accelerated EM cycle accepts two")
     p.add_argument("--out-unigram", nargs="?", const=True, default=None,
-                   help="also write the adapted unigram (flag value is the path in file mode)")
+                   help="also write the adapted unigram: to PATH in file mode, to "
+                        "<out>/<name>.unigram (no PATH) in directory mode")
     p.add_argument("--jobs", type=int, default=1, help="parallel workers in directory mode")
     p.set_defaults(func=cmd_adapt)
 
@@ -484,7 +472,10 @@ def main(argv=None) -> int:
         manifest_path, info = args.func(args)
         exit_code = info.pop("exit_code", 0)
         if manifest_path:
-            _write_manifest(manifest_path, args.subcommand, info, time.perf_counter() - start)
+            info.update(subcommand=args.subcommand, version=__version__,
+                        wall_time_s=round(time.perf_counter() - start, 6))
+            with _written_together([manifest_path]) as (tmp,):
+                _write_json(tmp, info)
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

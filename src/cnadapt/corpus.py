@@ -11,17 +11,18 @@ parser fills them a block of lines at a time.  ``Bin`` and
 ``ConfusionNetwork`` are the object form that builders of conversations use.
 
 A CNET, from a file or a string alike, is read as bytes in ``modelfile``'s
-``Block``s of whole lines, as the model files are.  In each block only the
-CONV and NET lines are decoded; the BIN lines are read in bulk, with numpy,
-and the bulk reader itself names the first line that breaks a rule of the
-format (see ``_read_block``).  It reads a posterior as the integer n of its
-digits, the fraction padded with zeros to 9 digits, over 10**9: n <= 10**9
-< 2**53 and 10**9 are exact doubles, so the quotient is bitwise what
-``float()`` returns.  The fixed-width parts of a line are read as the
-block's little-endian 8-byte words: the ``BIN`` tag in one masked compare,
-and the first 8 fraction digits of a posterior as one word.  A block's
-words are numbered, in the order they first occur, by the hash pass that
-also finds the distinct numbers of a model file (``WordKeys.distinct``).
+``Block``s of whole lines, as the model files are.  Only a block's CONV
+and NET lines and distinct words are decoded (``Block.spans``); the BIN
+lines are read in bulk, with numpy, and the bulk reader itself names the
+first line that breaks a rule of the format (see ``_read_block``).  It
+reads a posterior as the integer n of its digits, the fraction padded with
+zeros to 9 digits, over 10**9: n <= 10**9 < 2**53 and 10**9 are exact
+doubles, so the quotient is bitwise what ``float()`` returns.  The
+fixed-width parts of a line are read as the block's little-endian 8-byte
+words: the ``BIN`` tag in one masked compare, and the first 8 fraction
+digits of a posterior as one word.  A block's words are numbered, in the
+order they first occur, by the hash pass that also finds the distinct
+numbers of a model file (``WordKeys.distinct``).
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ class Vocabulary:
     """
 
     def __init__(self, words=()):
-        self._words = []
         self._index = {}
         self._tuple = ()
         for w in words:
@@ -65,9 +65,7 @@ class Vocabulary:
         """Return the id of ``word``, interning it if unseen."""
         wid = self._index.get(word)
         if wid is None:
-            wid = len(self._words)
-            self._words.append(word)
-            self._index[word] = wid
+            wid = self._index[word] = len(self._index)
             self._tuple = None
         return wid
 
@@ -85,16 +83,17 @@ class Vocabulary:
         return np.fromiter(map(self._index.get, words, repeat(-1)), np.int64, len(words))
 
     def word(self, wid: int) -> str:
-        return self._words[wid]
+        return self.words[wid]
 
     def __len__(self) -> int:
-        return len(self._words)
+        return len(self._index)
 
     @property
     def words(self):
-        """Every word in id order, as a tuple built once per vocabulary state."""
+        """Every word in id order (the index's keys, in insertion order), as a
+        tuple built once per vocabulary state."""
         if self._tuple is None:
-            self._tuple = tuple(self._words)
+            self._tuple = tuple(self._index)
         return self._tuple
 
 
@@ -416,10 +415,9 @@ def _read_block(block, heads, left, vocab: Vocabulary, closed: bool, unk):
     lo, hi = bound[lines[other]], bound[lines[other] + 1]
     error = None  # makes the error of the first bad line found so far
     done = 0  # the nonblank lines walked
-    for o, a, b in zip(other.tolist(), starts[lo].tolist(), ends[hi - 1].tolist()):
+    for o, line in zip(other.tolist(), block.spans(starts[lo], ends[hi - 1])):
         if o - done != left:
             break
-        line = block.data[a:b].decode("utf-8")
         try:
             heads.append(_head(line.split(), line, None, bool(heads)))
         except InputError:
@@ -456,16 +454,13 @@ def _read_block(block, heads, left, vocab: Vocabulary, closed: bool, unk):
     if bad < cs.size:  # keep the bins before the bad cell's line
         ptr = _offsets(width)
         nb = int(np.searchsorted(ptr, bad, side="right")) - 1
-        cell_text = block.data[cs[bad] : ce[bad]].decode("utf-8")
+        cell_text = block.spans(cs[bad : bad + 1], ce[bad : bad + 1])[0]
         error = partial(_cell_error, cell_text, block.line + int(bins[nb]))
         bins, width, n = bins[:nb], width[:nb], ptr[nb]
         cs, colon, posts = cs[:n], colon[:n], posts[:n]
     nb = width.size
     word, first = WordKeys(buf, block.u64, cs, colon - cs).distinct()
-    names = [
-        block.data[a:b].decode("utf-8")
-        for a, b in zip(cs[first].tolist(), colon[first].tolist())
-    ]
+    names = block.spans(cs[first], colon[first])
     known = vocab.ids(names)
     if not closed:
         for d in np.flatnonzero(known < 0).tolist():

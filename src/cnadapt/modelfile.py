@@ -14,14 +14,14 @@ from line 1, in one pass: each block is checked as it is made.
 
 A block is cut into tokens with numpy: no Python object is made per
 token.  Words are compared as byte keys (``WordKeys``), so only the words
-a loader keeps are decoded.  Numbers are read by ``Block.floats``: the
-tokens' bytes are hashed in one pass, numpy casts one token of each
-distinct number from bytes to float64, bitwise as ``float()`` reads it,
-and the other tokens take its value; a block the cast cannot take goes
-through ``float()`` itself.  The same hash pass (``_same_words``, where
-the first token of a slot holds it) numbers a CNET block's distinct
-words (``WordKeys.distinct``), matching the words that share a slot
-exactly.
+a loader keeps are decoded, by the one decoder of spans, ``Block.spans``.
+Numbers are read by ``Block.floats``: the tokens' bytes are hashed in one
+pass, numpy casts one token of each distinct number from bytes to
+float64, bitwise as ``float()`` reads it, and the other tokens take its
+value; a block the cast cannot take goes through ``float()`` itself, and
+a token that is no number reads as NaN.  The same hash pass
+(``_same_words``) numbers a CNET block's distinct words
+(``WordKeys.distinct``), matching the words that share a slot exactly.
 
 ``read_text`` reads a whole text file of any kind, and ``utf8_error``
 reports one that does not decode as UTF-8.  ``write_lines`` writes the
@@ -334,15 +334,18 @@ class Block:
 
     def text(self, tokens):
         """The tokens as strings."""
-        start, end = self.starts[tokens], self.ends[tokens]
-        # each token and the whitespace byte after it, which becomes "\n"
+        return self.spans(self.starts[tokens], self.ends[tokens])
+
+    def spans(self, start, end):
+        """The strings ``data[start[i]:end[i]]``, each within a line, decoded at once."""
+        # each span and the byte after it, which becomes "\n"
         joined = self.buf[ragged(start, end + 1)]
         joined[np.cumsum(end + 1 - start) - 1] = 10
         return joined.tobytes().decode("utf-8", "surrogatepass").split("\n")[:-1]
 
     def floats(self, tokens):
-        """The numbers the tokens spell as ``float()`` reads them, or None
-        when some token is no number.
+        """The numbers the tokens spell as ``float()`` reads them, NaN for a
+        token that is no number.
 
         Each distinct token is cast once.  A token is read as NUL-padded
         little-endian uint64 words, one per 8 of its bytes, and a token
@@ -368,10 +371,8 @@ class Block:
                 out = np.empty(same.size)
                 out[cast] = got
                 return out[same]
-        try:
-            return np.array(self.text(tokens), dtype=np.float64)
-        except ValueError:
-            return None
+        # None, for a token that is no number, becomes NaN
+        return np.array([_number(t) for t in self.text(tokens)], dtype=np.float64)
 
 
 class Table:
@@ -398,11 +399,7 @@ class Table:
             n = int(np.flatnonzero(count != k)[0])
         self.n = n
         self.records = np.arange(n) if record is None else np.flatnonzero(record[:n])
-        tokens = k * self.records + k - 1
-        numbers = block.floats(tokens)
-        if numbers is None:  # None, for a token that is no number, becomes NaN
-            numbers = np.array([_number(t) for t in block.text(tokens)], dtype=np.float64)
-        self.numbers = numbers
+        self.numbers = block.floats(k * self.records + k - 1)
 
     def field(self, i: int, j: int = -1) -> str:
         """The text of field j (the number by default) of line i < n."""

@@ -27,6 +27,10 @@ class TestEstimate:
         assert cm.rows[1] == pytest.approx({0: 0.5, 1: 0.5})
         assert cm.rows[2] == pytest.approx({0: 0.5, 2: 0.5})
 
+    def test_rejects_what_is_no_conversation(self):
+        with pytest.raises(ValidationError, match="expected Conversation, got <class 'list'>"):
+            estimate_channel([[(0, 1.0)]])
+
     def test_singleton_bins_identity(self):
         conv = conv_of_bins([[(3, 1.0)], [(5, 0.9)], [(3, 0.8)]])
         cm = estimate_channel([conv])

@@ -93,6 +93,16 @@ class TestTopicsTrain:
         assert code == 2
         assert "error" in err
 
+    def test_no_topic_folders_exit_2(self, tmp_path, capsys):
+        root = tmp_path / "corpus"
+        root.mkdir()
+        (root / "a.txt").write_text("vote\n")  # a file, not a topic folder
+        code, stdout, err = run(["topics-train", str(root), str(tmp_path / "m")], capsys)
+        assert code == 2
+        assert err == f"error: no topic subdirectories under {str(root)!r}\n"
+        assert stdout == ""
+        assert not (tmp_path / "m").exists()
+
     def test_empty_topic_folder_exit_2(self, tmp_path, capsys):
         root = tmp_path / "corpus"
         (root / "empty").mkdir(parents=True)
@@ -252,6 +262,25 @@ class TestSynthCmd:
         assert stdout == ""
         assert os.listdir(out) == ["synth001.truth"]
         assert os.listdir(out / "synth001.truth") == []
+
+    @pytest.mark.parametrize("over, message", [
+        ({"channel_noise": "x"}, "synth spec channel_noise must be a number, got 'x'"),
+        ({"topic_sharpness": None}, "synth spec topic_sharpness must be a number, got None"),
+        ({"lambda_true": "x"}, "synth spec lambda_true must be a list of numbers, got 'x'"),
+        ({"lambda_true": [0.5, "a"]},
+         "synth spec lambda_true must be a list of numbers, got [0.5, 'a']"),
+        ({"topics": 0}, "topics, vocab_size and bins must be >= 1"),
+        ({"bins": 0}, "topics, vocab_size and bins must be >= 1"),
+    ], ids=["noise-str", "sharpness-null", "lambda-str", "lambda-item-str", "topics-0",
+            "bins-0"])
+    def test_spec_check_messages(self, tmp_path, capsys, over, message):
+        spec = synth_spec(tmp_path / "spec.json", **{"bins": 50, **over})
+        out = tmp_path / "o"
+        code, stdout, err = run(["synth", str(spec), str(out)], capsys)
+        assert code == 2
+        assert err == f"error: {message}\n"
+        assert stdout == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize("text", ["5", "null"])
     def test_spec_not_an_object(self, tmp_path, capsys, text):
@@ -946,6 +975,44 @@ class TestAdaptOptions:
         assert loads == []
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("case", ["channel", "input", "no-cnets", "unigram-no-path",
+                                      "directory-unigram-path"])
+    def test_bad_paths_exit_2_before_loading(self, small_run, tmp_path, capsys, monkeypatch,
+                                             case):
+        """Each path check fails in one line before a model is read or an
+        output written; in directory mode every unigram goes to
+        <out>/<name>.unigram, so a path given to --out-unigram is an error."""
+        loads = count_calls(monkeypatch, topics, "load_topic_model")
+        cnet, channel = small_run / "synth000.cnet", small_run / "channel.model"
+        out, extra = tmp_path / "out", []
+        if case == "channel":
+            channel = tmp_path / "missing.model"
+            message = f"channel file {str(channel)!r} does not exist"
+        elif case == "input":
+            cnet = tmp_path / "missing.cnet"
+            message = f"input {str(cnet)!r} does not exist"
+        elif case == "no-cnets":
+            cnet = tmp_path / "cnets"
+            cnet.mkdir()
+            (cnet / "a.txt").write_text("CONV a\n")
+            message = f"no .cnet files under {str(cnet)!r}"
+        elif case == "unigram-no-path":
+            extra = ["--out-unigram"]
+            message = "--out-unigram requires a path when adapting a single file"
+        else:
+            cnet, extra = small_run, ["--out-unigram", str(tmp_path / "u.unigram")]
+            message = "--out-unigram takes no path when adapting a directory"
+        before = sorted(os.listdir(tmp_path))
+        code, stdout, err = run(
+            ["adapt", str(cnet), str(small_run / "topics.model"), str(out),
+             "--variant", "conf-tf", "--channel", str(channel), *extra],
+            capsys,
+        )
+        assert code == 2
+        assert err == f"error: {message}\n"
+        assert stdout == ""
+        assert loads == []
+        assert sorted(os.listdir(tmp_path)) == before
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_exit_2_before_output(self, small_run, tmp_path, capsys, jobs):

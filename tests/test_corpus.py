@@ -123,6 +123,34 @@ class TestVocabulary:
         vocab.add("z")
         assert vocab.words == ("x", "y", "z") and words == ("x", "y")
 
+    @given(st.lists(st.tuples(st.sampled_from(["add", "words", "word", "len"]),
+                              st.sampled_from(["a", "b", "é", "ア", "", "a b"])), max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_interleaved_adds_and_reads(self, ops):
+        """Repeated and interleaved adds against a list of the words: ids in
+        first-add order, ``words`` rebuilt after an add that interns and
+        cached otherwise, ``word(i) == words[i]`` and ``len`` counting each
+        word once."""
+        vocab, model = Vocabulary(), []
+        built = vocab.words  # the words as last read, None once an add interns
+        for op, w in ops:
+            if op == "add":
+                if w not in model:
+                    model.append(w)
+                    built = None
+                assert vocab.add(w) == model.index(w)
+            elif op == "len":
+                assert len(vocab) == len(model)
+            else:
+                if op == "word":
+                    assert [vocab.word(i) for i in range(len(model))] == model
+                words = vocab.words
+                assert words == tuple(model)
+                assert built is None or words is built
+                built = words
+            assert vocab.get(w) == (model.index(w) if w in model else None)
+        assert vocab.words == tuple(model) and len(vocab) == len(model)
+
 
 class TestBin:
     def test_canonical_order_and_one_best(self):

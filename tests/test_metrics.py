@@ -22,6 +22,10 @@ class TestPerplexity:
         corpus = ReferenceCorpus.from_tokens([0, 1, 2, 3, 1, 2])
         assert perplexity(probs, corpus) == pytest.approx(4.0, abs=1e-12)
 
+    def test_empty_corpus(self):
+        with pytest.raises(EvaluationError, match="empty reference corpus"):
+            perplexity(np.array([0.5, 0.5]), ReferenceCorpus.from_tokens([]))
+
     def test_two_word_corpus(self):
         probs = np.array([0.5, 0.5])
         corpus = ReferenceCorpus.from_tokens([0, 1])

@@ -74,7 +74,8 @@ class TestFloats:
     @settings(max_examples=300, deadline=None)
     def test_bitwise_float(self, tokens):
         """Each token float() reads is read bitwise as float() reads it; a
-        token float() rejects makes its block read as None."""
+        token float() rejects reads as NaN, and the rest of its block as
+        float() reads them."""
         want = {}
         for t in tokens:
             try:
@@ -88,9 +89,7 @@ class TestFloats:
             got = block.floats(np.arange(1, 2 * len(good), 2))
             assert got.view(np.uint64).tolist() == np.array(
                 [want[t] for t in good]).view(np.uint64).tolist()
-        for t in tokens:
-            if want[t] is None:
-                assert block_of([f"w {t}"]).floats(np.array([1])) is None
+        assert_read(read_as_float(tokens), tokens)
 
     @given(st.lists(EXACT, min_size=1, max_size=30))
     @example(["0.6", "1e-10", "7.58394403183e-08", "0.0444444444444", "1E+05", ".5", "1.",
@@ -119,6 +118,19 @@ def read_as_float(tokens):
 def assert_bitwise(got, tokens):
     want = np.array([float(t) for t in tokens])
     assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+def assert_read(got, tokens):
+    """``got`` is NaN exactly at the tokens ``float()`` rejects, and every
+    other token bitwise as ``float()`` reads it."""
+    rejected = np.zeros(len(tokens), dtype=bool)
+    for i, t in enumerate(tokens):
+        try:
+            float(t)
+        except ValueError:
+            rejected[i] = True
+    assert np.isnan(got[rejected]).all()
+    assert_bitwise(got[~rejected], [t for t, r in zip(tokens, rejected) if not r])
 
 
 # tokens of 24, 25 and 33 bytes: three and four words of eight bytes, and one
@@ -165,14 +177,15 @@ class TestRepeatedFloats:
 
     @pytest.mark.parametrize("bad", ["1e", "0x10", "nan(1)", "1.2.3"])
     def test_repeated_bad_token(self, bad):
-        """A bad token repeated among good ones makes the block None,
+        """A bad token repeated among good ones reads as NaN at every copy,
         whichever of its copies holds a slot."""
         tokens = ["0.5", "0.25", bad] * 400 + [bad, "0.125"]
-        assert read_as_float(tokens) is None
+        assert_read(read_as_float(tokens), tokens)
 
     def test_repeated_nul(self):
-        """A NUL byte, which ``float()`` rejects, makes the block None."""
-        assert read_as_float(["0.5", "0.5\x00", "0.25", "1e-10"] * 500) is None
+        """A token with a NUL byte, which ``float()`` rejects, reads as NaN."""
+        tokens = ["0.5", "0.5\x00", "0.25", "1e-10"] * 500
+        assert_read(read_as_float(tokens), tokens)
 
     def test_repeated_digits_outside_ascii(self):
         """Digits outside ASCII, which only a str reads, are read as
@@ -245,6 +258,39 @@ class TestWordKeys:
         keys = block_of([" ".join(words)]).words(np.arange(len(words)))
         same = keys.equal(WordKeys.of_words(vocab), np.array(at))
         assert same.tolist() == [i != swap for i in range(len(at))]
+
+
+class TestSpans:
+    @given(st.lists(st.tuples(st.sampled_from(["CONV", "NET", "BIN"]),
+                              st.lists(EDGE_WORDS, min_size=1, max_size=5)),
+                    min_size=1, max_size=8),
+           st.sampled_from([" ", "\t", "\u3000", " \xa0", "\u2028", "\x85"]),
+           st.sampled_from(["\n", "\r\n", "\r"]))
+    @settings(max_examples=200, deadline=None)
+    def test_spans_decode_as_slices(self, lines, space, newline):
+        """``spans`` reads every span as its slice of ``data`` decodes:
+        tokens, CONV/NET/BIN lines from their first token to their last, and
+        the word of each BIN cell, which ends at its ':'; words outside
+        ASCII and whitespace outside ASCII (folded to b" ") included."""
+        text = "".join(
+            tag + space + space.join(f"{w}:0.5" if tag == "BIN" else w for w in words) + newline
+            for tag, words in lines)
+        block = Block(text.encode("utf-8"), 1)
+        starts, ends = block.starts.tolist(), block.ends.tolist()
+        line = np.searchsorted(block.breaks, block.starts)
+        first = np.flatnonzero(np.r_[True, line[1:] != line[:-1]])
+        last = np.r_[first[1:], len(starts)] - 1
+        cells = [i for i in range(len(starts)) if i not in first.tolist()
+                 and lines[line[i]][0] == "BIN"]
+        spans = [(starts, ends),
+                 (block.starts[first], block.ends[last]),
+                 ([starts[i] for i in cells], [block.data.rindex(b":", starts[i], ends[i])
+                                               for i in cells])]
+        for start, end in spans:
+            want = [block.data[a:b].decode("utf-8") for a, b in zip(start, end)]
+            assert block.spans(np.array(start, dtype=np.int64),
+                               np.array(end, dtype=np.int64)) == want
+        assert block.text(np.arange(len(starts))) == text.split()
 
 
 class TestLoadMemory:

@@ -153,6 +153,20 @@ class TestMixture:
         assert np.allclose(mid, avg, atol=1e-12)
 
 
+class TestTopicModelChecks:
+    """The checks ``TopicModel`` makes of the arrays it is given."""
+
+    @pytest.mark.parametrize("probs, message", [
+        ([[0.5, 0.5, 0.0]], "probs shape \\(1, 3\\) does not match 1 topics x 2 words"),
+        ([0.5, 0.5], "does not match"),
+        ([[1.0, 0.0]], "topic probabilities below floor"),
+        ([[0.5, 0.4]], "topic rows do not sum to 1"),
+    ], ids=["shape", "one-dimensional", "below-floor", "row-sum"])
+    def test_rejected(self, probs, message):
+        with pytest.raises(ValidationError, match=message):
+            TopicModel(["t"], Vocabulary(["a", "b"]), np.array(probs))
+
+
 class TestSoftmax:
     def test_uniform(self):
         assert np.allclose(mu_to_lambda([0.0, 0.0, 0.0]), np.full(3, 1 / 3), atol=1e-15)

@@ -7,11 +7,11 @@ counting, for every pruned bin, each ordered pair of co-resident words once
 normalizing per conditioning word.
 
 ``load_channel`` reads its file as bytes, a block of whole lines at a time
-(see ``modelfile``): each block's distinct words are looked up once among
-the vocabulary's sorted byte keys, only a word outside it is decoded, and
-each distinct probability of a block is cast once from its bytes to
-float64 by numpy, bitwise what ``float()`` returns, with ``float()``
-itself for a block the cast cannot take.
+(see ``modelfile``): each word of a block probes a hash table of the
+vocabulary's byte keys, built once per load, only a word outside it is
+decoded, and each distinct probability of a block is cast once from its
+bytes to float64 by numpy, bitwise what ``float()`` returns, with
+``float()`` itself for a block the cast cannot take.
 """
 
 from __future__ import annotations
@@ -118,7 +118,7 @@ def save_channel(cm: ChannelModel, vocab: Vocabulary, path) -> None:
     names = np.array(words, dtype=object)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"CHANNEL {order.size}\n")
-        write_lines(fh, "{} {} {:.12g}\n",
+        write_lines(fh, "%s %s %.12g\n",
                     names[spoken[order]], names[cm.obs[order]], cm.probs[order])
 
 
@@ -134,9 +134,9 @@ def load_channel(path, vocab: Vocabulary) -> ChannelModel:
     entries.  A pair listed twice is an error.
 
     The lines are read in blocks of bytes (see ``modelfile``).  A block's
-    words are matched as byte keys: its distinct words are numbered, then
-    looked up among ``vocab``'s sorted keys, and only a word ``vocab`` lacks
-    is decoded.  The first bad line of a file names its error.
+    words are matched as byte keys: ``vocab``'s keys are put in a hash
+    table once, each word of a block probes it, and only a word ``vocab``
+    lacks is decoded.  The first bad line of a file names its error.
     """
     known = len(vocab)
     ws, vs, ps, names = _read_entries(path, vocab)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import glob as globmod
 import json
 import os
@@ -39,13 +40,13 @@ def _write_json(path, doc) -> None:
 def write_lambda_file(path, cid, labels, lam) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"LAMBDA {cid} {len(labels)}\n")
-        write_lines(fh, "{} {:.12g}\n", labels, lam)
+        write_lines(fh, "%s %.12g\n", labels, lam)
 
 
 def write_unigram_file(path, vocab, probs) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"UNIGRAM {len(vocab)}\n")
-        write_lines(fh, "{} {:.12g}\n", vocab.words, probs)
+        write_lines(fh, "%s %.12g\n", vocab.words, probs)
 
 
 def load_unigram_file(path):
@@ -407,6 +408,7 @@ def cmd_synth(args):
     }
 
 
+@functools.cache  # built once per process: parse_args leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cnadapt",
@@ -418,7 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("topics-train", help="train smoothed topic unigrams from labeled transcripts")
     p.add_argument("corpus_dir", help="directory of <topic-label>/<file>.txt transcripts")
     p.add_argument("out_model", help="output topic model file")
-    p.set_defaults(func=cmd_topics_train)
 
     p = sub.add_parser("channel", help="estimate the confusion channel from confusion networks")
     p.add_argument("cnet_glob", help="glob of CNET files")
@@ -427,7 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="prune cells below this fraction of the bin max posterior")
     p.add_argument("--max-words", type=int, default=DEFAULT_MAX_WORDS,
                    help="keep at most this many cells per bin")
-    p.set_defaults(func=cmd_channel)
 
     p = sub.add_parser("adapt", help="fit conversation topic mixture weights")
     p.add_argument("cnet", help="CNET file, or a directory of *.cnet files")
@@ -447,7 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write the adapted unigram: to PATH in file mode, to "
                         "<out>/<name>.unigram (no PATH) in directory mode")
     p.add_argument("--jobs", type=int, default=1, help="parallel workers in directory mode")
-    p.set_defaults(func=cmd_adapt)
 
     p = sub.add_parser("ppl", help="perplexity of a unigram model against a reference transcript")
     p.add_argument("unigram", help="unigram model file")
@@ -455,13 +454,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--thr", type=int, action="append",
                    help="content-word count threshold (repeatable; default 1..5)")
     p.add_argument("--out", help="also write the report to this file")
-    p.set_defaults(func=cmd_ppl)
 
     p = sub.add_parser("synth", help="generate synthetic conversations with known truth")
     p.add_argument("spec", help="JSON generator spec")
     p.add_argument("out_dir", help="output directory")
     p.add_argument("--seed", type=int, default=None, help="override the spec seed")
-    p.set_defaults(func=cmd_synth)
     return parser
 
 
@@ -469,7 +466,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
-        manifest_path, info = args.func(args)
+        # the command the module holds now, not the one the cached parser saw
+        manifest_path, info = globals()["cmd_" + args.subcommand.replace("-", "_")](args)
         exit_code = info.pop("exit_code", 0)
         if manifest_path:
             info.update(subcommand=args.subcommand, version=__version__,

@@ -14,7 +14,8 @@ from line 1, in one pass: each block is checked as it is made.
 
 A block is cut into tokens with numpy: no Python object is made per
 token.  Words are compared as byte keys (``WordKeys``), so only the words
-a loader keeps are decoded, by the one decoder of spans, ``Block.spans``.
+a loader keeps are decoded, by the one decoder of spans, ``Block.spans``;
+a channel block's words probe a hash table of the vocabulary's keys.
 Numbers are read by ``Block.floats``: the tokens' bytes are hashed in one
 pass, numpy casts one token of each distinct number from bytes to
 float64, bitwise as ``float()`` reads it, and the other tokens take its
@@ -25,8 +26,8 @@ a token that is no number reads as NaN.  The same hash pass
 
 ``read_text`` reads a whole text file of any kind, and ``utf8_error``
 reports one that does not decode as UTF-8.  ``write_lines`` writes the
-model files and the adapted unigram WRITE_LINES lines at a time, so no
-writer holds a string for every line.
+model files and the adapted unigram WRITE_LINES lines at a time through
+one ``%`` template, so no writer holds a string for every line.
 """
 
 from __future__ import annotations
@@ -90,13 +91,16 @@ def utf8_error(path) -> ParseError:
 
 
 def write_lines(fh, fmt: str, *columns) -> None:
-    """Write the line ``fmt.format(*row)`` for each row of ``columns``,
-    sequences of one length, to the text file ``fh``, WRITE_LINES rows at a
-    time; a numpy column is read as Python numbers, a slice at a time."""
+    """Write the line ``fmt % row`` for each row of ``columns``, sequences
+    of one length, to the text file ``fh``: WRITE_LINES rows at a time, as
+    ``fmt`` repeated, filled from their values; a numpy column is read as
+    Python numbers, a slice at a time."""
     for lo in range(0, len(columns[0]), WRITE_LINES):
         part = [c[lo : lo + WRITE_LINES] for c in columns]
-        part = [c.tolist() if isinstance(c, np.ndarray) else c for c in part]
-        fh.write("".join(map(fmt.format, *part)))
+        flat = [None] * (len(columns) * len(part[0]))
+        for j, c in enumerate(part):
+            flat[j :: len(columns)] = c.tolist() if isinstance(c, np.ndarray) else c
+        fh.write(fmt * len(part[0]) % tuple(flat))  # % reads a list as one value
 
 
 def read_blocks(fh):
@@ -219,7 +223,7 @@ class WordKeys:
         whose hash slot another word holds are matched in a stable sort."""
         same = np.empty(self.size.size, dtype=np.int64)
         for b, (cells, keys) in self.groups.items():
-            got, hit = _same_words(list(keys.view("<u8").reshape(-1, b).T))
+            got, hit = _same_words(_columns(keys, b))
             if hit.size:  # words whose slot another word holds, matched exactly
                 hit = hit[keys[hit].argsort(kind="stable")]
                 new = np.ones(hit.size, dtype=bool)
@@ -233,30 +237,35 @@ class WordKeys:
         return (np.cumsum(first) - 1)[same], np.flatnonzero(first)
 
     def index(self):
-        """These words sorted, for ``find``: (sorted keys, word) per width."""
-        found = {}
-        for b, (cells, keys) in self.groups.items():
-            if keys.size:
-                order = keys.argsort(kind="stable")
-                found[b] = keys[order], order if cells is None else cells[order]
-        return found
+        """For ``find``, per width: (keys, word numbers (None for every
+        word), ``_hash_table`` of the keys)."""
+        return {b: (keys, cells, _hash_table(_columns(keys, b)))
+                for b, (cells, keys) in self.groups.items() if keys.size}
 
     def find(self, index) -> np.ndarray:
         """Which word of ``index`` (from ``index()``) each of these words
-        is, -1 for one it lacks; each distinct word is looked up once."""
+        is, -1 for one it lacks: each word probes its width's table from
+        its home slot on, until a slot holds its key or no key."""
         ids = np.full(self.size.size, -1, dtype=np.int64)
         for b, (cells, keys) in self.groups.items():
-            if b in index:
-                order = keys.argsort()
-                keys = keys[order]
-                new = np.empty(keys.size, dtype=bool)
-                new[:1] = True
-                np.not_equal(keys[1:], keys[:-1], out=new[1:])
-                known, word = index[b]
-                distinct = keys[new]
-                pos = np.minimum(np.searchsorted(known, distinct), known.size - 1)
-                found = np.where(known[pos] == distinct, word[pos], -1)
-                ids[order if cells is None else cells[order]] = found[np.cumsum(new) - 1]
+            if b not in index:  # no word of the index is as wide
+                continue
+            known, word, table = index[b]
+            pos = _home(_columns(keys, b), known.size)
+            got = table.take(pos)  # -1 (empty) reads the last key, whose probe meets no -1
+            same = known.take(got) == keys
+            found = np.where(same, got, -1)
+            at = np.flatnonzero(~same & (got >= 0))
+            pos = pos[at]
+            while at.size:  # the words whose slot held another key go on
+                pos = (pos + 1) & (table.size - 1)
+                got = table.take(pos)
+                same = known.take(got) == keys[at]
+                found[at[same]] = got[same]
+                on = ~same & (got >= 0)
+                at, pos = at[on], pos[on]
+            ids[slice(None) if cells is None else cells] = (
+                found if word is None else np.where(found < 0, -1, word.take(found)))
         return ids
 
     def equal(self, other, at) -> np.ndarray:
@@ -440,24 +449,47 @@ def _number(token: str):
         return None
 
 
+def _columns(keys, b: int):  # the uint64 words of keys b words wide, an array each
+    return list(keys.view("<u8").reshape(-1, b).T)
+
+
+def _home(words, n: int) -> np.ndarray:
+    """The slot of each key (``words``: arrays of uint64, one entry per key)
+    among 2 << n.bit_length(), 2 to 4 per key of n: its first four words mixed."""
+    mixed = np.zeros(words[0].size, dtype=np.uint64)
+    for w, mix in zip(words, _MIX):
+        mixed ^= w * mix
+    mixed >>= 63 - n.bit_length()
+    return mixed.view(np.int64)
+
+
+def _hash_table(words) -> np.ndarray:
+    """A linear-probing table of the distinct keys ``words`` (as for
+    ``_home``): ``table[s]`` is the number of the key in slot s, or -1; each
+    key sits in the first slot from its home on, wrapping round, left free."""
+    n = words[0].size
+    table = np.full(2 << n.bit_length(), -1, dtype=np.int32)
+    at, pos = np.arange(n, dtype=np.int32), _home(words, n)
+    while at.size:  # of the keys on one free slot, the last takes it
+        table[pos] = np.where(table[pos] < 0, at, table[pos])
+        on = table[pos] != at
+        at, pos = at[on], (pos[on] + 1) & (table.size - 1)
+    return table
+
+
 def _same_words(words):
     """``same[i]``: a token whose ``words`` (arrays of uint64, one entry per
     token) all equal token i's, with ``same[same[i]] == same[i]``; and
     ``hit``, the tokens whose slot a token with other words holds, each of
-    which stands for itself.  Each token is hashed once (its first four
-    words), and the first token of a slot holds it, so every other token
-    stands for the first token with its words."""
+    which stands for itself.  Each token is hashed once (``_home``), and
+    the first token of a slot holds it, so every other token stands for
+    the first token with its words."""
     n = words[0].size
-    mixed = np.zeros(n, dtype=np.uint64)
-    for w, mix in zip(words, _MIX):
-        mixed ^= w * mix
-    # its top bit_length(n) + 1 bits pick a slot: 2 to 4 slots per token
-    mixed >>= 63 - n.bit_length()
-    slot = mixed.view(np.int64)
+    slot = _home(words, n)
     table = np.empty(2 << n.bit_length(), dtype=np.int64)
     table[slot[::-1]] = np.arange(n - 1, -1, -1)  # the first token writes last
     same = table[slot]
-    del mixed, slot, table  # the largest scratch, freed before the next pass
+    del slot, table  # the largest scratch, freed before the next pass
     differ = np.zeros(n, dtype=bool)
     for w in words:
         differ |= w[same] != w

@@ -127,7 +127,7 @@ def save_topic_model(tm: TopicModel, path) -> None:
         words = tm.vocab.words
         for label, row in zip(tm.labels, tm.probs):
             fh.write(f"TOPIC {label}\n")
-            write_lines(fh, "{} {:.12g}\n", words, row)
+            write_lines(fh, "%s %.12g\n", words, row)
 
 
 def load_topic_model(path) -> TopicModel:

@@ -451,6 +451,42 @@ class TestAdapt:
         assert probs.sum() == pytest.approx(1.0, abs=1e-6)
 
 
+class TestParserOncePerProcess:
+    """``main`` builds its parser once per process; no flag of one call
+    carries over to the next."""
+
+    def test_out_unigram_then_none(self, small_run, tmp_path, capsys):
+        argv = ["adapt", str(small_run / "synth000.cnet"), str(small_run / "topics.model")]
+        assert cli.build_parser() is cli.build_parser()
+        code, _, _ = run([*argv, str(tmp_path / "a.lambda"), "--variant", "conf-tf",
+                          "--channel", str(small_run / "channel.model"),
+                          "--out-unigram", str(tmp_path / "a.unigram")], capsys)
+        assert code == 0
+        code, _, _ = run([*argv, str(tmp_path / "b.lambda")], capsys)
+        assert code == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "a.lambda", "a.lambda.diag.json", "a.lambda.manifest.json", "a.unigram",
+            "b.lambda", "b.lambda.diag.json", "b.lambda.manifest.json"]
+        manifest = json.loads((tmp_path / "b.lambda.manifest.json").read_text())
+        assert manifest["params"]["variant"] == "self-1best"
+        assert manifest["inputs"]["channel"] is None
+
+    def test_adapt_then_ppl(self, small_run, tmp_path, capsys):
+        uni = tmp_path / "a.unigram"
+        code, _, _ = run(["adapt", str(small_run / "synth000.cnet"),
+                          str(small_run / "topics.model"), str(tmp_path / "a.lambda"),
+                          "--out-unigram", str(uni)], capsys)
+        assert code == 0
+        ref = tmp_path / "ref.txt"
+        ref.write_text(" ".join(cli.load_unigram_file(uni)[0].words[:5]) + "\n")
+        code, out, err = run(["ppl", str(uni), str(ref), "--thr", "2"], capsys)
+        assert (code, err) == (0, "")
+        assert [line.split("\t")[:2] for line in out.splitlines()] == [
+            ["ppl", "2"], ["ppl", "inf"]]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "a.lambda", "a.lambda.diag.json", "a.lambda.manifest.json", "a.unigram", "ref.txt"]
+
+
 @pytest.fixture(scope="module")
 def small_run(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("smallrun")

@@ -18,6 +18,12 @@ from cnadapt.modelfile import Block, WordKeys, write_lines
 from cnadapt.topics import load_topic_model, save_topic_model
 from helpers import EDGE_WORDS, make_topic_model, traced_peak
 
+# words of 1 to 40 bytes: keys 1 to 5 uint64 wide, the widest past PAD bytes
+KEY_WORDS = st.one_of(
+    st.integers(1, 40).flatmap(lambda n: st.text(alphabet="abxyz", min_size=n, max_size=n)),
+    st.text(alphabet="ab\x00éア\U0001f600", min_size=1, max_size=10),
+)
+
 # edges of the number form: 15 to 17 significant digits, 2**53, powers of
 # ten at and past 22, the optional parts of the form, the tokens only a str
 # reads, a NUL the padded cast would drop and a token wider than PAD
@@ -220,19 +226,50 @@ class TestRepeatedFloats:
 
 
 class TestWordKeys:
-    @given(st.lists(EDGE_WORDS, unique=True, max_size=20),
-           st.lists(EDGE_WORDS, min_size=1, max_size=40))
+    @given(st.lists(EDGE_WORDS | KEY_WORDS, unique=True, max_size=30),
+           st.lists(st.integers(0, 29) | EDGE_WORDS | KEY_WORDS, min_size=1, max_size=40),
+           st.booleans())
+    @example([], ["a", "é", "x" * 40], False)  # an empty key set
     @settings(max_examples=200, deadline=None)
-    def test_find_and_distinct_match_a_dict(self, vocab, words):
+    def test_find_and_distinct_match_a_dict(self, vocab, words, one_slot):
+        """``find`` gives each word its number in a dict of the vocabulary,
+        -1 for an absent one, also when every key is hashed to one slot and
+        a probe passes every key before it; ``distinct`` numbers the words
+        as a dict does.  Keys are 1 to 5 uint64 wide, words past PAD bytes
+        and outside ASCII included."""
+        # a number picks a word of the vocabulary
+        words = [w if isinstance(w, str) else vocab[w % len(vocab)] if vocab else "a"
+                 for w in words]
         block = block_of([" ".join(words)])
         keys = block.words(np.arange(len(words)))
         index = {w: i for i, w in enumerate(vocab)}
-        assert keys.find(WordKeys.of_words(vocab).index()).tolist() == [
-            index.get(w, -1) for w in words]
+        mix = np.zeros(4, dtype=np.uint64) if one_slot else modelfile._MIX
+        with mock.patch.object(modelfile, "_MIX", mix):
+            ids = keys.find(WordKeys.of_words(vocab).index())
+        assert ids.tolist() == [index.get(w, -1) for w in words]
         word, first = keys.distinct()
         assert [words[i] for i in first[word]] == words
         assert len(first) == len(set(words))
         assert block.text(np.arange(len(words))) == words
+
+    @pytest.mark.parametrize("width", [1, 2, 5])
+    def test_keys_sharing_a_home_slot(self, width):
+        """Two words whose keys hash to one home slot: one of them sits one
+        slot on, and ``find`` reaches it only in its probe's second round."""
+        homes = {}
+        for i in range(9):  # 9 words on the 8 slots of a two-key table: two share one
+            word = f"{i}".rjust(8 * width - 1, "w")
+            key = WordKeys.of_words([word]).groups[width][1]
+            home = int(modelfile._home(modelfile._columns(key, width), 2)[0])
+            if home in homes:
+                break
+            homes[home] = word
+        vocab = [homes[home], word]
+        index = WordKeys.of_words(vocab).index()
+        table = index[width][2]
+        assert sorted(table[[home, (home + 1) % table.size]]) == [0, 1]
+        ids = WordKeys.of_words([*vocab, "w" * (8 * width - 1)]).find(index)
+        assert ids.tolist() == [0, 1, -1]
 
     @given(st.lists(EDGE_WORDS, min_size=1, max_size=40), st.booleans())
     @settings(max_examples=200, deadline=None)
@@ -360,13 +397,31 @@ class TestLoadMemory:
 class TestWriteLines:
     @pytest.mark.parametrize("rows", [1, 3, 7, modelfile.WRITE_LINES])
     def test_rows_at_a_time_do_not_matter(self, rows):
-        """Every row is written once, in order, as ``fmt.format`` of its
-        Python values, whatever the number of rows written at a time."""
+        """Every row is written once, in order, as ``fmt %`` its Python
+        values, whatever the number of rows written at a time."""
         words = ("a", "café", "日本", "b", "c", "d", "e")
         probs = np.array([1 / 3, 0.1, 1.0, 0.0, 1e-300, 5e-324, 123456789.125])
         names = np.array(words[::-1], dtype=object)
         fh = io.StringIO()
         with mock.patch.object(modelfile, "WRITE_LINES", rows):
-            write_lines(fh, "{} {} {:.12g}\n", words, names, probs)
+            write_lines(fh, "%s %s %.12g\n", words, names, probs)
         assert fh.getvalue() == "".join(
             f"{w} {v} {p:.12g}\n" for w, v, p in zip(words, words[::-1], probs))
+
+    def test_one_value_row(self):
+        """Each chunk's values go to ``%`` as a tuple: a list would format
+        as one ``%s``, its brackets and quotes included."""
+        fh = io.StringIO()
+        write_lines(fh, "%s\n", ["only"])
+        assert fh.getvalue() == "only\n"
+
+    @given(st.floats(allow_subnormal=True))
+    @example(5e-324)
+    @example(1e308)
+    @example(-0.0)
+    @example(float("inf"))
+    @settings(max_examples=500, deadline=None)
+    def test_percent_g_is_format_g(self, x):
+        """The writers' ``%.12g`` spells every float as ``format(x, '.12g')``
+        did, so the files keep their bytes."""
+        assert "%.12g" % x == format(x, ".12g")
